@@ -26,15 +26,7 @@ from circleinterp import (
     sweep_to_csv,
     sweep_to_json,
 )
-
-
-def parse_ns(raw: str):
-    lo, hi = (int(x) for x in raw.split(":"))
-    ns, n = [], lo
-    while n <= hi:
-        ns.append(n)
-        n *= 2
-    return ns
+from circleinterp.cli import _parse_ns
 
 
 def decay_exponent(ns, errors):
@@ -47,13 +39,13 @@ def decay_exponent(ns, errors):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results", help="output directory")
-    ap.add_argument("--ns", default="16:512", help="power-of-two range lo:hi")
+    ap.add_argument("--ns", default="16:512", help="power-of-two range lo:hi or a comma list")
     ap.add_argument("--r", type=float, default=0.5, help="window ratio")
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    ns = parse_ns(args.ns)
+    ns = _parse_ns(args.ns)
 
     families = {
         "roots-of-unity": NodalFamily(kind="roots-of-unimodular", tau=1.0),

@@ -7,6 +7,7 @@ interpolation on [-1, 1] and trigonometric interpolation on [0, 2*pi).
 
 from .errors import (
     CircleInterpError,
+    ConditioningError,
     DegeneracyError,
     MeasureValidityError,
     NumericalError,

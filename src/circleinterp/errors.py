@@ -22,7 +22,7 @@ class QuadratureError(NumericalError):
 
 
 class RootFindingError(NumericalError):
-    """Polynomial zeros violate the expected structure (e.g. not unimodular)."""
+    """An iterative zero finder did not converge."""
 
 
 class MeasureValidityError(NumericalError):
@@ -31,6 +31,10 @@ class MeasureValidityError(NumericalError):
 
 class DegeneracyError(NumericalError):
     """Nodes or zeros collide beyond the resolvable tolerance."""
+
+
+class ConditioningError(NumericalError):
+    """The problem is too ill-conditioned for a result with half the digits."""
 
 
 class SymmetryError(NumericalError):

@@ -315,7 +315,16 @@ def sweep_to_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_number(x) -> float | None:
+    """A float for strict JSON: null where the value is missing (NaN) or
+    infinite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def sweep_to_json(result: SweepResult, metadata: dict | None = None) -> str:
+    """The sweep as strict JSON; a failed n has null values and its error
+    message in "status"."""
     payload = {
         "family": result.family,
         "r": result.r,
@@ -328,10 +337,10 @@ def sweep_to_json(result: SweepResult, metadata: dict | None = None) -> str:
                 "p": result.plans[i].p if result.plans[i] else None,
                 "q": result.plans[i].q if result.plans[i] else None,
                 "s": result.plans[i].s if result.plans[i] else None,
-                "sup_error": result.sup_errors[i],
-                "lebesgue_max": result.lebesgue_maxima[i],
-                "B_hat": result.b_hats[i],
-                "L_hat": result.l_hats[i],
+                "sup_error": _json_number(result.sup_errors[i]),
+                "lebesgue_max": _json_number(result.lebesgue_maxima[i]),
+                "B_hat": _json_number(result.b_hats[i]),
+                "L_hat": _json_number(result.l_hats[i]),
                 "status": result.statuses[i],
             }
             for i, n in enumerate(result.ns)
@@ -339,4 +348,4 @@ def sweep_to_json(result: SweepResult, metadata: dict | None = None) -> str:
     }
     if metadata:
         payload["metadata"] = metadata
-    return json.dumps(payload, indent=2, default=float) + "\n"
+    return json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n"

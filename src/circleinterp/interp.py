@@ -11,11 +11,12 @@ which is O(n) per point after the O(n^2) setup and stable near nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConditioningError, ValidationError
 from .laurent import DegreePlan
 from .nodal import NodalSystem
 
@@ -31,6 +32,27 @@ __all__ = [
 def _near_node_tol(n: int) -> float:
     # below this the quotient W_n(z)/(z - z_j) has no significant digits left
     return 1e-13 * n
+
+
+# a Lebesgue constant above 1/sqrt(eps) ~ 6.7e7 costs at least half the digits
+MAX_LEBESGUE = 1.0 / math.sqrt(np.finfo(float).eps)
+
+
+def _log_lebesgue_at_widest_gap(system: NodalSystem) -> float:
+    """log of the Lebesgue function sum_j |W(z)| / (|W'(z_j)| |z - z_j|) at
+    the midpoint z of the widest gap between adjacent nodes, summed in log
+    space so that it cannot overflow.  O(n)."""
+    t = np.sort(system.thetas)
+    gaps = np.diff(t, append=t[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    z = np.exp(1j * (t[k] + 0.5 * gaps[k]))
+    logd = np.log(np.abs(z - system.nodes))
+    with np.errstate(divide="ignore"):
+        terms = logd.sum() - logd - np.log(np.abs(system.derivs))
+    top = float(terms.max())
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.exp(terms - top).sum()))
 
 
 def _unit_powers(system: NodalSystem, p: int) -> np.ndarray:
@@ -54,12 +76,23 @@ class CircleInterpolant:
 
 
 def interpolate(system: NodalSystem, plan: DegreePlan, values) -> CircleInterpolant:
-    """Set up the unique interpolant in the window [-p, q] with L(z_j) = u_j."""
+    """Set up the unique interpolant in the window [-p, q] with L(z_j) = u_j.
+
+    Raises ConditioningError when the Lebesgue function, sampled at the
+    midpoint of the widest node gap, exceeds MAX_LEBESGUE.
+    """
     values = np.asarray(values, dtype=complex)
     if plan.n != system.n:
         raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
     if len(values) != system.n:
         raise ValidationError(f"got {len(values)} values for {system.n} nodes")
+    log_leb = _log_lebesgue_at_widest_gap(system)
+    if log_leb > math.log(MAX_LEBESGUE):
+        raise ConditioningError(
+            f"the Lebesgue function reaches 1e{log_leb / math.log(10):.1f} at the widest "
+            f"node gap, above 1/sqrt(eps) = {MAX_LEBESGUE:.1e}: the interpolant "
+            "would lose at least half its digits"
+        )
     weights = _unit_powers(system, plan.p) / system.derivs
     return CircleInterpolant(system=system, plan=plan, values=values, weights=weights)
 

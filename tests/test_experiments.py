@@ -138,6 +138,24 @@ class TestSweep:
         assert [row["n"] for row in payload["rows"]] == [4, 8]
         assert payload["metadata"]["seed"] == 1
 
+        # a failed n serializes as strict JSON: null values, never NaN tokens
+        class FailsAt8(NodalFamily):
+            def build(self, n):
+                if n == 8:
+                    raise ValidationError("boom")
+                return super().build(n)
+
+        failed = convergence_sweep(FailsAt8(kind="roots-of-unimodular", tau=1.0), 0.5,
+                                   [4, 8], corpus("smooth-exp"), error_grid=1024)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        rows = json.loads(sweep_to_json(failed), parse_constant=reject)["rows"]
+        assert rows[0]["status"] == "ok" and rows[0]["sup_error"] is not None
+        assert rows[1]["status"].startswith("error:")
+        assert [rows[1][k] for k in ("sup_error", "lebesgue_max", "B_hat", "L_hat")] == [None] * 4
+
     def test_rejects_bad_ns(self):
         family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
         with pytest.raises(ValidationError):

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from circleinterp import (
+    ConditioningError,
+    DegeneracyError,
     ParaOrthogonalSpec,
+    RootFindingError,
     ValidationError,
     bernstein_szego,
     finite_verblunsky,
+    interpolate,
     lebesgue_measure,
     load_measure_spec,
+    make_degree_plan,
     moments_to_verblunsky,
     paraorthogonal,
     paraorthogonal_nodes,
@@ -18,6 +23,7 @@ from circleinterp import (
     trigonometric_moments,
     verblunsky_coefficients,
 )
+from circleinterp import opuc
 
 
 def orthogonality_defect(state, weight, degree, m=4096):
@@ -36,6 +42,31 @@ def orthogonality_defect(state, weight, degree, m=4096):
             ip = np.sum(phi * np.conj(z**j) * w) * 2 * np.pi / m
             worst = max(worst, abs(ip) / norm)
     return worst
+
+
+def mpmath_paraorthogonal_angles(alphas, tau, dps=80):
+    """Oracle: sorted angles of the zeros of phi_n + tau phi_n*, from the
+    coefficient recurrence and polyroots in mpmath at dps digits.  np.roots
+    on the rounded coefficients, projected to the circle, only seeds the
+    Durand-Kerner iteration."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        phi = [mp.mpc(1)]
+        for a in alphas:
+            a = mp.mpc(complex(a))
+            star = [mp.conj(c) for c in reversed(phi)] + [mp.mpc(0)]
+            phi = [p - mp.conj(a) * s for p, s in zip([mp.mpc(0)] + phi, star)]
+        t = mp.mpc(complex(tau))
+        omega = [p + t * mp.conj(s) for p, s in zip(phi, reversed(phi))]
+        descending = omega[::-1]
+        seeds = np.roots(np.array([complex(c) for c in descending]))
+        roots = mp.polyroots(descending, maxsteps=50, extraprec=dps,
+                             roots_init=[mp.mpc(complex(r / abs(r))) for r in seeds])
+        return np.sort([float(mp.arg(r) % (2 * mp.pi)) for r in roots])
+
+
+def alternating(n):
+    return [0.7 * (-1) ** k for k in range(n)]
 
 
 class TestSzegoRecurrence:
@@ -181,6 +212,48 @@ class TestParaOrthogonal:
         sys = paraorthogonal_nodes(state, spec)
         vals = np.polynomial.polynomial.polyval(sys.nodes, omega)
         assert np.max(np.abs(vals)) < 1e-12
+
+    @pytest.mark.parametrize("tau", [1.0, np.exp(0.7j)])
+    @pytest.mark.parametrize("family", ["alternating", "random-0.95"])
+    def test_matches_mpmath_roots(self, family, tau):
+        n = 64
+        if family == "alternating":
+            alphas = alternating(n)
+        else:
+            alphas = 0.95 * np.exp(2j * np.pi * np.random.default_rng(11).random(n))
+        sys = paraorthogonal_nodes(szego_recurrence(alphas, n), ParaOrthogonalSpec(n=n, tau=tau))
+        ref = mpmath_paraorthogonal_angles(alphas, tau)
+        dist = np.abs(np.mod(np.sort(sys.thetas) - ref + np.pi, 2 * np.pi) - np.pi)
+        assert np.max(dist) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7])
+    def test_colliding_zeros_raise_degeneracy(self, alpha):
+        # constant alphas: the exact zeros collide within ~1e-15
+        state = szego_recurrence([alpha] * 64, 64)
+        with pytest.raises(DegeneracyError):
+            paraorthogonal_nodes(state, ParaOrthogonalSpec(n=64, tau=1.0))
+
+    def test_non_convergence_raises_root_finding(self, monkeypatch):
+        monkeypatch.setattr(opuc, "_NEWTON_MAX_STEPS", 1)
+        state = szego_recurrence(alternating(64), 64)
+        with pytest.raises(RootFindingError, match="did not converge"):
+            paraorthogonal_nodes(state, ParaOrthogonalSpec(n=64, tau=1.0))
+
+    def test_alternating_family_large_n(self):
+        state = szego_recurrence(alternating(512), 512)
+        sys = paraorthogonal_nodes(state, ParaOrthogonalSpec(n=512, tau=1.0))
+        assert sys.n == 512
+        assert np.all(np.diff(sys.thetas) > 1e-10)
+
+    def test_ill_conditioned_nodes_decline_interpolation(self):
+        plan = make_degree_plan(64, 0.5)
+        spec = ParaOrthogonalSpec(n=64, tau=1.0)
+        # 0.7 (-1)^k for k < 16 only: Lebesgue constant ~ 8e5, still accepted
+        head = paraorthogonal_nodes(szego_recurrence(alternating(16) + [0.0] * 48, 64), spec)
+        interpolate(head, plan, np.ones(64))
+        full = paraorthogonal_nodes(szego_recurrence(alternating(64), 64), spec)
+        with pytest.raises(ConditioningError, match="Lebesgue function"):
+            interpolate(full, plan, np.ones(64))
 
     def test_invalid_spec(self):
         with pytest.raises(ValidationError):
