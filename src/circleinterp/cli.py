@@ -273,7 +273,10 @@ def cmd_sweep(cfg) -> int:
         _emit(sweep_to_json(result, metadata=_metadata(cfg)), base + ".json")
     else:
         _emit(sweep_to_csv(result), None)
-    return 0
+    failed = [(n, status) for n, status in zip(result.ns, result.statuses) if status != "ok"]
+    for n, status in failed:
+        print(f"sweep failed at n={n}: {status}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 COMMANDS = {

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CircleInterpError, ValidationError
 from .interp import eval_interpolant, interpolate
 from .laurent import DegreePlan, make_degree_plan
-from .nodal import NodalSystem, estimate_conditions, roots_of_unimodular
+from .nodal import NodalSystem, _grid_points, estimate_conditions, roots_of_unimodular
 from .opuc import (
     MeasureSpec,
     ParaOrthogonalSpec,
@@ -227,11 +227,7 @@ def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction, error_g
     plan = make_degree_plan(n, r)
     I = interpolate(system, plan, F.on_circle(system.nodes))
     # error grid: uniform angles plus node midpoints, where the error peaks
-    theta = 2.0 * np.pi * np.arange(error_grid) / error_grid
-    node_t = np.sort(system.thetas)
-    mids = 0.5 * (node_t + np.roll(node_t, -1))
-    mids[-1] = 0.5 * (node_t[-1] + node_t[0] + 2.0 * np.pi)
-    z = np.exp(1j * np.concatenate([theta, mids]))
+    z = _grid_points(system, error_grid)
     sup_error = float(np.max(np.abs(F.on_circle(z) - eval_interpolant(I, z))))
     report = estimate_conditions(system)
     return plan, sup_error, report

@@ -7,6 +7,10 @@ barycentric (modified Lagrange) form
     L(z) = (W_n(z) / z^p) * sum_j w_j u_j / (z - z_j),  w_j = z_j^p / W_n'(z_j),
 
 which is O(n) per point after the O(n^2) setup and stable near nodes.
+W_n(z) is accumulated in log space with one complex log per run of 16
+factors (nodal._log_product).  The second form, which divides by
+sum_j w_j / (z - z_j) instead of multiplying by W_n(z), loses digits on
+clustered nodes with large Lebesgue constants.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import ConditioningError, ValidationError
 from .laurent import DegreePlan
-from .nodal import NodalSystem
+from .nodal import NodalSystem, _condition_rows, _log_product, _pair_blocks
 
 __all__ = [
     "CircleInterpolant",
@@ -39,20 +43,28 @@ MAX_LEBESGUE = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
 def _log_lebesgue_at_widest_gap(system: NodalSystem) -> float:
-    """log of the Lebesgue function sum_j |W(z)| / (|W'(z_j)| |z - z_j|) at
-    the midpoint z of the widest gap between adjacent nodes, summed in log
-    space so that it cannot overflow.  O(n)."""
+    """log of the Lebesgue function at the midpoint z of the widest gap
+    between adjacent nodes.  O(n)."""
     t = np.sort(system.thetas)
     gaps = np.diff(t, append=t[0] + 2.0 * np.pi)
     k = int(np.argmax(gaps))
     z = np.exp(1j * (t[k] + 0.5 * gaps[k]))
-    logd = np.log(np.abs(z - system.nodes))
-    with np.errstate(divide="ignore"):
-        terms = logd.sum() - logd - np.log(np.abs(system.derivs))
-    top = float(terms.max())
-    if not math.isfinite(top):
-        return top
-    return top + math.log(float(np.exp(terms - top).sum()))
+    return float(_condition_rows(np.array([z]), system)[2][0])
+
+
+def _nearest_nodes(system: NodalSystem, z: np.ndarray):
+    """Index of the node nearest to each z and the distance to it.  For any
+    z != 0 the nearest node in distance is the nearest in argument, so a
+    binary search over the sorted arguments finds it."""
+    thetas = system.thetas
+    order = np.argsort(thetas)
+    i = np.searchsorted(thetas[order], np.mod(np.angle(z), 2.0 * np.pi))
+    # the two neighbours in argument; index -1 and n wrap round the circle
+    cand = np.stack([order[i % system.n], order[i - 1]])
+    dist = np.abs(z - system.nodes[cand])
+    pick = np.argmin(dist, axis=0)
+    cols = np.arange(len(z))
+    return cand[pick, cols], dist[pick, cols]
 
 
 def _unit_powers(system: NodalSystem, p: int) -> np.ndarray:
@@ -116,32 +128,30 @@ def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: com
 
 
 def eval_interpolant(I: CircleInterpolant, z):
-    """Evaluate the interpolant at z != 0 (scalar or array), chunked so that
-    large evaluation grids never materialize an oversized difference matrix."""
+    """Evaluate the interpolant at z != 0 (scalar or array) in blocks of
+    about PAIR_BUDGET point-node pairs, so that large evaluation grids never
+    materialize an oversized difference matrix."""
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
     zz = np.atleast_1d(zz)
     if np.any(zz == 0):
         raise ValidationError("the interpolant is undefined at z = 0")
-    out = np.empty(len(zz), dtype=complex)
-    tol = _near_node_tol(I.n)
+    nearest, dist = _nearest_nodes(I.system, zz)
+    near = dist < _near_node_tol(I.n)
+    log_z = np.log(zz)
+    # a point at a node takes the node value; its row is computed at the
+    # origin instead, where every factor z - z_j is unimodular, and
+    # overwritten below
+    zz = np.where(near, 0.0, zz)
     nodes = I.system.nodes
     wu = I.weights * I.values
-    p = I.plan.p
-    for start in range(0, len(zz), 2048):
-        zc = zz[start:start + 2048]
-        d = zc[:, None] - nodes[None, :]
-        absd = np.abs(d)
-        kmin = np.argmin(absd, axis=1)
-        rows = np.arange(len(zc))
-        near = absd[rows, kmin] < tol
-        dsafe = np.where(absd < tol, 1.0, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = np.log(d).sum(axis=1)
-            t = (wu[None, :] / dsafe).sum(axis=1)
-            vals = np.exp(logw - p * np.log(zc)) * t
-        vals[near] = I.values[kmin[near]]
-        out[start:start + 2048] = vals
+    out = np.empty(len(zz), dtype=complex)
+    for rows, (d, work) in _pair_blocks(len(zz), I.n, complex, complex):
+        np.subtract(zz[rows, None], nodes[None, :], out=d)
+        log_w = _log_product(d, work)
+        inv_d = np.divide(1.0, d, out=d)
+        out[rows] = np.exp(log_w - I.plan.p * log_z[rows]) * np.einsum("ij,j->i", inv_d, wu)
+    out[near] = I.values[nearest[near]]
     return complex(out[0]) if scalar else out
 
 

@@ -36,6 +36,18 @@ UNIMODULAR_TOL = 1e-12
 DISTINCT_TOL = 1e-10  # chordal; below this barycentric weights lose all digits
 NEAR_NODE_TOL = 1e-8  # switch to the removable-singularity limit in (ii)
 
+# The pair kernel walks evaluation points in blocks of about PAIR_BUDGET
+# point-node pairs: one complex temporary is then 1 MB and stays in L2.  Its
+# matrix-vector products use einsum, not BLAS: sweeps run the kernel on a
+# thread pool, and BLAS threads under it would oversubscribe the cores.
+PAIR_BUDGET = 1 << 16
+# log prod_j (z - z_j) takes one complex log per run of 2**FACTOR_LEVELS = 16
+# factors.  For z on the circle and nodes DISTINCT_TOL apart a run product
+# stays between about 1e-150 and 2**16, so PRODUCT_RANGE trips only off the
+# circle, where a row falls back to one log per factor.
+FACTOR_LEVELS = 4
+PRODUCT_RANGE = (1e-250, 1e250)
+
 
 @dataclass(frozen=True)
 class NodalSystem:
@@ -87,17 +99,59 @@ def _validate_nodes(nodes: np.ndarray) -> None:
             )
 
 
+def _pair_blocks(m: int, n: int, *dtypes):
+    """Walk m points against n nodes in blocks of about PAIR_BUDGET
+    point-node pairs.  Yields the slice of points and, per dtype, a scratch
+    (rows, n) array.  The scratch arrays are allocated once and reused, so
+    that memory is O(n) per call whatever m is and no block pays for fresh
+    pages."""
+    step = max(1, PAIR_BUDGET // max(n, 1))
+    scratch = [np.empty((min(m, step), n), dtype=dtype) for dtype in dtypes]
+    for start in range(0, m, step):
+        rows = slice(start, min(start + step, m))
+        yield rows, [buf[: rows.stop - start] for buf in scratch]
+
+
+def _log_product(d: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Row sums of log d[:, j], i.e. log prod_j d[:, j] up to a multiple of
+    2 pi i, with one logarithm per run of 2**FACTOR_LEVELS factors.  work is
+    scratch of d's shape; d is left as it is.
+
+    Halving the row FACTOR_LEVELS times multiplies column j with column
+    j + width/2, so each run gathers columns spread over the whole row; for
+    nodes sorted by argument its factors come from all round the circle.
+    A row with a run product outside PRODUCT_RANGE is redone with one
+    logarithm per factor."""
+    x = d
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(FACTOR_LEVELS):
+            width = x.shape[1]
+            if width < 2:
+                break
+            half = width // 2
+            y = np.multiply(x[:, :half], x[:, half:2 * half], out=work[:, :half])
+            if width % 2:
+                y[:, 0] *= x[:, -1]
+            x = y
+        mag = np.abs(x)
+        out = np.log(mag).sum(axis=1) + 1j * np.arctan2(x.imag, x.real).sum(axis=1)
+        lo, hi = PRODUCT_RANGE
+        for i in np.flatnonzero(~np.all((mag >= lo) & (mag <= hi), axis=1)):
+            out[i] = np.log(d[i]).sum()
+    return out
+
+
 def _derivs_product(nodes: np.ndarray) -> np.ndarray:
     """W_n'(z_j) = prod_{k != j} (z_j - z_k), accumulated in log space to
     dodge intermediate under/overflow for large n."""
     n = len(nodes)
-    if n == 1:
-        return np.ones(1, dtype=complex)
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    logs = np.log(diff)
-    np.fill_diagonal(logs, 0.0)
-    return np.exp(logs.sum(axis=1))
+    derivs = np.empty(n, dtype=complex)
+    for rows, (d, work) in _pair_blocks(n, n, complex, complex):
+        np.subtract(nodes[rows, None], nodes[None, :], out=d)
+        own = np.arange(len(d))
+        d[own, own + rows.start] = 1.0
+        derivs[rows] = np.exp(_log_product(d, work))
+    return derivs
 
 
 def make_nodal_system(nodes, source: str = "user-supplied") -> NodalSystem:
@@ -165,41 +219,59 @@ def _grid_points(system: NodalSystem, grid_size: int) -> np.ndarray:
     return np.exp(1j * np.concatenate([uniform, mids]))
 
 
-def _condition_rows(z_chunk: np.ndarray, system: NodalSystem):
-    """Per grid point: log|W|, |W'|, the condition (ii) quantity, and the
-    Lebesgue function, with removable singularities patched near nodes."""
+def _condition_rows(z: np.ndarray, system: NodalSystem):
+    """Per point z: |W'(z)|, the condition (ii) quantity and the log of the
+    Lebesgue function, with removable singularities patched near nodes.
+
+    Per pair only real arithmetic is done on q = |z - z_j|^2:
+      log|W(z)|        = (1/2) sum_j log q_j,
+      sum_j 1/(z-z_j)  = sum_j conj(z - z_j) / q_j,
+      condition (ii)   = |W|^2 / n^2 sum_j 1/q_j,
+      Lebesgue         = |W| sum_j 1/(|W'(z_j)| sqrt(q_j)),
+    the last as one matrix-vector product against exp(c - log|W'(z_j)|),
+    with c the smallest log|W'(z_j)|, so that it cannot overflow."""
     nodes = system.nodes
     n = len(nodes)
-    d = z_chunk[:, None] - nodes[None, :]
-    absd = np.abs(d)
-    near = absd < NEAR_NODE_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logd = np.log(absd)
-        logw = logd.sum(axis=1)
-        # m[g, j] = log(|W(z_g)| / |z_g - z_j|) = log prod_{k != j} |z_g - z_k|
-        m = logw[:, None] - logd
-        recip = 1.0 / d
-    log_abs_derivs = np.log(np.abs(system.derivs))
-    if near.any():
-        rows, cols = np.nonzero(near)
-        m[rows, cols] = log_abs_derivs[cols]
-        recip[rows, cols] = 0.0
-
-    # condition (ii): sum_j exp(2 m_j) / n^2 via a log-sum-exp
-    mmax = m.max(axis=1)
-    with np.errstate(over="ignore"):
-        cond2 = np.exp(2.0 * (m - mmax[:, None])).sum(axis=1)
-        cond2 = np.exp(2.0 * (mmax - np.log(n))) * cond2
-
-    # |W'(z)| = |W(z)| * |sum_j 1/(z - z_j)| away from nodes
-    wprime = np.exp(logw) * np.abs(recip.sum(axis=1))
-    if near.any():
-        rows, cols = np.nonzero(near)
-        wprime[rows] = np.abs(system.derivs)[cols]
-
-    with np.errstate(over="ignore"):
-        leb = np.exp(m - log_abs_derivs[None, :]).sum(axis=1)
-    return logw, wprime, cond2, leb
+    abs_derivs = np.abs(system.derivs)
+    with np.errstate(divide="ignore"):
+        log_abs_derivs = np.log(abs_derivs)
+    shift = float(log_abs_derivs.min())
+    if math.isfinite(shift):
+        scaled_inv_derivs = np.exp(shift - log_abs_derivs)
+    else:
+        # a W'(z_j) that underflowed to 0 makes the Lebesgue function infinite
+        scaled_inv_derivs = (abs_derivs == 0).astype(float)
+    wprime = np.empty(len(z))
+    cond2 = np.empty(len(z))
+    log_leb = np.empty(len(z))
+    for rows, (dr, di, q, work) in _pair_blocks(len(z), n, float, float, float, float):
+        zc = z[rows]
+        np.subtract(zc.real[:, None], nodes.real[None, :], out=dr)
+        np.subtract(zc.imag[:, None], nodes.imag[None, :], out=di)
+        np.multiply(dr, dr, out=q)
+        q += np.multiply(di, di, out=work)
+        near_rows = np.flatnonzero(q.min(axis=1) < NEAR_NODE_TOL**2)
+        loc, cols = np.nonzero(q[near_rows] < NEAR_NODE_TOL**2)
+        loc = near_rows[loc]
+        with np.errstate(divide="ignore", over="ignore"):
+            log_w = 0.5 * np.log(q, out=work).sum(axis=1)
+            inv_q = np.divide(1.0, q, out=q)
+            inv_q[loc, cols] = 0.0
+            cond2[rows] = np.exp(2.0 * (log_w - math.log(n))) * inv_q.sum(axis=1)
+            # |W'(z)| = |W(z)| * |sum_j 1/(z - z_j)| away from nodes
+            wprime[rows] = np.exp(log_w) * np.hypot(
+                np.einsum("ij,ij->i", dr, inv_q), np.einsum("ij,ij->i", di, inv_q))
+            leb_sum = np.einsum("ij,j->i", np.sqrt(inv_q, out=inv_q), scaled_inv_derivs)
+            log_leb[rows] = log_w + np.log(leb_sum) - shift
+        if len(loc):
+            # near z_j: the j-th summand of (ii) tends to |W'(z_j)|^2 / n^2,
+            # |W'(z)| to |W'(z_j)| and the j-th Lebesgue summand to 1
+            hit = loc + rows.start
+            np.add.at(cond2, hit, (abs_derivs[cols] / n) ** 2)
+            wprime[hit] = abs_derivs[cols]
+            hit, count = np.unique(hit, return_counts=True)
+            log_leb[hit] = np.logaddexp(log_leb[hit], np.log(count))
+    return wprime, cond2, log_leb
 
 
 def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> NodalConditionReport:
@@ -213,22 +285,15 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
         grid_size = default_grid_size(n)
     if grid_size < 4:
         raise ValidationError(f"grid_size must be >= 4, got {grid_size}")
-    z = _grid_points(system, grid_size)
-    b_min = np.inf
-    l_max = 0.0
-    leb_max = 0.0
-    for start in range(0, len(z), 2048):
-        chunk = z[start:start + 2048]
-        _, wprime, cond2, leb = _condition_rows(chunk, system)
-        b_min = min(b_min, float(wprime.min()) / n)
-        l_max = max(l_max, float(cond2.max()))
-        leb_max = max(leb_max, float(leb.max()))
+    wprime, cond2, log_leb = _condition_rows(_grid_points(system, grid_size), system)
+    with np.errstate(over="ignore"):
+        leb_max = float(np.exp(log_leb.max()))
     b_nodes = float(np.min(np.abs(system.derivs))) / n
     return NodalConditionReport(
         n=n,
-        b_hat=b_min,
+        b_hat=float(wprime.min()) / n,
         b_hat_nodes=b_nodes,
-        l_hat=l_max,
+        l_hat=float(cond2.max()),
         lebesgue_max=max(leb_max, 1.0),
         grid_size=grid_size,
         reliable=grid_size >= n,
@@ -244,8 +309,8 @@ def lebesgue_function(system: NodalSystem, plan: DegreePlan, z: complex) -> floa
     if plan.n != system.n:
         raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
     z = complex(z)
-    _, _, _, leb = _condition_rows(np.array([z]), system)
     d = np.abs(z - system.nodes)
     if d.min() < 1e-13 * max(system.n, 1):
         return 1.0
-    return float(leb[0])
+    with np.errstate(over="ignore"):
+        return float(np.exp(_condition_rows(np.array([z]), system)[2][0]))

@@ -123,3 +123,19 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("n,p,q,s,sup_error,lebesgue_max,B_hat,L_hat")
+
+    def test_sweep_failed_n_exit_2(self, tmp_path, capsys):
+        # alpha_k = 0.5 for every k: the zeros collide at n = 64 only
+        m = tmp_path / "const.json"
+        m.write_text(json.dumps({"kind": "verblunsky", "alphas": [[0.5, 0.0]] * 64}))
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--family", "para-orthogonal", "--measure", str(m),
+                     "--ns", "8,16,32,64", "--corpus", "smooth-exp", "--grid", "512",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("sweep failed at n=64: error: ")
+        rows = json.loads((tmp_path / "s.json").read_text())["rows"]
+        assert [row["status"] == "ok" for row in rows] == [True, True, True, False]
+        assert len(out.read_text().strip().splitlines()) == 5

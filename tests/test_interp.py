@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleinterp import (
+    CircleInterpolant,
+    ConditioningError,
     LaurentPolynomial,
+    ParaOrthogonalSpec,
     ValidationError,
     eval_interpolant,
     eval_laurent,
@@ -13,7 +16,10 @@ from circleinterp import (
     interpolate,
     interpolation_error,
     make_degree_plan,
+    make_nodal_system,
+    paraorthogonal_nodes,
     roots_of_unimodular,
+    szego_recurrence,
 )
 
 
@@ -127,3 +133,69 @@ class TestInterpolate:
         F = lambda z: np.exp(np.cos(np.angle(z)))
         I = interpolate(sys, plan, F(sys.nodes))
         assert interpolation_error(I, F, grid_size=4096) < 1e-10
+
+
+def _first_form_reference(I, z):
+    """The first barycentric form with one complex log per factor z - z_j,
+    and the size of its largest terms, |W(z) z^-p| sum_j |w_j u_j / (z - z_j)|."""
+    d = z[:, None] - I.system.nodes[None, :]
+    scale = np.exp(np.log(d).sum(axis=1) - I.plan.p * np.log(z))
+    terms = I.weights * I.values / d
+    return scale * terms.sum(axis=1), np.abs(scale) * np.abs(terms).sum(axis=1)
+
+
+class TestConditioningGate:
+    def test_underflowing_derivatives_decline(self):
+        """64 of 128 nodes 1.1e-10 apart: W'(z_j) underflows to 0 there, so
+        the Lebesgue function is infinite and the gate must say so."""
+        n = 128
+        theta = 2.0 * np.pi * np.arange(n) / n
+        theta[1:65] = theta[1] + 1.1e-10 * np.arange(64)
+        sys = make_nodal_system(np.exp(1j * theta))
+        assert np.any(sys.derivs == 0)
+        with pytest.raises(ConditioningError, match="1einf"):
+            interpolate(sys, make_degree_plan(n, 0.5), np.ones(n))
+
+
+class TestFirstForm:
+    def test_window_member_on_clustered_nodes(self):
+        """Para-orthogonal nodes of 0.7(-1)^k, k < 16 (Lebesgue constant
+        ~7e5): the blocked kernel loses no more than the per-factor
+        reference.  On this member the second form
+        sum_j w_j u_j/(z - z_j) / sum_j w_j/(z - z_j) has 3.8 times the
+        reference's error, which is why evaluation keeps the first form."""
+        n = 256
+        alphas = np.zeros(n)
+        alphas[:16] = 0.7 * (-1.0) ** np.arange(16)
+        sys = paraorthogonal_nodes(szego_recurrence(alphas, n), ParaOrthogonalSpec(n=n, tau=1.0))
+        plan = make_degree_plan(n, 0.25)
+        gen = np.random.default_rng(2)
+        coeffs = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / np.sqrt(2 * n)
+        G = LaurentPolynomial(p=plan.p, q=plan.q, coeffs=coeffs)
+        I = interpolate(sys, plan, eval_laurent(G, sys.nodes))
+        z = np.exp(2j * np.pi * (np.arange(4096) + 0.37) / 4096)
+        exact = eval_laurent(G, z)
+        err = np.max(np.abs(eval_interpolant(I, z) - exact))
+        ref = np.max(np.abs(_first_form_reference(I, z)[0] - exact))
+        assert err <= 2.0 * ref
+
+    def test_node_gaps_near_distinct_tol(self):
+        """Sixteen nodes 1.2e-10 apart, evaluated between them and at
+        |z| = 1e20, where a run of 16 factors z - z_j overflows a double."""
+        n = 32
+        theta = 2.0 * np.pi * np.arange(n) / n
+        theta[1:17] = theta[1] + 1.2e-10 * np.arange(16)
+        sys = make_nodal_system(np.exp(1j * theta))
+        plan = make_degree_plan(n, 0.9)
+        values = np.cos(3.0 * theta) + 0.5j * np.sin(theta)
+        # the Lebesgue constant is far above the interpolate() gate, so
+        # the interpolant is assembled directly
+        I = CircleInterpolant(system=sys, plan=plan, values=values,
+                              weights=np.exp(1j * plan.p * sys.thetas) / sys.derivs)
+        t = np.concatenate([theta[1] + 1.2e-10 * (np.arange(16) + 0.5),
+                            2.0 * np.pi * (np.arange(16) + 0.3) / 16])
+        z = np.concatenate([np.exp(1j * t), 1e20 * np.exp(1j * t[::3])])
+        ref, scale = _first_form_reference(I, z)
+        assert np.all(np.isfinite(ref))
+        # measured 3e-14
+        assert np.all(np.abs(eval_interpolant(I, z) - ref) <= 1e-12 * scale)
