@@ -49,11 +49,9 @@ from .nodal import (
     NodalConditionReport,
     NodalSystem,
     estimate_conditions,
-    eval_nodal_poly,
     lebesgue_function,
     make_nodal_system,
     roots_of_unimodular,
-    scaled_to_complex,
 )
 from .opuc import (
     MeasureSpec,

@@ -11,6 +11,10 @@ W_n(z) is accumulated in log space with one complex log per run of 16
 factors (nodal._log_product).  The second form, which divides by
 sum_j w_j / (z - z_j) instead of multiplying by W_n(z), loses digits on
 clustered nodes with large Lebesgue constants.
+
+On nodes z_0 e^{2 pi i j/n}, such as the roots of z^n = tau, the
+interpolant is a rotated trigonometric interpolant: one FFT of the values
+gives its Laurent coefficients (Henrici 1979), and Horner evaluates them.
 """
 
 from __future__ import annotations
@@ -21,8 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .laurent import DegreePlan
-from .nodal import NodalSystem, _condition_rows, _log_product, _pair_blocks
+from .laurent import DegreePlan, LaurentPolynomial, coefficients_from_samples, eval_laurent
+from .nodal import (
+    UNIMODULAR_TOL,
+    NodalSystem,
+    _condition_rows,
+    _log_product,
+    _pair_blocks,
+    _rotation_offset,
+)
 
 __all__ = [
     "CircleInterpolant",
@@ -31,6 +42,10 @@ __all__ = [
     "eval_interpolant",
     "interpolation_error",
 ]
+
+# Horner on the FFT coefficients pays about 1.5 us of numpy overhead per
+# coefficient; from this many points on it beats the pair kernel (measured).
+HORNER_MIN_POINTS = 64
 
 
 def _near_node_tol(n: int) -> float:
@@ -110,7 +125,10 @@ def interpolate(system: NodalSystem, plan: DegreePlan, values) -> CircleInterpol
 
 
 def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: complex) -> complex:
-    """l_{j,n-1}(z) for the 0-based node index j; returns delta_{jk} at a node z_k."""
+    """l_{j,n-1}(z) for the 0-based node index j; returns delta_{jk} at a node z_k.
+
+    Off the nodes this is the first-form kernel on the j-th unit vector,
+    without the conditioning gate of interpolate()."""
     if plan.n != system.n:
         raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
     if not (0 <= j < system.n):
@@ -118,19 +136,55 @@ def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: com
     z = complex(z)
     if z == 0:
         raise ValidationError("fundamental polynomials are undefined at z = 0")
-    d = z - system.nodes
-    k = int(np.argmin(np.abs(d)))
-    if abs(d[k]) < _near_node_tol(system.n):
+    d = np.abs(z - system.nodes)
+    k = int(np.argmin(d))
+    if d[k] < _near_node_tol(system.n):
         return 1.0 + 0.0j if k == j else 0.0 + 0.0j
-    logw = np.sum(np.log(d.astype(complex)))
-    zj_p = np.exp(1j * plan.p * system.thetas[j])
-    return complex(np.exp(logw - plan.p * np.log(z)) * zj_p / (system.derivs[j] * d[j]))
+    wu = np.zeros(system.n, dtype=complex)
+    wu[j] = np.exp(1j * plan.p * np.angle(system.nodes[j])) / system.derivs[j]
+    return complex(_first_form(system, plan.p, wu, np.array([z]), np.zeros(1, dtype=bool))[0])
+
+
+def _rotated_coefficients(I: CircleInterpolant) -> LaurentPolynomial | None:
+    """The Laurent coefficients c_k from one FFT when the nodes are
+    z_0 e^{2 pi i j/n}; None otherwise.  The values are then samples of
+    L(z_0 w) at the n-th roots of unity w, and L(z_0 w) has the
+    coefficients c_k z_0^k."""
+    z0 = _rotation_offset(I.system.nodes)
+    if z0 is None:
+        return None
+    L = coefficients_from_samples(I.values, I.plan.p)
+    return LaurentPolynomial(p=L.p, q=L.q,
+                             coeffs=L.coeffs * np.exp(-1j * np.angle(z0) * L.exponents))
+
+
+def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray,
+                near: np.ndarray) -> np.ndarray:
+    """W_n(z) z^-p sum_j wu_j / (z - z_j) in blocks of about PAIR_BUDGET
+    point-node pairs, so that large evaluation grids never materialize an
+    oversized difference matrix.  Rows flagged near are left for the
+    caller to fill."""
+    log_z = np.log(zz)
+    # a point at a node takes the node value; its row is computed at the
+    # origin instead, where every factor z - z_j is unimodular
+    zz = np.where(near, 0.0, zz)
+    nodes = system.nodes
+    out = np.empty(len(zz), dtype=complex)
+    for rows, (d, work) in _pair_blocks(len(zz), len(nodes), complex, complex):
+        np.subtract(zz[rows, None], nodes[None, :], out=d)
+        log_w = _log_product(d, work)
+        inv_d = np.divide(1.0, d, out=d)
+        out[rows] = np.exp(log_w - p * log_z[rows]) * np.einsum("ij,j->i", inv_d, wu)
+    return out
 
 
 def eval_interpolant(I: CircleInterpolant, z):
-    """Evaluate the interpolant at z != 0 (scalar or array) in blocks of
-    about PAIR_BUDGET point-node pairs, so that large evaluation grids never
-    materialize an oversized difference matrix."""
+    """Evaluate the interpolant at z != 0 (scalar or array).
+
+    With at least HORNER_MIN_POINTS points, all on the unit circle, and
+    nodes z_0 e^{2 pi i j/n}, Horner runs on the FFT coefficients; otherwise
+    the first-form pair kernel does.  A point within _near_node_tol(n) of a
+    node returns that node's value either way."""
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
     zz = np.atleast_1d(zz)
@@ -138,28 +192,24 @@ def eval_interpolant(I: CircleInterpolant, z):
         raise ValidationError("the interpolant is undefined at z = 0")
     nearest, dist = _nearest_nodes(I.system, zz)
     near = dist < _near_node_tol(I.n)
-    log_z = np.log(zz)
-    # a point at a node takes the node value; its row is computed at the
-    # origin instead, where every factor z - z_j is unimodular, and
-    # overwritten below
-    zz = np.where(near, 0.0, zz)
-    nodes = I.system.nodes
-    wu = I.weights * I.values
-    out = np.empty(len(zz), dtype=complex)
-    for rows, (d, work) in _pair_blocks(len(zz), I.n, complex, complex):
-        np.subtract(zz[rows, None], nodes[None, :], out=d)
-        log_w = _log_product(d, work)
-        inv_d = np.divide(1.0, d, out=d)
-        out[rows] = np.exp(log_w - I.plan.p * log_z[rows]) * np.einsum("ij,j->i", inv_d, wu)
+    L = None
+    if len(zz) >= HORNER_MIN_POINTS and np.all(np.abs(np.abs(zz) - 1.0) <= UNIMODULAR_TOL):
+        L = _rotated_coefficients(I)
+    if L is None:
+        out = _first_form(I.system, I.plan.p, I.weights * I.values, zz, near)
+    else:
+        out = eval_laurent(L, zz)
     out[near] = I.values[nearest[near]]
     return complex(out[0]) if scalar else out
 
 
-def interpolant_coefficients(I: CircleInterpolant):
-    """Recover the interpolant's Laurent coefficients on the window [-p, q]
-    by sampling at the n-th roots of unity and inverting the DFT."""
-    from .laurent import coefficients_from_samples
-
+def interpolant_coefficients(I: CircleInterpolant) -> LaurentPolynomial:
+    """The interpolant's Laurent coefficients on the window [-p, q].  On
+    nodes z_0 e^{2 pi i j/n} they come from one FFT of the values; otherwise
+    from sampling at the n-th roots of unity and inverting the DFT."""
+    L = _rotated_coefficients(I)
+    if L is not None:
+        return L
     m = I.n
     z = np.exp(2j * np.pi * np.arange(m) / m)
     return coefficients_from_samples(eval_interpolant(I, z), I.plan.p)

@@ -25,8 +25,6 @@ __all__ = [
     "NodalConditionReport",
     "make_nodal_system",
     "roots_of_unimodular",
-    "eval_nodal_poly",
-    "scaled_to_complex",
     "estimate_conditions",
     "lebesgue_function",
     "default_grid_size",
@@ -35,6 +33,7 @@ __all__ = [
 UNIMODULAR_TOL = 1e-12
 DISTINCT_TOL = 1e-10  # chordal; below this barycentric weights lose all digits
 NEAR_NODE_TOL = 1e-8  # switch to the removable-singularity limit in (ii)
+ROTATION_TOL = 1e-14  # nodes this close to z_0 e^{2 pi i j/n} count as rotated roots of unity
 
 # The pair kernel walks evaluation points in blocks of about PAIR_BUDGET
 # point-node pairs: one complex temporary is then 1 MB and stays in L2.  Its
@@ -155,10 +154,21 @@ def _derivs_product(nodes: np.ndarray) -> np.ndarray:
 
 
 def make_nodal_system(nodes, source: str = "user-supplied") -> NodalSystem:
-    """Validate unimodularity/distinctness and cache W_n'(z_j)."""
+    """Validate unimodularity/distinctness and cache W_n'(z_j).
+
+    Raises DegeneracyError when some W_n'(z_j) underflows to 0: nodes can
+    clear DISTINCT_TOL and still crowd so many neighbours that the product
+    drops below the smallest double, and the interpolant would be NaN."""
     nodes = np.asarray(nodes, dtype=complex)
     _validate_nodes(nodes)
-    return NodalSystem(nodes=nodes, derivs=_derivs_product(nodes), source=source)
+    derivs = _derivs_product(nodes)
+    zero = int(np.count_nonzero(derivs == 0))
+    if zero:
+        raise DegeneracyError(
+            f"W'(z_j) underflows to 0 at {zero} of {len(nodes)} nodes: they crowd "
+            "too many neighbours for the barycentric weights to be represented"
+        )
+    return NodalSystem(nodes=nodes, derivs=derivs, source=source)
 
 
 def roots_of_unimodular(n: int, tau: complex) -> NodalSystem:
@@ -178,36 +188,23 @@ def roots_of_unimodular(n: int, tau: complex) -> NodalSystem:
     return NodalSystem(nodes=nodes, derivs=derivs, source="roots-of-unimodular")
 
 
-def eval_nodal_poly(system: NodalSystem, z: complex) -> tuple[complex, int]:
-    """Evaluate W_n(z) = prod_j (z - z_j) as (mantissa, exponent) with the
-    value equal to mantissa * 2**exponent.
-
-    The mantissa is renormalized every 64 factors, so |W_n| up to 2^n never
-    over- or underflows.
-    """
-    z = complex(z)
-    factors = z - system.nodes
-    mant = 1.0 + 0.0j
-    expo = 0
-    for start in range(0, len(factors), 64):
-        block = factors[start:start + 64]
-        # 64 factors of magnitude <= |z| + 1 stay well inside double range
-        mant *= complex(np.prod(block))
-        if mant == 0:
-            return 0.0 + 0.0j, 0
-        _, e = math.frexp(abs(mant))
-        mant = complex(math.ldexp(mant.real, -e), math.ldexp(mant.imag, -e))
-        expo += e
-    return mant, expo
-
-
-def scaled_to_complex(mantissa: complex, exponent: int) -> complex:
-    """Collapse a (mantissa, exponent) pair to a plain complex value."""
-    return complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
-
-
 def default_grid_size(n: int) -> int:
     return max(4096, 16 * n)
+
+
+def _rotation_offset(nodes: np.ndarray) -> complex | None:
+    """z_0 when nodes[j] = z_0 e^{2 pi i j/n} for every j, in the stored
+    order, to within ROTATION_TOL; otherwise None.  The roots of z^n = tau
+    are such a system.  z_0 is the unimodular least-squares fit, so its
+    argument carries no more rounding than the nodes themselves."""
+    roots = np.exp(2j * np.pi * np.arange(len(nodes)) / len(nodes))
+    fit = np.vdot(roots, nodes)
+    if fit == 0:
+        return None
+    z0 = fit / abs(fit)
+    if np.max(np.abs(nodes - z0 * roots)) > ROTATION_TOL:
+        return None
+    return complex(z0)
 
 
 def _grid_points(system: NodalSystem, grid_size: int) -> np.ndarray:
@@ -279,13 +276,27 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
 
     The grid is uniform plus node-argument midpoints.  Near a node the j-th
     summand of condition (ii) is replaced by its limit |W'(z_j)|^2 / n^2.
+
+    When the nodes are z_0 e^{2 pi i j/n} (see _rotation_offset) and n
+    divides grid_size, the rows run on one period only: the first
+    grid_size / n uniform points and one midpoint.  Every other grid point
+    is one of these turned by a multiple of 2 pi / n, which permutes the
+    nodes and leaves |W'(z)|, (ii) and the Lebesgue function (all |W'(z_j)|
+    are equal) unchanged, so the extrema are those of the full grid up to
+    rounding.
     """
     n = system.n
     if grid_size is None:
         grid_size = default_grid_size(n)
     if grid_size < 4:
         raise ValidationError(f"grid_size must be >= 4, got {grid_size}")
-    wprime, cond2, log_leb = _condition_rows(_grid_points(system, grid_size), system)
+    z0 = _rotation_offset(system.nodes) if grid_size % n == 0 else None
+    if z0 is None:
+        z = _grid_points(system, grid_size)
+    else:
+        period = 2.0 * np.pi * np.arange(grid_size // n) / grid_size
+        z = np.append(np.exp(1j * period), z0 * np.exp(1j * np.pi / n))
+    wprime, cond2, log_leb = _condition_rows(z, system)
     with np.errstate(over="ignore"):
         leb_max = float(np.exp(log_leb.max()))
     b_nodes = float(np.min(np.abs(system.derivs))) / n

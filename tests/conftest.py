@@ -54,3 +54,17 @@ def real_barycentric(xs, fxs):
         return out
 
     return p
+
+
+def brute_force_interpolant(nodes, p, values, z):
+    """Direct-product oracle for L(z) = sum_j u_j l_j(z) with
+    l_j(z) = z_j^p W(z) / (W'(z_j) (z - z_j) z^p); no log space, no shared
+    code with the library.  Keep n small enough that W does not overflow."""
+    nodes = np.asarray(nodes)
+    z = np.asarray(z, dtype=complex)
+    w = np.prod(z[:, None] - nodes[None, :], axis=1)
+    total = np.zeros(len(z), dtype=complex)
+    for j in range(len(nodes)):
+        wprime = np.prod(nodes[j] - np.delete(nodes, j))
+        total += values[j] * nodes[j] ** p * w / (wprime * (z - nodes[j]) * z**p)
+    return total

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from circleinterp import (
     CircleInterpolant,
     ConditioningError,
+    DegeneracyError,
     LaurentPolynomial,
+    NodalSystem,
     ParaOrthogonalSpec,
     ValidationError,
     eval_interpolant,
@@ -19,8 +21,12 @@ from circleinterp import (
     make_nodal_system,
     paraorthogonal_nodes,
     roots_of_unimodular,
+    coefficients_from_samples,
     szego_recurrence,
 )
+from circleinterp import interp, nodal
+
+from conftest import brute_force_interpolant
 
 
 class TestFundamentalPolynomials:
@@ -146,12 +152,16 @@ def _first_form_reference(I, z):
 
 class TestConditioningGate:
     def test_underflowing_derivatives_decline(self):
-        """64 of 128 nodes 1.1e-10 apart: W'(z_j) underflows to 0 there, so
-        the Lebesgue function is infinite and the gate must say so."""
+        """64 of 128 nodes 1.1e-10 apart: W'(z_j) underflows to 0 there.
+        make_nodal_system names the underflow; a system assembled directly
+        has an infinite Lebesgue function, and the gate must say so."""
         n = 128
         theta = 2.0 * np.pi * np.arange(n) / n
         theta[1:65] = theta[1] + 1.1e-10 * np.arange(64)
-        sys = make_nodal_system(np.exp(1j * theta))
+        nodes = np.exp(1j * theta)
+        with pytest.raises(DegeneracyError, match="underflows to 0 at 64 of 128 nodes"):
+            make_nodal_system(nodes)
+        sys = NodalSystem(nodes=nodes, derivs=nodal._derivs_product(nodes))
         assert np.any(sys.derivs == 0)
         with pytest.raises(ConditioningError, match="1einf"):
             interpolate(sys, make_degree_plan(n, 0.5), np.ones(n))
@@ -199,3 +209,108 @@ class TestFirstForm:
         assert np.all(np.isfinite(ref))
         # measured 3e-14
         assert np.all(np.abs(eval_interpolant(I, z) - ref) <= 1e-12 * scale)
+
+
+def _spy_kernel(monkeypatch):
+    """Record the number of points of every call to the first-form kernel."""
+    calls = []
+    kernel = interp._first_form
+
+    def spy(system, p, wu, zz, near):
+        calls.append(len(zz))
+        return kernel(system, p, wu, zz, near)
+
+    monkeypatch.setattr(interp, "_first_form", spy)
+    return calls
+
+
+def _kernel(I, z, near=None):
+    if near is None:
+        near = np.zeros(len(z), dtype=bool)
+    return interp._first_form(I.system, I.plan.p, I.weights * I.values, z, near)
+
+
+def _member(plan, seed):
+    gen = np.random.default_rng(seed)
+    coeffs = (gen.standard_normal(plan.n) + 1j * gen.standard_normal(plan.n)) / np.sqrt(2 * plan.n)
+    return LaurentPolynomial(p=plan.p, q=plan.q, coeffs=coeffs)
+
+
+class TestRotatedFastPath:
+    """Nodes z_0 e^{2 pi i j/n}: FFT coefficients and Horner for at least
+    64 points on the circle, the first-form kernel otherwise."""
+
+    @pytest.mark.parametrize("tau", [np.exp(0.7j), -1.0, 1j])
+    def test_matches_kernel_and_window_member(self, monkeypatch, tau):
+        n = 512
+        sys = roots_of_unimodular(n, tau)
+        plan = make_degree_plan(n, 0.5)
+        G = _member(plan, 5)
+        I = interpolate(sys, plan, eval_laurent(G, sys.nodes))
+        z = np.exp(2j * np.pi * (np.arange(1000) + 0.37) / 1000)
+        exact = eval_laurent(G, z)
+        kernel = _kernel(I, z)
+        calls = _spy_kernel(monkeypatch)
+        got = eval_interpolant(I, z)
+        assert calls == []
+        # measured 1.7e-13 against the member, 2.3e-13 against the kernel
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(got - exact)) <= 1e-12 * scale
+        assert np.max(np.abs(got - kernel)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("how", ["shuffled", "perturbed"])
+    def test_other_nodes_fall_back_to_kernel(self, monkeypatch, how):
+        n = 64
+        nodes = roots_of_unimodular(n, np.exp(0.7j)).nodes
+        gen = np.random.default_rng(4)
+        if how == "shuffled":
+            nodes = gen.permutation(nodes)
+        else:
+            nodes = nodes * np.exp(1e-9j * gen.standard_normal(n))
+        sys = make_nodal_system(nodes)
+        plan = make_degree_plan(n, 0.5)
+        values = np.cos(3.0 * sys.thetas) + 0.5j * np.sin(sys.thetas)
+        I = interpolate(sys, plan, values)
+        z = np.exp(2j * np.pi * (np.arange(200) + 0.37) / 200)
+        calls = _spy_kernel(monkeypatch)
+        got = eval_interpolant(I, z)
+        assert calls == [200]
+        brute = brute_force_interpolant(nodes, plan.p, values, z)
+        assert np.max(np.abs(got - brute)) <= 1e-12 * np.max(np.abs(brute))
+
+    def test_few_or_off_circle_points_take_kernel(self, monkeypatch):
+        n = 128
+        sys = roots_of_unimodular(n, np.exp(0.7j))
+        plan = make_degree_plan(n, 0.5)
+        I = interpolate(sys, plan, eval_laurent(_member(plan, 6), sys.nodes))
+        z = np.exp(2j * np.pi * (np.arange(64) + 0.37) / 64)
+        calls = _spy_kernel(monkeypatch)
+        eval_interpolant(I, z[:63])
+        eval_interpolant(I, z)
+        eval_interpolant(I, np.append(z, 1.5))
+        eval_interpolant(I, z[0])
+        assert calls == [63, 65, 1]
+
+    @pytest.mark.parametrize("n", [64, 1000])
+    def test_nodes_return_their_values_exactly(self, monkeypatch, n):
+        sys = roots_of_unimodular(n, np.exp(0.7j))
+        values = np.random.default_rng(n).standard_normal(n) + 0.5j
+        I = interpolate(sys, make_degree_plan(n, 0.3), values)
+        calls = _spy_kernel(monkeypatch)
+        np.testing.assert_array_equal(eval_interpolant(I, sys.nodes), values)
+        assert calls == []
+
+    @pytest.mark.parametrize("tau", [1.0, np.exp(0.3j)])
+    def test_coefficients_match_sampled_kernel(self, tau):
+        """interpolant_coefficients takes the FFT of the values directly;
+        sampling the kernel at the n-th roots of unity is the general path."""
+        n = 256
+        sys = roots_of_unimodular(n, tau)
+        plan = make_degree_plan(n, 0.4)
+        I = interpolate(sys, plan, np.exp(sys.nodes))
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        near = np.abs(roots - sys.nodes) < 1e-13 * n
+        sampled = np.where(near, I.values, _kernel(I, roots, near))
+        ref = coefficients_from_samples(sampled, plan.p).coeffs
+        got = interpolant_coefficients(I).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -10,13 +10,11 @@ from circleinterp import (
     ParaOrthogonalSpec,
     ValidationError,
     estimate_conditions,
-    eval_nodal_poly,
     lebesgue_function,
     make_degree_plan,
     make_nodal_system,
     paraorthogonal_nodes,
     roots_of_unimodular,
-    scaled_to_complex,
     szego_recurrence,
 )
 from circleinterp import nodal
@@ -73,27 +71,6 @@ class TestDerivatives:
         sys = make_nodal_system(roots_of_unimodular(2048, 1.0).nodes)
         assert np.all(np.isfinite(sys.derivs))
         assert np.max(np.abs(np.abs(sys.derivs) - 2048.0)) < 1e-6
-
-
-class TestEvalNodalPoly:
-    def test_matches_direct_product(self, rng):
-        nodes = np.exp(1j * np.sort(rng.uniform(0, 2 * np.pi, 12)))
-        sys = make_nodal_system(nodes)
-        z = np.exp(0.3j)
-        mant, expo = eval_nodal_poly(sys, z)
-        assert scaled_to_complex(mant, expo) == pytest.approx(np.prod(z - nodes), rel=1e-12)
-
-    def test_huge_degree_scaling(self):
-        sys = roots_of_unimodular(4000, 1.0)
-        mant, expo = eval_nodal_poly(sys, 2.0)  # |W| = 2^4000 - 1, overflows a double
-        assert 0.5 <= abs(mant) < 2.0
-        # log2|W(2)| = log2(2^4000 - 1) ~ 4000
-        assert (np.log2(abs(mant)) + expo) == pytest.approx(4000.0, abs=1e-9)
-
-    def test_zero_at_node(self):
-        sys = roots_of_unimodular(8, 1.0)
-        mant, _ = eval_nodal_poly(sys, 1.0)
-        assert mant == 0
 
 
 class TestConditionEstimates:
@@ -207,3 +184,74 @@ class TestConditionKernelOracles:
         assert np.exp(log_leb[1]) == pytest.approx(1.0, rel=1e-12)
         assert cond2[1] == pytest.approx(abs(sys.derivs[j]) ** 2 / sys.n**2, rel=1e-12)
         assert np.all(wprime == np.abs(sys.derivs[j]))
+
+
+class TestOnePeriodGrid:
+    """On nodes z_0 e^{2 pi i j/n} with n dividing the grid size the
+    estimator runs one period of the grid; the full grid is the oracle."""
+
+    @staticmethod
+    def _spy_rows(monkeypatch):
+        calls = []
+        rows = nodal._condition_rows
+
+        def spy(z, system):
+            calls.append((z, rows(z, system)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(nodal, "_condition_rows", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [16, 512, 2048])
+    @pytest.mark.parametrize("tau", [1.0, -1.0, np.exp(0.7j)])
+    def test_matches_full_grid(self, monkeypatch, n, tau):
+        sys = roots_of_unimodular(n, tau)
+        grid = nodal.default_grid_size(n)
+        full = nodal._condition_rows(nodal._grid_points(sys, grid), sys)
+        calls = self._spy_rows(monkeypatch)
+        report = estimate_conditions(sys)
+        period = grid // n
+        [(z, one)] = calls
+        assert len(z) == period + 1
+        # the period is the full grid's own first points, with the same rows
+        for got, want in zip(one, full):
+            np.testing.assert_array_equal(got[:period], want[:period])
+        # Over one orbit of the rotation the full grid's rows vary by
+        # rounding alone, by up to about 10 n eps (3.5e-12 at n = 2048,
+        # 1.2e-12 at n = 512).  That bounds how far the extrema of one
+        # period can sit from those of the full grid.
+        rtol = 16 * n * np.finfo(float).eps
+        wprime, cond2, log_leb = full
+        assert report.grid_size == grid and report.reliable
+        assert report.b_hat == pytest.approx(wprime.min() / n, rel=rtol)
+        assert report.l_hat == pytest.approx(cond2.max(), rel=rtol)
+        assert report.lebesgue_max == pytest.approx(np.exp(log_leb.max()), rel=rtol)
+        # for the roots of z^n = tau, |W'(z)| = n and (ii) = 1 on the circle
+        assert report.b_hat == pytest.approx(1.0, rel=rtol)
+        assert report.l_hat == pytest.approx(1.0, rel=rtol)
+
+    def test_grid_not_a_multiple_of_n_takes_full_grid(self, monkeypatch):
+        calls = self._spy_rows(monkeypatch)
+        estimate_conditions(roots_of_unimodular(100, 1.0))
+        assert [len(z) for z, _ in calls] == [4096 + 100]
+
+    def test_shuffled_nodes_take_full_grid(self, monkeypatch):
+        nodes = roots_of_unimodular(64, np.exp(0.7j)).nodes
+        sys = make_nodal_system(np.random.default_rng(3).permutation(nodes))
+        calls = self._spy_rows(monkeypatch)
+        estimate_conditions(sys)
+        assert [len(z) for z, _ in calls] == [4096 + 64]
+
+    def test_rotation_offset(self):
+        """Roots of z^n = tau pass in their stored order, and so do the
+        para-orthogonal nodes of the Lebesgue measure; a permutation or a
+        1e-9 perturbation does not."""
+        tau = np.exp(0.7j)
+        sys = roots_of_unimodular(1000, tau)
+        assert nodal._rotation_offset(sys.nodes) == pytest.approx(sys.nodes[0], abs=1e-15)
+        lebesgue = szego_recurrence(np.zeros(64), 64)
+        para = paraorthogonal_nodes(lebesgue, ParaOrthogonalSpec(n=64, tau=tau))
+        assert nodal._rotation_offset(para.nodes) is not None
+        assert nodal._rotation_offset(sys.nodes[::-1]) is None
+        assert nodal._rotation_offset(sys.nodes * np.exp(1e-9j * (np.arange(1000) % 2))) is None
+
