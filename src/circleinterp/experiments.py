@@ -299,14 +299,15 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    lines = ["n,p,q,s,sup_error,lebesgue_max,B_hat,L_hat"]
+    lines = ["n,p,q,s,sup_error,lebesgue_max,B_hat,L_hat,status"]
     for i, n in enumerate(result.ns):
         plan = result.plans[i]
         p, q, s = (plan.p, plan.q, plan.s) if plan is not None else ("", "", "")
+        status = result.statuses[i].replace('"', '""')
         lines.append(
             f"{n},{p},{q},{s},{float(result.sup_errors[i])!r},"
             f"{float(result.lebesgue_maxima[i])!r},"
-            f"{float(result.b_hats[i])!r},{float(result.l_hats[i])!r}"
+            f"{float(result.b_hats[i])!r},{float(result.l_hats[i])!r},\"{status}\""
         )
     return "\n".join(lines) + "\n"
 

@@ -6,15 +6,20 @@ barycentric (modified Lagrange) form
 
     L(z) = (W_n(z) / z^p) * sum_j w_j u_j / (z - z_j),  w_j = z_j^p / W_n'(z_j),
 
-which is O(n) per point after the O(n^2) setup and stable near nodes.
-W_n(z) is accumulated in log space with one complex log per run of 16
-factors (nodal._log_product).  The second form, which divides by
-sum_j w_j / (z - z_j) instead of multiplying by W_n(z), loses digits on
+which is stable near nodes.  This pair kernel costs O(n) per point after
+the O(n^2) setup; W_n(z) is accumulated in log space with one complex log
+per run of 16 factors (nodal._log_product).  The second form, which divides
+by sum_j w_j / (z - z_j) instead of multiplying by W_n(z), loses digits on
 clustered nodes with large Lebesgue constants.
 
-On nodes z_0 e^{2 pi i j/n}, such as the roots of z^n = tau, the
-interpolant is a rotated trigonometric interpolant: one FFT of the values
-gives its Laurent coefficients (Henrici 1979), and Horner evaluates them.
+Batches of points on the unit circle mostly skip the kernel.  L lies in a
+window of n exponents, so its values at the n-th roots of unity fix its
+Laurent coefficients through one inverse DFT, and Horner then evaluates
+them at a few flops per point and coefficient.  On nodes z_0 e^{2 pi i j/n},
+such as the roots of z^n = tau, the interpolant is a rotated trigonometric
+interpolant and those values are the node values themselves (Henrici
+1979).  On any other nodes the kernel computes them, which pays off once
+there are more points than nodes.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ __all__ = [
     "interpolation_error",
 ]
 
-# Horner on the FFT coefficients pays about 1.5 us of numpy overhead per
-# coefficient; from this many points on it beats the pair kernel (measured).
+# Horner pays about 1.5 us of numpy overhead per coefficient; from this many
+# points on it beats the pair kernel on FFT coefficients (measured).
 HORNER_MIN_POINTS = 64
 
 
@@ -145,19 +150,6 @@ def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: com
     return complex(_first_form(system, plan.p, wu, np.array([z]), np.zeros(1, dtype=bool))[0])
 
 
-def _rotated_coefficients(I: CircleInterpolant) -> LaurentPolynomial | None:
-    """The Laurent coefficients c_k from one FFT when the nodes are
-    z_0 e^{2 pi i j/n}; None otherwise.  The values are then samples of
-    L(z_0 w) at the n-th roots of unity w, and L(z_0 w) has the
-    coefficients c_k z_0^k."""
-    z0 = _rotation_offset(I.system.nodes)
-    if z0 is None:
-        return None
-    L = coefficients_from_samples(I.values, I.plan.p)
-    return LaurentPolynomial(p=L.p, q=L.q,
-                             coeffs=L.coeffs * np.exp(-1j * np.angle(z0) * L.exponents))
-
-
 def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray,
                 near: np.ndarray) -> np.ndarray:
     """W_n(z) z^-p sum_j wu_j / (z - z_j) in blocks of about PAIR_BUDGET
@@ -178,41 +170,64 @@ def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray,
     return out
 
 
-def eval_interpolant(I: CircleInterpolant, z):
-    """Evaluate the interpolant at z != 0 (scalar or array).
-
-    With at least HORNER_MIN_POINTS points, all on the unit circle, and
-    nodes z_0 e^{2 pi i j/n}, Horner runs on the FFT coefficients; otherwise
-    the first-form pair kernel does.  A point within _near_node_tol(n) of a
-    node returns that node's value either way."""
-    zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz)
-    if np.any(zz == 0):
-        raise ValidationError("the interpolant is undefined at z = 0")
+def _evaluate(I: CircleInterpolant, zz: np.ndarray, L: LaurentPolynomial | None) -> np.ndarray:
+    """Horner on L at the points zz, or the first-form kernel when L is
+    None; a point within _near_node_tol(n) of a node takes that node's
+    value exactly."""
     nearest, dist = _nearest_nodes(I.system, zz)
     near = dist < _near_node_tol(I.n)
-    L = None
-    if len(zz) >= HORNER_MIN_POINTS and np.all(np.abs(np.abs(zz) - 1.0) <= UNIMODULAR_TOL):
-        L = _rotated_coefficients(I)
     if L is None:
         out = _first_form(I.system, I.plan.p, I.weights * I.values, zz, near)
     else:
         out = eval_laurent(L, zz)
     out[near] = I.values[nearest[near]]
+    return out
+
+
+def _coefficients(I: CircleInterpolant, z0: complex | None) -> LaurentPolynomial:
+    """The Laurent coefficients from the interpolant's values at the n-th
+    roots of unity w.  With nodes z0 w, the values are samples of
+    L(z0 w), which has the coefficients c_k z0^k; otherwise the kernel
+    samples L at the roots.  Rounding of the weights perturbs L by a Laurent
+    polynomial in the same window, which the n samples recover exactly, so
+    the coefficients are as accurate as the kernel's samples."""
+    if z0 is not None:
+        L = coefficients_from_samples(I.values, I.plan.p)
+        return LaurentPolynomial(p=L.p, q=L.q,
+                                 coeffs=L.coeffs * np.exp(-1j * np.angle(z0) * L.exponents))
+    roots = np.exp(2j * np.pi * np.arange(I.n) / I.n)
+    return coefficients_from_samples(_evaluate(I, roots, None), I.plan.p)
+
+
+def eval_interpolant(I: CircleInterpolant, z):
+    """Evaluate the interpolant at z != 0 (scalar or array).
+
+    For at least HORNER_MIN_POINTS points, all on the unit circle, Horner
+    runs on the Laurent coefficients when they are cheaper than the pair
+    kernel on every point: on nodes z_0 e^{2 pi i j/n} they come from one
+    FFT of the values, and for more points than nodes from the kernel on
+    the n-th roots of unity.  Otherwise the first-form pair kernel runs on
+    the points.  A point within _near_node_tol(n) of a node returns that
+    node's value either way."""
+    zz = np.asarray(z, dtype=complex)
+    scalar = zz.ndim == 0
+    zz = np.atleast_1d(zz)
+    if np.any(zz == 0):
+        raise ValidationError("the interpolant is undefined at z = 0")
+    L = None
+    if len(zz) >= HORNER_MIN_POINTS and np.all(np.abs(np.abs(zz) - 1.0) <= UNIMODULAR_TOL):
+        z0 = _rotation_offset(I.system.nodes)
+        if z0 is not None or len(zz) > I.n:
+            L = _coefficients(I, z0)
+    out = _evaluate(I, zz, L)
     return complex(out[0]) if scalar else out
 
 
 def interpolant_coefficients(I: CircleInterpolant) -> LaurentPolynomial:
-    """The interpolant's Laurent coefficients on the window [-p, q].  On
-    nodes z_0 e^{2 pi i j/n} they come from one FFT of the values; otherwise
-    from sampling at the n-th roots of unity and inverting the DFT."""
-    L = _rotated_coefficients(I)
-    if L is not None:
-        return L
-    m = I.n
-    z = np.exp(2j * np.pi * np.arange(m) / m)
-    return coefficients_from_samples(eval_interpolant(I, z), I.plan.p)
+    """The interpolant's Laurent coefficients on the window [-p, q]: one
+    FFT of the values on nodes z_0 e^{2 pi i j/n}, otherwise one FFT of the
+    kernel's values at the n-th roots of unity."""
+    return _coefficients(I, _rotation_offset(I.system.nodes))
 
 
 def interpolation_error(I: CircleInterpolant, F, grid_size: int = 8192) -> float:

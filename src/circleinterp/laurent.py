@@ -111,15 +111,19 @@ def eval_laurent(L: LaurentPolynomial, z):
     # a_k z^k for k = 0..q
     pos = L.coeffs[L.p:]
     acc = np.full_like(z, pos[-1])
+    # in place: the same roundings as acc = acc * z + c, without two
+    # temporaries per coefficient
     for c in pos[-2::-1]:
-        acc = acc * z + c
+        acc *= z
+        acc += c
     if L.p > 0:
         # c_{-1} u + c_{-2} u^2 + ... with u = 1/z
         u = 1.0 / z
         neg = L.coeffs[:L.p]  # exponents -p..-1
         nacc = np.full_like(z, neg[0])
         for c in neg[1:]:
-            nacc = nacc * u + c
+            nacc *= u
+            nacc += c
         acc = acc + nacc * u
     return complex(acc) if acc.ndim == 0 else acc
 

@@ -27,7 +27,7 @@ from .errors import (
     RootFindingError,
     ValidationError,
 )
-from .nodal import NodalSystem, make_nodal_system
+from .nodal import DISTINCT_TOL, NodalSystem, make_nodal_system
 
 __all__ = [
     "OpucState",
@@ -53,6 +53,10 @@ _TWO_PI = 2.0 * np.pi
 # off at |alpha| = 0.95, n = 64.
 _NEWTON_TOL = 2e-15
 _NEWTON_MAX_STEPS = 100
+# a bracketing cell that holds several zeros is cut into this many parts
+_SUBDIVISIONS = 8
+# a Newton pass spends up to this many points on its last few zeros
+_TAIL_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -301,37 +305,82 @@ def _phase_steps(alphas: np.ndarray) -> list:
 
 def _blaschke_phase(steps: list, theta: np.ndarray):
     """The phase psi_n(theta) = 2 pi w + phi of b_n = phi_n / phi_n* on the
-    circle, as an exact integer winding w and a reduced phase phi, together
-    with its derivative g = psi_n'(theta).
+    circle, as an exact integer winding w and a reduced phase phi in
+    (-pi, pi], together with its derivative g = psi_n'(theta).
 
-    With u = e^{i (theta + psi_k)}, the Szego recursion gives
-    b_{k+1} = u conj(1 - alpha_k u) / (1 - alpha_k u), hence
+    With z = e^{i theta}, u = z b_k and d = 1 - alpha_k u, the Szego
+    recursion is the Moebius step
 
-        psi_{k+1} = theta + psi_k - 2 Arg(1 - alpha_k u),
-        g_{k+1} = (1 + g_k) (1 - |alpha_k|^2) / |1 - alpha_k u|^2,
+        b_{k+1} = (u - conj(alpha_k)) / d = (u - conj(alpha_k)) conj(d) / |d|^2,
+        g_{k+1} = (1 + g_k) (1 - |alpha_k|^2) / |d|^2,
 
-    and a run of r zero alphas adds r theta to psi and r to g.  Arg stays in
-    (-pi/2, pi/2), so psi_n is continuous, and g > 0 (a Poisson kernel), so
-    psi_n is strictly increasing and gains 2 pi n per turn.  Only phi is
-    carried in floating point: psi itself grows to 2 pi n, and its rounding,
-    amplified through the recursion, would swamp the node angles.
+    and a run of r zero alphas multiplies b by z^r and adds r to g.  b is
+    carried as a unit complex number, renormalised after every step, so its
+    argument keeps the rounding of a few operations per step; |b| before
+    the renormalisation is |d|^2.  g > 0 (a Poisson kernel), so psi_n is
+    strictly increasing and gains 2 pi n per turn.  Each step adds
+    theta - 2 Arg(d) to psi, with Arg(d) in (-pi/2, pi/2) since Re d > 0;
+    that coarse sum only rounds the winding against Arg b_n.  A step costs
+    one arctan2 per point and no complex exp.
     """
-    w = np.zeros(theta.shape, dtype=np.int64)
-    phi = np.zeros_like(theta)
+    z = np.exp(1j * theta)
+    b = np.ones_like(z)
     g = np.zeros_like(theta)
+    neg_args = np.zeros_like(theta)  # sum over the steps of Arg(conj(d)) = -Arg(d)
+    u = np.empty_like(z)
+    d = np.empty_like(z)
+    mag = np.empty_like(theta)
+    total = 0
     for step in steps:
         if isinstance(step, int):
-            s = phi + step * theta
+            b *= np.exp((1j * step) * theta)
             g += step
-        else:
-            x = theta + phi
-            d = 1.0 - step * np.exp(1j * x)
-            g = (1.0 + g) * (1.0 - abs(step) ** 2) / (d.real ** 2 + d.imag ** 2)
-            s = x - 2.0 * np.arctan2(d.imag, d.real)
-        m = np.floor((s + np.pi) / _TWO_PI)
-        phi = s - _TWO_PI * m
-        w += m.astype(np.int64)
+            total += step
+            continue
+        total += 1
+        np.multiply(z, b, out=u)
+        np.multiply(u, -step, out=d)
+        d += 1.0
+        u -= step.conjugate()
+        np.conjugate(d, out=d)  # d holds conj(d) from here on
+        np.multiply(u, d, out=b)
+        np.abs(b, out=mag)
+        b /= mag
+        g += 1.0
+        g *= 1.0 - abs(step) ** 2
+        g /= mag
+        neg_args += np.arctan2(d.imag, d.real, out=mag)
+    phi = np.angle(b)
+    w = np.rint((total * theta + 2.0 * neg_args - phi) / _TWO_PI).astype(np.int64)
     return w, phi, g
+
+
+def _count_brackets(steps: list, n: int, c: float):
+    """Sample angles t, increasing from 0 to 2 pi, and q = (psi_n - c) / 2 pi
+    there, fine enough that each cell (t_i, t_{i+1}] holds at most one zero.
+
+    psi_n is strictly increasing and its winding is exact, so a cell holds
+    floor(q_{i+1}) - floor(q_i) zeros.  The start is a uniform grid of n
+    cells; a cell holding two or more zeros is cut into _SUBDIVISIONS parts
+    until it holds one, or until it is narrower than DISTINCT_TOL, where
+    its zeros would collide anyway."""
+    t = _TWO_PI * np.arange(n + 1) / n
+    w, phi, _ = _blaschke_phase(steps, t[:n])
+    q = w + (phi - c) / _TWO_PI
+    q = np.append(q, q[0] + n)  # periodicity closes the last cell
+    while True:
+        # rounding must not make q decrease, or a cell would count < 0 zeros
+        q = np.maximum.accumulate(q)
+        width = np.diff(t)
+        crowded = np.flatnonzero((np.diff(np.floor(q)) >= 2) & (width > DISTINCT_TOL))
+        if len(crowded) == 0:
+            return t, q
+        parts = np.arange(1, _SUBDIVISIONS) / _SUBDIVISIONS
+        new_t = (t[crowded, None] + width[crowded, None] * parts).ravel()
+        w, phi, _ = _blaschke_phase(steps, new_t)
+        at = np.repeat(crowded + 1, _SUBDIVISIONS - 1)
+        t = np.insert(t, at, new_t)
+        q = np.insert(q, at, w + (phi - c) / _TWO_PI)
 
 
 def paraorthogonal_nodes(state: OpucState, spec: ParaOrthogonalSpec) -> NodalSystem:
@@ -339,12 +388,13 @@ def paraorthogonal_nodes(state: OpucState, spec: ParaOrthogonalSpec) -> NodalSys
 
     The zeros are the solutions of b_n(e^{i theta}) = -tau, that is
     psi_n(theta) = arg(-tau) + 2 pi j for n consecutive integers j (see
-    ``_blaschke_phase``).  psi_n on a uniform grid of 4n points brackets each
-    zero; safeguarded Newton then refines all zeros at once, bisecting
-    whenever a step leaves its closed bracket.  Each step costs O(n) per
-    zero, O(m) when only m of the alphas are nonzero, and no polynomial
-    coefficients are formed.  Zeros that collide within 1e-10 raise
-    DegeneracyError (from ``make_nodal_system``).
+    ``_blaschke_phase``).  Counting the zeros per cell of a uniform n-point
+    grid, and cutting up only the cells that hold several, brackets each
+    zero (``_count_brackets``).  Safeguarded Newton then refines all zeros
+    at once, bisecting whenever a step leaves its closed bracket.  Each
+    evaluation costs O(n) per point, O(m) when only m of the alphas are
+    nonzero, and no polynomial coefficients are formed.  Zeros that collide within
+    1e-10 raise DegeneracyError (from ``make_nodal_system``).
     """
     n = spec.n
     if state.degree < n:
@@ -352,14 +402,8 @@ def paraorthogonal_nodes(state: OpucState, spec: ParaOrthogonalSpec) -> NodalSys
     steps = _phase_steps(state.alphas[:n])
     c = float(np.angle(-complex(spec.tau)))
 
-    # q = (psi_n - c) / 2 pi on the grid, closed at theta = 2 pi by
-    # periodicity; zero j lies where q crosses j, for j = floor(q[0]) + 1 ..
-    # floor(q[0]) + n
-    m = 4 * n
-    grid = _TWO_PI * np.arange(m + 1) / m
-    w, phi, _ = _blaschke_phase(steps, grid[:m])
-    q = w + (phi - c) / _TWO_PI
-    q = np.maximum.accumulate(np.append(q, q[0] + n))
+    # zero j lies where q crosses j, for j = floor(q[0]) + 1 .. floor(q[0]) + n
+    grid, q = _count_brackets(steps, n, c)
     j = np.floor(q[0]) + np.arange(1, n + 1)
     hi_idx = np.searchsorted(q, j, side="left")
     lo, hi = grid[hi_idx - 1], grid[hi_idx]
@@ -370,12 +414,19 @@ def paraorthogonal_nodes(state: OpucState, spec: ParaOrthogonalSpec) -> NodalSys
 
     todo = np.arange(n)
     for _ in range(_NEWTON_MAX_STEPS):
-        t = theta[todo]
-        w, phi, g = _blaschke_phase(steps, t)
-        f = _TWO_PI * (w - j[todo]) + (phi - c)
-        lo[todo] = np.where(f < 0, t, lo[todo])
-        hi[todo] = np.where(f > 0, t, hi[todo])
-        a, b = lo[todo], hi[todo]
+        # k-section of the tail: with few zeros left a pass costs mostly its
+        # per-step overhead, so each zero also samples its bracket at
+        # spread - 1 interior points, and Newton starts from its best sample
+        spread = max(1, _TAIL_POINTS // len(todo))
+        a, b = lo[todo, None], hi[todo, None]
+        t = np.concatenate([theta[todo, None], a + (b - a) * (np.arange(1, spread) / spread)], axis=1)
+        w, phi, g = (x.reshape(t.shape) for x in _blaschke_phase(steps, t.ravel()))
+        f = _TWO_PI * (w - j[todo, None]) + (phi - c)
+        a = np.where(f < 0, t, a).max(axis=1)
+        b = np.where(f > 0, t, b).min(axis=1)
+        lo[todo], hi[todo] = a, b
+        pick = (np.arange(len(todo)), np.argmin(np.abs(f), axis=1))
+        t, f, g = t[pick], f[pick], g[pick]
         nxt = t - f / g
         nxt = np.where((nxt < a) | (nxt > b), 0.5 * (a + b), nxt)
         theta[todo] = nxt

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SymmetryError, ValidationError
 from .interp import interpolant_coefficients, interpolate
-from .laurent import DegreePlan
+from .laurent import DegreePlan, LaurentPolynomial, eval_laurent
 from .nodal import NodalSystem
 from .opuc import (
     MeasureSpec,
@@ -94,13 +94,11 @@ class TrigPolynomial:
         return len(self.a) - 1
 
     def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.full_like(theta, self.a[0], dtype=float)
-        for k in range(1, len(self.a)):
-            out = out + self.a[k] * np.cos(k * theta)
-            if k - 1 < len(self.b):
-                out = out + self.b[k - 1] * np.sin(k * theta)
-        return float(out) if out.ndim == 0 else out
+        """a_0 + Re sum_k (a_k - i b_k) e^{i k theta}, by Horner in e^{i theta}."""
+        L = LaurentPolynomial(p=0, q=self.degree,
+                              coeffs=np.concatenate([self.a[:1], self.a[1:] - 1j * self.b]))
+        out = eval_laurent(L, np.exp(1j * np.asarray(theta, dtype=float)))
+        return out.real
 
 
 def szego_transform_weight(w, label: str = "szego-transform") -> MeasureSpec:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -131,7 +133,7 @@ class TestSweep:
                                    error_grid=1024)
         csv = sweep_to_csv(result)
         lines = csv.strip().splitlines()
-        assert lines[0] == "n,p,q,s,sup_error,lebesgue_max,B_hat,L_hat"
+        assert lines[0] == "n,p,q,s,sup_error,lebesgue_max,B_hat,L_hat,status"
         assert len(lines) == 3
         assert "np.float64" not in csv
         payload = json.loads(sweep_to_json(result, metadata={"seed": 1}))
@@ -155,6 +157,24 @@ class TestSweep:
         assert rows[0]["status"] == "ok" and rows[0]["sup_error"] is not None
         assert rows[1]["status"].startswith("error:")
         assert [rows[1][k] for k in ("sup_error", "lebesgue_max", "B_hat", "L_hat")] == [None] * 4
+
+    def test_csv_records_failure_reason(self):
+        """A failed n keeps its error message in the CSV's status column,
+        quoted, so that commas and quotes in the message survive."""
+        class FailsAt8(NodalFamily):
+            def build(self, n):
+                if n == 8:
+                    raise ValidationError('boom, "quoted"')
+                return super().build(n)
+
+        failed = convergence_sweep(FailsAt8(kind="roots-of-unimodular", tau=1.0), 0.5,
+                                   [4, 8], corpus("smooth-exp"), error_grid=1024)
+        rows = list(csv.DictReader(io.StringIO(sweep_to_csv(failed))))
+        assert [row["n"] for row in rows] == ["4", "8"]
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"] == failed.statuses[1]
+        assert rows[1]["status"].startswith("error:") and 'boom, "quoted"' in rows[1]["status"]
+        assert rows[1]["sup_error"] == "nan" and rows[1]["p"] == ""
 
     def test_rejects_bad_ns(self):
         family = NodalFamily(kind="roots-of-unimodular", tau=1.0)

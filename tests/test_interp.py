@@ -168,7 +168,7 @@ class TestConditioningGate:
 
 
 class TestFirstForm:
-    def test_window_member_on_clustered_nodes(self):
+    def test_window_member_on_clustered_nodes(self, monkeypatch):
         """Para-orthogonal nodes of 0.7(-1)^k, k < 16 (Lebesgue constant
         ~7e5): the blocked kernel loses no more than the per-factor
         reference.  On this member the second form
@@ -185,9 +185,15 @@ class TestFirstForm:
         I = interpolate(sys, plan, eval_laurent(G, sys.nodes))
         z = np.exp(2j * np.pi * (np.arange(4096) + 0.37) / 4096)
         exact = eval_laurent(G, z)
-        err = np.max(np.abs(eval_interpolant(I, z) - exact))
         ref = np.max(np.abs(_first_form_reference(I, z)[0] - exact))
+        # 4096 points and 256 nodes: Horner on coefficients sampled by the
+        # kernel at the 256th roots of unity
+        calls = _spy_kernel(monkeypatch)
+        err = np.max(np.abs(eval_interpolant(I, z) - exact))
+        assert calls == [n]
         assert err <= 2.0 * ref
+        # the kernel itself on every point
+        assert np.max(np.abs(_kernel(I, z) - exact)) <= 2.0 * ref
 
     def test_node_gaps_near_distinct_tol(self):
         """Sixteen nodes 1.2e-10 apart, evaluated between them and at
@@ -236,9 +242,26 @@ def _member(plan, seed):
     return LaurentPolynomial(p=plan.p, q=plan.q, coeffs=coeffs)
 
 
+def _other_nodes(n, how):
+    """Roots of z^n = e^{0.7i}, shuffled or perturbed by 1e-9 rad, or the
+    shuffled roots of z^n = 1, so that they are not z_0 e^{2 pi i j/n} in
+    their stored order; with values."""
+    nodes = roots_of_unimodular(n, 1.0 if how == "shuffled-unity" else np.exp(0.7j)).nodes
+    gen = np.random.default_rng(4)
+    if how.startswith("shuffled"):
+        nodes = gen.permutation(nodes)
+    else:
+        nodes = nodes * np.exp(1e-9j * gen.standard_normal(n))
+    sys = make_nodal_system(nodes)
+    values = np.cos(3.0 * sys.thetas) + 0.5j * np.sin(sys.thetas)
+    return sys, make_degree_plan(n, 0.5), values
+
+
 class TestRotatedFastPath:
     """Nodes z_0 e^{2 pi i j/n}: FFT coefficients and Horner for at least
-    64 points on the circle, the first-form kernel otherwise."""
+    64 points on the circle.  Other nodes: coefficients from the kernel at
+    the n-th roots of unity and Horner for more than n such points, the
+    first-form kernel otherwise."""
 
     @pytest.mark.parametrize("tau", [np.exp(0.7j), -1.0, 1j])
     def test_matches_kernel_and_window_member(self, monkeypatch, tau):
@@ -258,24 +281,32 @@ class TestRotatedFastPath:
         assert np.max(np.abs(got - exact)) <= 1e-12 * scale
         assert np.max(np.abs(got - kernel)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("how", ["shuffled", "perturbed"])
+    @pytest.mark.parametrize("how", ["shuffled", "perturbed", "shuffled-unity"])
     def test_other_nodes_fall_back_to_kernel(self, monkeypatch, how):
+        """Not rotated roots, and more points than nodes: the kernel samples
+        the interpolant at the n-th roots of unity, and Horner evaluates
+        the coefficients of those samples.  With shuffled-unity every root
+        is a node, and takes that node's value."""
         n = 64
-        nodes = roots_of_unimodular(n, np.exp(0.7j)).nodes
-        gen = np.random.default_rng(4)
-        if how == "shuffled":
-            nodes = gen.permutation(nodes)
-        else:
-            nodes = nodes * np.exp(1e-9j * gen.standard_normal(n))
-        sys = make_nodal_system(nodes)
-        plan = make_degree_plan(n, 0.5)
-        values = np.cos(3.0 * sys.thetas) + 0.5j * np.sin(sys.thetas)
+        sys, plan, values = _other_nodes(n, how)
         I = interpolate(sys, plan, values)
         z = np.exp(2j * np.pi * (np.arange(200) + 0.37) / 200)
         calls = _spy_kernel(monkeypatch)
         got = eval_interpolant(I, z)
-        assert calls == [200]
-        brute = brute_force_interpolant(nodes, plan.p, values, z)
+        assert calls == [n]
+        brute = brute_force_interpolant(sys.nodes, plan.p, values, z)
+        assert np.max(np.abs(got - brute)) <= 1e-12 * np.max(np.abs(brute))
+
+    @pytest.mark.parametrize("m", [100, 128])
+    def test_no_more_points_than_nodes_take_kernel(self, monkeypatch, m):
+        n = 128
+        sys, plan, values = _other_nodes(n, "perturbed")
+        I = interpolate(sys, plan, values)
+        z = np.exp(2j * np.pi * (np.arange(m) + 0.37) / m)
+        calls = _spy_kernel(monkeypatch)
+        got = eval_interpolant(I, z)
+        assert calls == [m]
+        brute = brute_force_interpolant(sys.nodes, plan.p, values, z)
         assert np.max(np.abs(got - brute)) <= 1e-12 * np.max(np.abs(brute))
 
     def test_few_or_off_circle_points_take_kernel(self, monkeypatch):

@@ -64,6 +64,25 @@ class TestEvalLaurent:
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
         assert np.all(np.abs(eval_laurent(L, z)) <= np.sum(np.abs(coeffs)) + 1e-12)
 
+    def test_in_place_horner_is_bit_identical(self, rng):
+        """The in-place Horner does the same roundings as the form with two
+        temporaries per coefficient."""
+        p, q = 7, 12
+        coeffs = rng.standard_normal(p + q + 1) + 1j * rng.standard_normal(p + q + 1)
+        L = LaurentPolynomial(p=p, q=q, coeffs=coeffs)
+        z = np.concatenate([np.exp(1j * rng.uniform(0, 2 * np.pi, 40)),
+                            rng.uniform(0.5, 2.0, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi, 10))])
+        acc = np.full_like(z, coeffs[-1])
+        for c in coeffs[p:-1][::-1]:
+            acc = acc * z + c
+        u = 1.0 / z
+        nacc = np.full_like(z, coeffs[0])
+        for c in coeffs[1:p]:
+            nacc = nacc * u + c
+        expected = acc + nacc * u
+        np.testing.assert_array_equal(eval_laurent(L, z), expected)
+        assert eval_laurent(L, z[3]) == expected[3]
+
 
 class TestCoefficientRecovery:
     def test_pure_square(self):

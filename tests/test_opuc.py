@@ -65,8 +65,67 @@ def mpmath_paraorthogonal_angles(alphas, tau, dps=80):
         return np.sort([float(mp.arg(r) % (2 * mp.pi)) for r in roots])
 
 
+def mpmath_blaschke_phase(alphas, theta, dps=50):
+    """Oracle: psi_n(theta) and psi_n'(theta) at dps digits, from
+    psi_{k+1} = theta + psi_k - 2 Arg(1 - alpha_k e^{i (theta + psi_k)}) and
+    g_{k+1} = (1 + g_k) (1 - |alpha_k|^2) / |1 - alpha_k e^{i (theta + psi_k)}|^2,
+    carrying psi unreduced."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        t = mp.mpf(float(theta))
+        psi, g = mp.mpf(0), mp.mpf(0)
+        for a in alphas:
+            a = mp.mpc(complex(a))
+            d = 1 - a * mp.expj(t + psi)
+            g = (1 + g) * (1 - abs(a) ** 2) / abs(d) ** 2
+            psi = t + psi - 2 * mp.arg(d)
+        return psi, g
+
+
+def cmv_paraorthogonal_angles(alphas, tau):
+    """Oracle: sorted angles of the eigenvalues of the n x n CMV matrix
+    whose last Verblunsky coefficient alpha_{n-1} is replaced by the
+    unimodular beta = (alpha_{n-1} - conj(tau)) / (1 - conj(tau alpha_{n-1})).
+    phi_n + tau phi_n* = (1 - tau alpha_{n-1}) (z phi_{n-1} - conj(beta) phi_{n-1}*),
+    and the eigenvalues of that unitary CMV matrix are the zeros of the
+    latter (Cantero, Moral & Velazquez 2003)."""
+    alphas = np.array(alphas, dtype=complex)
+    n = len(alphas)
+    alphas[-1] = (alphas[-1] - np.conj(tau)) / (1.0 - np.conj(tau * alphas[-1]))
+    rho = np.sqrt(1.0 - np.abs(alphas[:-1]) ** 2)
+
+    def blocks(first):
+        # diag(Theta_first, Theta_{first+2}, ...), Theta_k = [[conj a, rho], [rho, -a]],
+        # and the 1 x 1 block conj(beta) for k = n - 1
+        m = np.eye(n, dtype=complex)
+        for k in range(first, n, 2):
+            if k == n - 1:
+                m[k, k] = np.conj(alphas[k])
+            else:
+                m[k:k + 2, k:k + 2] = [[np.conj(alphas[k]), rho[k]], [rho[k], -alphas[k]]]
+        return m
+
+    eig = np.linalg.eigvals(blocks(0) @ blocks(1))
+    return np.sort(np.mod(np.angle(eig), 2 * np.pi))
+
+
+def angle_distance(a, b):
+    return np.abs(np.mod(a - b + np.pi, 2 * np.pi) - np.pi)
+
+
 def alternating(n):
     return [0.7 * (-1) ** k for k in range(n)]
+
+
+def random_095(n, seed=11):
+    return 0.95 * np.exp(2j * np.pi * np.random.default_rng(seed).random(n))
+
+
+def decaying(n):
+    """alpha_k = 0.9 e^{2 pi i u_k} (k+1)^{-1.5}: every alpha nonzero, and
+    the nodes stay usable at large n."""
+    u = np.random.default_rng(0).random(n)
+    return 0.9 * np.exp(2j * np.pi * u) * (np.arange(n) + 1.0) ** -1.5
 
 
 class TestSzegoRecurrence:
@@ -217,14 +276,82 @@ class TestParaOrthogonal:
     @pytest.mark.parametrize("family", ["alternating", "random-0.95"])
     def test_matches_mpmath_roots(self, family, tau):
         n = 64
-        if family == "alternating":
-            alphas = alternating(n)
-        else:
-            alphas = 0.95 * np.exp(2j * np.pi * np.random.default_rng(11).random(n))
+        alphas = alternating(n) if family == "alternating" else random_095(n)
         sys = paraorthogonal_nodes(szego_recurrence(alphas, n), ParaOrthogonalSpec(n=n, tau=tau))
         ref = mpmath_paraorthogonal_angles(alphas, tau)
-        dist = np.abs(np.mod(np.sort(sys.thetas) - ref + np.pi, 2 * np.pi) - np.pi)
-        assert np.max(dist) <= 1e-13
+        assert np.max(angle_distance(np.sort(sys.thetas), ref)) <= 1e-13
+
+    @pytest.mark.parametrize("family,n,floor", [("alternating", 256, 0.0),
+                                                 ("random-0.95", 64, 1.0)])
+    def test_phase_matches_mpmath(self, family, n, floor):
+        """psi_n = 2 pi w + phi at 40 seeded angles against 50-digit mpmath.
+        The phase error divided by psi' is the shift it causes in a zero
+        there; it must stay below 1e-15 rad (measured 4.8e-16 for
+        alternating).  Where psi' < 1 (down to 0.026 for random-0.95) one
+        ulp of phi is already 4.4e-16 rad, so there the bound is absolute."""
+        alphas = alternating(n) if family == "alternating" else random_095(n)
+        theta = np.random.default_rng(7).uniform(0, 2 * np.pi, 40)
+        w, phi, g = opuc._blaschke_phase(opuc._phase_steps(np.asarray(alphas, dtype=complex)), theta)
+        mp = pytest.importorskip("mpmath")
+        for k, t in enumerate(theta):
+            psi, dpsi = mpmath_blaschke_phase(alphas, t)
+            with mp.workdps(50):
+                err = abs(float(psi - 2 * mp.pi * int(w[k]) - float(phi[k])))
+            assert err <= 1e-15 * max(float(dpsi), floor)
+            assert g[k] == pytest.approx(float(dpsi), rel=1e-12)
+
+    @pytest.mark.parametrize("family,n", [("alternating", 256), ("random-0.95", 64),
+                                          ("constant-0.5", 64)])
+    def test_count_brackets_separate_zeros(self, family, n):
+        """Every cell of the bracketing samples holds at most one zero,
+        except cells narrower than DISTINCT_TOL, and the cells hold n zeros
+        in all."""
+        alphas = {"alternating": alternating, "random-0.95": random_095,
+                  "constant-0.5": lambda n: [0.5] * n}[family](n)
+        steps = opuc._phase_steps(np.asarray(alphas, dtype=complex))
+        t, q = opuc._count_brackets(steps, n, np.pi)
+        assert t[0] == 0.0 and t[-1] == 2 * np.pi and np.all(np.diff(t) > 0)
+        counts = np.diff(np.floor(q))
+        assert counts.sum() == n
+        assert np.all((counts <= 1) | (np.diff(t) <= opuc.DISTINCT_TOL))
+
+    @pytest.mark.parametrize("n,tau", [(1, 1.0), (2, -1.0), (5, np.exp(0.7j)), (16, 1j)])
+    def test_cmv_oracle_matches_paraorthogonal(self, n, tau):
+        """The beta of cmv_paraorthogonal_angles, checked against the roots
+        of the coefficients of phi_n + tau phi_n*."""
+        gen = np.random.default_rng(n)
+        alphas = 0.6 * gen.random(n) * np.exp(2j * np.pi * gen.random(n))
+        omega = paraorthogonal(szego_recurrence(alphas, n), ParaOrthogonalSpec(n=n, tau=tau))
+        roots = np.sort(np.mod(np.angle(np.roots(omega[::-1])), 2 * np.pi))
+        assert np.max(angle_distance(cmv_paraorthogonal_angles(alphas, tau), roots)) <= 1e-13
+
+    @pytest.mark.parametrize("family,n,tau", [
+        ("alternating", 256, np.exp(0.7j)),
+        ("random-0.95", 256, np.exp(0.7j)),
+        ("decaying", 256, np.exp(0.7j)),
+        ("decaying", 512, 1.0),
+    ])
+    def test_matches_cmv_eigenvalues(self, family, n, tau):
+        alphas = {"alternating": alternating, "random-0.95": random_095,
+                  "decaying": decaying}[family](n)
+        sys = paraorthogonal_nodes(szego_recurrence(alphas, n), ParaOrthogonalSpec(n=n, tau=tau))
+        ref = cmv_paraorthogonal_angles(alphas, tau)
+        # measured at most 1.1e-14
+        assert np.max(angle_distance(np.sort(sys.thetas), ref)) <= 1e-13
+
+    def test_zero_on_flat_phase_converges(self):
+        """|alpha| = 0.966: one zero sits where psi' = 0.12, so a phase
+        error of 1e-15 moves it by 1e-14.  The 2e-15 stop then needs a
+        phase accurate to about 2e-16; with a less accurate phase, Newton
+        cycled between two bracket ends there and raised RootFindingError."""
+        alphas = [-0.2287989984574767 + 0.9386911847445085j,
+                  -0.4588299495647806 + 0.8502736026683261j,
+                  -0.42577208479693146 - 0.8672994026400965j]
+        spec = ParaOrthogonalSpec(n=3, tau=-0.36591702480526844 + 0.9306474794236863j)
+        state = szego_recurrence(alphas, 3)
+        sys = paraorthogonal_nodes(state, spec)
+        roots = np.sort(np.mod(np.angle(np.roots(paraorthogonal(state, spec)[::-1])), 2 * np.pi))
+        assert np.max(angle_distance(np.sort(sys.thetas), roots)) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [0.5, 0.7])
     def test_colliding_zeros_raise_degeneracy(self, alpha):

@@ -171,3 +171,26 @@ class TestTrig:
     def test_trig_polynomial_validation(self):
         with pytest.raises(ValidationError):
             TrigPolynomial(a=[1.0, 2.0], b=[])
+
+    @pytest.mark.parametrize("degree", [0, 1, 64])
+    def test_trig_polynomial_matches_cos_sin_sum(self, degree):
+        """Horner on a_0 + Re sum_k (a_k - i b_k) e^{ik theta} against the
+        cos and sin sum, on arrays of any shape and on a scalar."""
+        gen = np.random.default_rng(degree)
+        a, b = gen.standard_normal(degree + 1), gen.standard_normal(degree)
+        tp = TrigPolynomial(a=a, b=b)
+
+        def loop(theta):
+            k = np.arange(1, degree + 1)
+            kt = np.multiply.outer(theta, k)
+            return a[0] + (np.cos(kt) * a[1:]).sum(axis=-1) + (np.sin(kt) * b).sum(axis=-1)
+
+        tol = 1e-13 * (np.sum(np.abs(a)) + np.sum(np.abs(b)))
+        theta = gen.uniform(0, 2 * np.pi, (3, 50))
+        got = tp(theta)
+        assert got.shape == theta.shape and got.dtype == float
+        assert np.max(np.abs(got - loop(theta))) <= tol
+        scalar = tp(1.25)
+        assert isinstance(scalar, float)
+        assert abs(scalar - loop(np.float64(1.25))) <= tol
+
