@@ -62,9 +62,10 @@ def main():
             F = parse_corpus(target)
             result = convergence_sweep(family, args.r, ns, F)
             profile = estimate_modulus(F, np.logspace(-3, -1, 9))
-            stem = outdir / f"{fam_name}_{target.replace(':', '-')}"
-            stem.with_suffix(".csv").write_text(sweep_to_csv(result))
-            stem.with_suffix(".json").write_text(sweep_to_json(result))
+            # not Path.with_suffix: it would read ".6" in "holder-0.6" as a suffix
+            stem = f"{fam_name}_{target.replace(':', '-')}"
+            (outdir / f"{stem}.csv").write_text(sweep_to_csv(result))
+            (outdir / f"{stem}.json").write_text(sweep_to_json(result))
             slope = decay_exponent(result.ns, result.sup_errors)
             print(f"{fam_name:<16} {target:<14} {result.sup_errors[0]:>10.3e} "
                   f"{result.sup_errors[-1]:>10.3e} {slope:>7.2f} "

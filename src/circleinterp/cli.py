@@ -20,6 +20,7 @@ from . import __version__
 from .errors import NumericalError, ValidationError
 from .experiments import (
     NodalFamily,
+    _json_number,
     convergence_sweep,
     parse_corpus,
     sweep_to_csv,
@@ -62,6 +63,8 @@ def _parse_tau(raw: str) -> complex:
 def _parse_ns(raw: str):
     if ":" in raw:
         lo, hi = (int(x) for x in raw.split(":", 1))
+        if lo < 1:
+            raise ValidationError(f"the range {raw!r} must start at n >= 1")
         ns, n = [], lo
         while n <= hi:
             ns.append(n)
@@ -128,6 +131,18 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _strict(x):
+    """x with every non-finite float, nested dicts included, as None."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    return _json_number(x) if isinstance(x, float) else x
+
+
+def _emit_report(payload: dict, out: str | None):
+    """Write a JSON report as strict JSON: an infinite or NaN value is null."""
+    _emit(json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n", out)
+
+
 def _nodes_text(system, fmt: str) -> str:
     if fmt == "json":
         pairs = [[float(z.real), float(z.imag)] for z in system.nodes]
@@ -154,7 +169,7 @@ def cmd_check(cfg) -> int:
         "reliable": report.reliable,
         "metadata": _metadata(cfg),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.get("out"))
+    _emit_report(payload, cfg.get("out"))
     return 0
 
 
@@ -186,7 +201,7 @@ def cmd_interp(cfg) -> int:
         "grid_size": grid,
         "metadata": _metadata(cfg),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.get("out"))
+    _emit_report(payload, cfg.get("out"))
     if cfg.get("dense"):
         _emit(_dense_csv(theta, f_vals, approx.real, "theta,f,interpolant,error"), cfg["dense"])
     return 0
@@ -210,7 +225,7 @@ def cmd_interval(cfg) -> int:
         "grid_size": grid,
         "metadata": _metadata(cfg),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.get("out"))
+    _emit_report(payload, cfg.get("out"))
     if cfg.get("dense"):
         _emit(_dense_csv(xg, f_vals, approx, "x,f,interpolant,error"), cfg["dense"])
     if cfg.get("nodes_out"):
@@ -244,7 +259,7 @@ def cmd_trig(cfg) -> int:
         "grid_size": grid,
         "metadata": _metadata(cfg),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.get("out"))
+    _emit_report(payload, cfg.get("out"))
     if cfg.get("dense"):
         _emit(_dense_csv(theta, f_vals, approx, "theta,f,interpolant,error"), cfg["dense"])
     return 0

@@ -241,27 +241,15 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
     ns = np.asarray(sorted(int(n) for n in ns))
     if len(ns) == 0 or np.any(np.diff(ns) <= 0):
         raise ValidationError("ns must be a nonempty strictly increasing collection")
-    results: list = [None] * len(ns)
 
-    def run(i: int):
-        return _sweep_one(family, r, int(ns[i]), F, error_grid)
+    def run(n: int):
+        try:
+            return _sweep_one(family, r, int(n), F, error_grid)
+        except CircleInterpError as exc:
+            return exc
 
-    workers = min(max_workers(), len(ns))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run, i): i for i in range(len(ns))}
-            for fut in concurrent.futures.as_completed(futures):
-                i = futures[fut]
-                try:
-                    results[i] = fut.result()
-                except CircleInterpError as exc:
-                    results[i] = exc
-    else:
-        for i in range(len(ns)):
-            try:
-                results[i] = run(i)
-            except CircleInterpError as exc:
-                results[i] = exc
+    with concurrent.futures.ThreadPoolExecutor(max_workers=min(max_workers(), len(ns))) as pool:
+        results = list(pool.map(run, ns))
 
     plans, sup, leb, bh, lh, statuses, cond_grids = [], [], [], [], [], [], []
     for n, res in zip(ns, results):

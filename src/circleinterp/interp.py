@@ -13,13 +13,17 @@ by sum_j w_j / (z - z_j) instead of multiplying by W_n(z), loses digits on
 clustered nodes with large Lebesgue constants.
 
 Batches of points on the unit circle mostly skip the kernel.  L lies in a
-window of n exponents, so its values at the n-th roots of unity fix its
-Laurent coefficients through one inverse DFT, and Horner then evaluates
-them at a few flops per point and coefficient.  On nodes z_0 e^{2 pi i j/n},
-such as the roots of z^n = tau, the interpolant is a rotated trigonometric
-interpolant and those values are the node values themselves (Henrici
-1979).  On any other nodes the kernel computes them, which pays off once
-there are more points than nodes.
+window of n exponents, so its values at the n samples z_0 e^{2 pi i j/n},
+z_0 = nodes[0], fix its Laurent coefficients through one inverse DFT, and
+Horner then evaluates them at a few flops per point and coefficient.  When
+every sample is a node, as on the roots of z^n = tau, the interpolant is a
+rotated trigonometric interpolant and the samples are the node values
+themselves (Henrici 1979); otherwise the kernel computes the samples that
+are not nodes, which pays off once there are more points than nodes.
+
+A point within AT_NODE_TOL = 1e-14 of a node takes that node's value.  No
+wider band is needed: the first form is backward stable at any distance
+from a node (Higham 2004).
 """
 
 from __future__ import annotations
@@ -32,12 +36,15 @@ import numpy as np
 from .errors import ConditioningError, ValidationError
 from .laurent import DegreePlan, LaurentPolynomial, coefficients_from_samples, eval_laurent
 from .nodal import (
+    AT_NODE_TOL,
     UNIMODULAR_TOL,
     NodalSystem,
     _condition_rows,
     _log_product,
+    _nearest_nodes,
     _pair_blocks,
-    _rotation_offset,
+    _samples,
+    _samples_are_nodes,
 )
 
 __all__ = [
@@ -53,11 +60,6 @@ __all__ = [
 HORNER_MIN_POINTS = 64
 
 
-def _near_node_tol(n: int) -> float:
-    # below this the quotient W_n(z)/(z - z_j) has no significant digits left
-    return 1e-13 * n
-
-
 # a Lebesgue constant above 1/sqrt(eps) ~ 6.7e7 costs at least half the digits
 MAX_LEBESGUE = 1.0 / math.sqrt(np.finfo(float).eps)
 
@@ -70,21 +72,6 @@ def _log_lebesgue_at_widest_gap(system: NodalSystem) -> float:
     k = int(np.argmax(gaps))
     z = np.exp(1j * (t[k] + 0.5 * gaps[k]))
     return float(_condition_rows(np.array([z]), system)[2][0])
-
-
-def _nearest_nodes(system: NodalSystem, z: np.ndarray):
-    """Index of the node nearest to each z and the distance to it.  For any
-    z != 0 the nearest node in distance is the nearest in argument, so a
-    binary search over the sorted arguments finds it."""
-    thetas = system.thetas
-    order = np.argsort(thetas)
-    i = np.searchsorted(thetas[order], np.mod(np.angle(z), 2.0 * np.pi))
-    # the two neighbours in argument; index -1 and n wrap round the circle
-    cand = np.stack([order[i % system.n], order[i - 1]])
-    dist = np.abs(z - system.nodes[cand])
-    pick = np.argmin(dist, axis=0)
-    cols = np.arange(len(z))
-    return cand[pick, cols], dist[pick, cols]
 
 
 def _unit_powers(system: NodalSystem, p: int) -> np.ndarray:
@@ -143,23 +130,18 @@ def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: com
         raise ValidationError("fundamental polynomials are undefined at z = 0")
     d = np.abs(z - system.nodes)
     k = int(np.argmin(d))
-    if d[k] < _near_node_tol(system.n):
+    if d[k] < AT_NODE_TOL:
         return 1.0 + 0.0j if k == j else 0.0 + 0.0j
     wu = np.zeros(system.n, dtype=complex)
     wu[j] = np.exp(1j * plan.p * np.angle(system.nodes[j])) / system.derivs[j]
-    return complex(_first_form(system, plan.p, wu, np.array([z]), np.zeros(1, dtype=bool))[0])
+    return complex(_first_form(system, plan.p, wu, np.array([z]))[0])
 
 
-def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray,
-                near: np.ndarray) -> np.ndarray:
-    """W_n(z) z^-p sum_j wu_j / (z - z_j) in blocks of about PAIR_BUDGET
-    point-node pairs, so that large evaluation grids never materialize an
-    oversized difference matrix.  Rows flagged near are left for the
-    caller to fill."""
+def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray) -> np.ndarray:
+    """W_n(z) z^-p sum_j wu_j / (z - z_j) at points zz off the nodes, in
+    blocks of about PAIR_BUDGET point-node pairs, so that large evaluation
+    grids never materialize an oversized difference matrix."""
     log_z = np.log(zz)
-    # a point at a node takes the node value; its row is computed at the
-    # origin instead, where every factor z - z_j is unimodular
-    zz = np.where(near, 0.0, zz)
     nodes = system.nodes
     out = np.empty(len(zz), dtype=complex)
     for rows, (d, work) in _pair_blocks(len(zz), len(nodes), complex, complex):
@@ -172,43 +154,29 @@ def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray,
 
 def _evaluate(I: CircleInterpolant, zz: np.ndarray, L: LaurentPolynomial | None) -> np.ndarray:
     """Horner on L at the points zz, or the first-form kernel when L is
-    None; a point within _near_node_tol(n) of a node takes that node's
-    value exactly."""
+    None; a point within AT_NODE_TOL of a node takes that node's value
+    exactly, and the kernel runs only on the other points."""
     nearest, dist = _nearest_nodes(I.system, zz)
-    near = dist < _near_node_tol(I.n)
-    if L is None:
-        out = _first_form(I.system, I.plan.p, I.weights * I.values, zz, near)
-    else:
+    at = dist < AT_NODE_TOL
+    if L is not None:
         out = eval_laurent(L, zz)
-    out[near] = I.values[nearest[near]]
+    else:
+        out = np.empty(len(zz), dtype=complex)
+        if not np.all(at):
+            out[~at] = _first_form(I.system, I.plan.p, I.weights * I.values, zz[~at])
+    out[at] = I.values[nearest[at]]
     return out
-
-
-def _coefficients(I: CircleInterpolant, z0: complex | None) -> LaurentPolynomial:
-    """The Laurent coefficients from the interpolant's values at the n-th
-    roots of unity w.  With nodes z0 w, the values are samples of
-    L(z0 w), which has the coefficients c_k z0^k; otherwise the kernel
-    samples L at the roots.  Rounding of the weights perturbs L by a Laurent
-    polynomial in the same window, which the n samples recover exactly, so
-    the coefficients are as accurate as the kernel's samples."""
-    if z0 is not None:
-        L = coefficients_from_samples(I.values, I.plan.p)
-        return LaurentPolynomial(p=L.p, q=L.q,
-                                 coeffs=L.coeffs * np.exp(-1j * np.angle(z0) * L.exponents))
-    roots = np.exp(2j * np.pi * np.arange(I.n) / I.n)
-    return coefficients_from_samples(_evaluate(I, roots, None), I.plan.p)
 
 
 def eval_interpolant(I: CircleInterpolant, z):
     """Evaluate the interpolant at z != 0 (scalar or array).
 
     For at least HORNER_MIN_POINTS points, all on the unit circle, Horner
-    runs on the Laurent coefficients when they are cheaper than the pair
-    kernel on every point: on nodes z_0 e^{2 pi i j/n} they come from one
-    FFT of the values, and for more points than nodes from the kernel on
-    the n-th roots of unity.  Otherwise the first-form pair kernel runs on
-    the points.  A point within _near_node_tol(n) of a node returns that
-    node's value either way."""
+    runs on interpolant_coefficients(I) when they are cheaper than the pair
+    kernel on every point: when every sample z_0 e^{2 pi i j/n} is a node,
+    so that they cost one FFT, or when there are more points than nodes.
+    Otherwise the first-form pair kernel runs on the points.  A point
+    within AT_NODE_TOL of a node returns that node's value either way."""
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
     zz = np.atleast_1d(zz)
@@ -216,18 +184,25 @@ def eval_interpolant(I: CircleInterpolant, z):
         raise ValidationError("the interpolant is undefined at z = 0")
     L = None
     if len(zz) >= HORNER_MIN_POINTS and np.all(np.abs(np.abs(zz) - 1.0) <= UNIMODULAR_TOL):
-        z0 = _rotation_offset(I.system.nodes)
-        if z0 is not None or len(zz) > I.n:
-            L = _coefficients(I, z0)
+        if len(zz) > I.n or _samples_are_nodes(I.system):
+            L = interpolant_coefficients(I)
     out = _evaluate(I, zz, L)
     return complex(out[0]) if scalar else out
 
 
 def interpolant_coefficients(I: CircleInterpolant) -> LaurentPolynomial:
-    """The interpolant's Laurent coefficients on the window [-p, q]: one
-    FFT of the values on nodes z_0 e^{2 pi i j/n}, otherwise one FFT of the
-    kernel's values at the n-th roots of unity."""
-    return _coefficients(I, _rotation_offset(I.system.nodes))
+    """The interpolant's Laurent coefficients on the window [-p, q].
+
+    L(z_0 w) with w the n-th roots of unity and z_0 = nodes[0] has the
+    coefficients c_k z_0^k, so one FFT of its samples at z_0 w, rotated by
+    z_0^-k, gives c_k.  A sample at a node is that node's value, and the
+    kernel computes the others; on the roots of z^n = tau every sample is
+    a node and the cost is the FFT alone.  Rounding of the weights perturbs
+    L by a Laurent polynomial in the same window, which the n samples
+    recover exactly, so the coefficients are as accurate as the samples."""
+    L = coefficients_from_samples(_evaluate(I, _samples(I.system), None), I.plan.p)
+    rotate = np.exp(-1j * np.angle(I.system.nodes[0]) * L.exponents)
+    return LaurentPolynomial(p=L.p, q=L.q, coeffs=L.coeffs * rotate)
 
 
 def interpolation_error(I: CircleInterpolant, F, grid_size: int = 8192) -> float:

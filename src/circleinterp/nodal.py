@@ -33,7 +33,7 @@ __all__ = [
 UNIMODULAR_TOL = 1e-12
 DISTINCT_TOL = 1e-10  # chordal; below this barycentric weights lose all digits
 NEAR_NODE_TOL = 1e-8  # switch to the removable-singularity limit in (ii)
-ROTATION_TOL = 1e-14  # nodes this close to z_0 e^{2 pi i j/n} count as rotated roots of unity
+AT_NODE_TOL = 1e-14  # a point this close to a node takes that node's value
 
 # The pair kernel walks evaluation points in blocks of about PAIR_BUDGET
 # point-node pairs: one complex temporary is then 1 MB and stays in L2.  Its
@@ -192,19 +192,32 @@ def default_grid_size(n: int) -> int:
     return max(4096, 16 * n)
 
 
-def _rotation_offset(nodes: np.ndarray) -> complex | None:
-    """z_0 when nodes[j] = z_0 e^{2 pi i j/n} for every j, in the stored
-    order, to within ROTATION_TOL; otherwise None.  The roots of z^n = tau
-    are such a system.  z_0 is the unimodular least-squares fit, so its
-    argument carries no more rounding than the nodes themselves."""
-    roots = np.exp(2j * np.pi * np.arange(len(nodes)) / len(nodes))
-    fit = np.vdot(roots, nodes)
-    if fit == 0:
-        return None
-    z0 = fit / abs(fit)
-    if np.max(np.abs(nodes - z0 * roots)) > ROTATION_TOL:
-        return None
-    return complex(z0)
+def _nearest_nodes(system: NodalSystem, z: np.ndarray):
+    """Index of the node nearest to each z and the distance to it.  For any
+    z != 0 the nearest node in distance is the nearest in argument, so a
+    binary search over the sorted arguments finds it."""
+    thetas = system.thetas
+    order = np.argsort(thetas)
+    i = np.searchsorted(thetas[order], np.mod(np.angle(z), 2.0 * np.pi))
+    # the two neighbours in argument; index -1 and n wrap round the circle
+    cand = np.stack([order[i % system.n], order[i - 1]])
+    dist = np.abs(z - system.nodes[cand])
+    pick = np.argmin(dist, axis=0)
+    cols = np.arange(len(z))
+    return cand[pick, cols], dist[pick, cols]
+
+
+def _samples(system: NodalSystem) -> np.ndarray:
+    """The n points z_0 e^{2 pi i j/n} with z_0 = nodes[0]."""
+    n = system.n
+    return system.nodes[0] * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _samples_are_nodes(system: NodalSystem) -> bool:
+    """Whether each of the n samples z_0 e^{2 pi i j/n} lies within
+    AT_NODE_TOL of a node, in any order: the nodes are then the roots of
+    z^n = z_0^n.  The nodes are distinct, so no two samples share a node."""
+    return bool(np.all(_nearest_nodes(system, _samples(system))[1] < AT_NODE_TOL))
 
 
 def _grid_points(system: NodalSystem, grid_size: int) -> np.ndarray:
@@ -277,25 +290,24 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
     The grid is uniform plus node-argument midpoints.  Near a node the j-th
     summand of condition (ii) is replaced by its limit |W'(z_j)|^2 / n^2.
 
-    When the nodes are z_0 e^{2 pi i j/n} (see _rotation_offset) and n
-    divides grid_size, the rows run on one period only: the first
-    grid_size / n uniform points and one midpoint.  Every other grid point
-    is one of these turned by a multiple of 2 pi / n, which permutes the
-    nodes and leaves |W'(z)|, (ii) and the Lebesgue function (all |W'(z_j)|
-    are equal) unchanged, so the extrema are those of the full grid up to
-    rounding.
+    When every sample z_0 e^{2 pi i j/n}, z_0 = nodes[0], is a node (see
+    _samples_are_nodes) and n divides grid_size, the rows run on one
+    period only: the first grid_size / n uniform points and one midpoint.
+    Every other grid point is one of these turned by a multiple of 2 pi / n,
+    which permutes the nodes and leaves |W'(z)|, (ii) and the Lebesgue
+    function (all |W'(z_j)| are equal) unchanged, so the extrema are those
+    of the full grid up to rounding.
     """
     n = system.n
     if grid_size is None:
         grid_size = default_grid_size(n)
     if grid_size < 4:
         raise ValidationError(f"grid_size must be >= 4, got {grid_size}")
-    z0 = _rotation_offset(system.nodes) if grid_size % n == 0 else None
-    if z0 is None:
-        z = _grid_points(system, grid_size)
-    else:
+    if grid_size % n == 0 and _samples_are_nodes(system):
         period = 2.0 * np.pi * np.arange(grid_size // n) / grid_size
-        z = np.append(np.exp(1j * period), z0 * np.exp(1j * np.pi / n))
+        z = np.append(np.exp(1j * period), system.nodes[0] * np.exp(1j * np.pi / n))
+    else:
+        z = _grid_points(system, grid_size)
     wprime, cond2, log_leb = _condition_rows(z, system)
     with np.errstate(over="ignore"):
         leb_max = float(np.exp(log_leb.max()))
@@ -320,8 +332,7 @@ def lebesgue_function(system: NodalSystem, plan: DegreePlan, z: complex) -> floa
     if plan.n != system.n:
         raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
     z = complex(z)
-    d = np.abs(z - system.nodes)
-    if d.min() < 1e-13 * max(system.n, 1):
+    if np.abs(z - system.nodes).min() < AT_NODE_TOL:
         return 1.0
     with np.errstate(over="ignore"):
         return float(np.exp(_condition_rows(np.array([z]), system)[2][0]))

@@ -174,6 +174,13 @@ def interval_nodes_from_measure(w, n: int, variant: str = "mu1",
     )
 
 
+def _folded(L: LaurentPolynomial, K: int):
+    """c_k and c_{-k} for k = 0..K, zero outside L's window; needs K >= p, q."""
+    c = np.zeros(2 * K + 1, dtype=complex)
+    c[K - L.p:K + L.q + 1] = L.coeffs
+    return c[K:], c[K::-1]
+
+
 def _interval_plan(m: int) -> DegreePlan:
     # 2n nodes -> (p, q) = (n, n-1); 2n+2 -> (n+1, n); 2n+1 -> (n, n)
     p = math.ceil((m - 1) / 2)
@@ -196,9 +203,8 @@ def interval_interpolate(sys: IntervalNodalSystem, f):
     values = np.asarray(f(np.clip(system.nodes.real, -1.0, 1.0)), dtype=complex)
     plan = _interval_plan(system.n)
     I = interpolate(system, plan, values)
-    L = interpolant_coefficients(I)
-    kmax = max(plan.p, plan.q)
-    d = np.array([0.5 * (L.coefficient(k) + L.coefficient(-k)) for k in range(kmax + 1)])
+    pos, neg = _folded(interpolant_coefficients(I), max(plan.p, plan.q))
+    d = 0.5 * (pos + neg)
     scale = max(float(np.max(np.abs(values))), 1.0)
     if np.max(np.abs(d.imag)) > 1e-9 * scale:
         raise SymmetryError(
@@ -221,15 +227,12 @@ def trig_nodes_symmetric(w, n: int) -> np.ndarray:
 
 
 def _trig_coeffs(L, degree: int) -> TrigPolynomial:
-    """Real part identity: a_k = Re(c_k + c_{-k}), b_k = -Im(c_k - c_{-k})."""
-    a = np.zeros(degree + 1)
-    b = np.zeros(degree)
-    a[0] = L.coefficient(0).real
-    for k in range(1, degree + 1):
-        ck, cmk = L.coefficient(k), L.coefficient(-k)
-        a[k] = (ck + cmk).real
-        b[k - 1] = -(ck - cmk).imag
-    return TrigPolynomial(a=a, b=b)
+    """Real part identity: a_0 = Re c_0, a_k = Re(c_k + c_{-k}),
+    b_k = -Im(c_k - c_{-k})."""
+    pos, neg = _folded(L, degree)
+    a = (pos + neg).real
+    a[0] = pos[0].real
+    return TrigPolynomial(a=a, b=-(pos - neg)[1:].imag)
 
 
 def trig_interpolate_symmetric(w, n: int, f) -> TrigPolynomial:
@@ -239,8 +242,7 @@ def trig_interpolate_symmetric(w, n: int, f) -> TrigPolynomial:
     system = sys.circle_system
     # the circle system's nodes are exactly e^{i theta_j} for the 2n angles
     values = np.asarray(f(system.thetas), dtype=float)
-    plan = DegreePlan(n=2 * n, r=n / (2 * n - 1), p=n, q=n - 1, s=n - 1)
-    I = interpolate(system, plan, values.astype(complex))
+    I = interpolate(system, _interval_plan(2 * n), values.astype(complex))
     return _trig_coeffs(interpolant_coefficients(I), n)
 
 
@@ -249,13 +251,8 @@ def trig_interpolate_paraorthogonal(state: OpucState, tau: complex, n: int, f) -
     n para-orthogonal zeros; the window is (n/2, n/2-1) for even n and
     ((n-1)/2, (n-1)/2) for odd n."""
     system = paraorthogonal_nodes(state, ParaOrthogonalSpec(n=n, tau=tau))
-    if n % 2 == 0:
-        p, q = n // 2, n // 2 - 1
-    else:
-        p = q = (n - 1) // 2
-    plan = DegreePlan(n=n, r=p / (n - 1) if n > 1 else 0.5, p=p, q=q, s=min(p, q))
     values = np.asarray(f(system.thetas), dtype=float)
-    I = interpolate(system, plan, values.astype(complex))
+    I = interpolate(system, _interval_plan(n), values.astype(complex))
     return _trig_coeffs(interpolant_coefficients(I), n // 2)
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from circleinterp import ValidationError
 from circleinterp.cli import _load_nodes_file, _parse_ns, _parse_tau, main
 
 
@@ -15,6 +16,13 @@ class TestParsers:
     def test_ns(self):
         assert _parse_ns("8:64") == [8, 16, 32, 64]
         assert _parse_ns("3,5,9") == [3, 5, 9]
+
+    @pytest.mark.parametrize("raw", ["0:8", "-4:8"])
+    def test_ns_range_must_start_at_one(self, raw):
+        """Doubling from n <= 0 never passes the upper bound."""
+        with pytest.raises(ValidationError, match="n >= 1"):
+            _parse_ns(raw)
+        assert main(["sweep", f"--ns={raw}", "--corpus", "smooth-exp"]) == 1
 
     def test_nodes_file_json(self, tmp_path):
         path = tmp_path / "nodes.json"
@@ -54,6 +62,22 @@ class TestCommands:
         assert payload["reliable"] is True
         assert payload["metadata"]["version"]
         assert len(payload["metadata"]["config_hash"]) == 16
+
+    def test_check_report_is_strict_json(self, tmp_path):
+        """For alpha_k = 0.7 (-1)^k at n = 1024, L_hat and the Lebesgue
+        maximum overflow to inf; the report writes them as null."""
+        spec = tmp_path / "spec.json"
+        alphas = [[0.7 * (-1) ** k, 0.0] for k in range(1024)]
+        spec.write_text(json.dumps({"kind": "verblunsky", "alphas": alphas}))
+        out = tmp_path / "report.json"
+        assert main(["check", "--n", "1024", "--measure", str(spec), "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"report holds the non-JSON constant {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["L_hat"] is None and payload["lebesgue_max"] is None
+        assert payload["B_hat"] > 0
 
     def test_interp_command(self, tmp_path):
         out = tmp_path / "interp.json"

@@ -158,6 +158,25 @@ class TestSweep:
         assert rows[1]["status"].startswith("error:")
         assert [rows[1][k] for k in ("sup_error", "lebesgue_max", "B_hat", "L_hat")] == [None] * 4
 
+    def test_thread_count_leaves_output_unchanged(self, monkeypatch):
+        """The sweep's CSV and JSON, a failed n included, are byte-identical
+        on one thread and on two."""
+        class FailsAt16(NodalFamily):
+            def build(self, n):
+                if n == 16:
+                    raise ValidationError("boom")
+                return super().build(n)
+
+        family = FailsAt16(kind="para-orthogonal", tau=1.0, measure=finite_verblunsky([0.5]))
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CIRCLE_INTERP_THREADS", threads)
+            result = convergence_sweep(family, 0.5, [8, 16, 32, 64], corpus("holder", 0.6),
+                                       error_grid=1024)
+            outputs.append((sweep_to_csv(result), sweep_to_json(result)))
+        assert outputs[0] == outputs[1]
+        assert "error: boom" in outputs[0][0]
+
     def test_csv_records_failure_reason(self):
         """A failed n keeps its error message in the CSV's status column,
         quoted, so that commas and quotes in the message survive."""

@@ -235,23 +235,31 @@ class TestOnePeriodGrid:
         estimate_conditions(roots_of_unimodular(100, 1.0))
         assert [len(z) for z, _ in calls] == [4096 + 100]
 
-    def test_shuffled_nodes_take_full_grid(self, monkeypatch):
-        nodes = roots_of_unimodular(64, np.exp(0.7j)).nodes
-        sys = make_nodal_system(np.random.default_rng(3).permutation(nodes))
+    def test_shuffled_roots_take_one_period(self, monkeypatch):
+        """A permutation of the roots leaves every sample z_0 e^{2 pi i j/n}
+        a node, so it runs one period too and reports what the roots in
+        their stored order do."""
+        n = 64
+        ordered = roots_of_unimodular(n, np.exp(0.7j))
+        sys = make_nodal_system(np.random.default_rng(3).permutation(ordered.nodes))
+        want = estimate_conditions(ordered)
         calls = self._spy_rows(monkeypatch)
-        estimate_conditions(sys)
-        assert [len(z) for z, _ in calls] == [4096 + 64]
+        report = estimate_conditions(sys)
+        assert [len(z) for z, _ in calls] == [4096 // n + 1]
+        rtol = 16 * n * np.finfo(float).eps
+        for name in ("b_hat", "b_hat_nodes", "l_hat", "lebesgue_max"):
+            assert getattr(report, name) == pytest.approx(getattr(want, name), rel=rtol)
 
-    def test_rotation_offset(self):
-        """Roots of z^n = tau pass in their stored order, and so do the
-        para-orthogonal nodes of the Lebesgue measure; a permutation or a
+    def test_samples_are_nodes(self):
+        """Roots of z^n = tau pass in their stored order and in any other,
+        and so do the para-orthogonal nodes of the Lebesgue measure; a
         1e-9 perturbation does not."""
         tau = np.exp(0.7j)
         sys = roots_of_unimodular(1000, tau)
-        assert nodal._rotation_offset(sys.nodes) == pytest.approx(sys.nodes[0], abs=1e-15)
+        assert nodal._samples_are_nodes(sys)
         lebesgue = szego_recurrence(np.zeros(64), 64)
-        para = paraorthogonal_nodes(lebesgue, ParaOrthogonalSpec(n=64, tau=tau))
-        assert nodal._rotation_offset(para.nodes) is not None
-        assert nodal._rotation_offset(sys.nodes[::-1]) is None
-        assert nodal._rotation_offset(sys.nodes * np.exp(1e-9j * (np.arange(1000) % 2))) is None
-
+        assert nodal._samples_are_nodes(
+            paraorthogonal_nodes(lebesgue, ParaOrthogonalSpec(n=64, tau=tau)))
+        assert nodal._samples_are_nodes(make_nodal_system(sys.nodes[::-1]))
+        jitter = np.exp(1e-9j * (np.arange(1000) % 2))
+        assert not nodal._samples_are_nodes(make_nodal_system(sys.nodes * jitter))
