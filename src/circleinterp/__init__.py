@@ -62,7 +62,6 @@ from .opuc import (
     lebesgue_measure,
     load_measure_spec,
     moments_to_verblunsky,
-    paraorthogonal,
     paraorthogonal_nodes,
     quadrature_weight,
     szego_recurrence,

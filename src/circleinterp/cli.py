@@ -30,10 +30,8 @@ from .interp import eval_interpolant, interpolate
 from .laurent import make_degree_plan
 from .nodal import estimate_conditions, make_nodal_system
 from .opuc import (
-    ParaOrthogonalSpec,
     lebesgue_measure,
     load_measure_spec,
-    paraorthogonal_nodes,
     szego_recurrence,
     verblunsky_coefficients,
 )
@@ -54,35 +52,42 @@ INTERVAL_WEIGHTS = {
 
 
 def _parse_tau(raw: str) -> complex:
-    if "," in raw:
-        re, im = raw.split(",", 1)
-        return complex(float(re), float(im))
-    return complex(float(raw), 0.0)
+    try:
+        if "," in raw:
+            re, im = raw.split(",", 1)
+            return complex(float(re), float(im))
+        return complex(float(raw), 0.0)
+    except ValueError as exc:
+        raise ValidationError(f"--tau must be 're,im' or a real number, got {raw!r}") from exc
 
 
 def _parse_ns(raw: str):
-    if ":" in raw:
+    try:
+        if ":" not in raw:
+            return [int(x) for x in raw.split(",")]
         lo, hi = (int(x) for x in raw.split(":", 1))
-        if lo < 1:
-            raise ValidationError(f"the range {raw!r} must start at n >= 1")
-        ns, n = [], lo
-        while n <= hi:
-            ns.append(n)
-            n *= 2
-        return ns
-    return [int(x) for x in raw.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--ns must be 'a:b' or a comma list of integers, got {raw!r}") from exc
+    if lo < 1:
+        raise ValidationError(f"the range {raw!r} must start at n >= 1")
+    ns, n = [], lo
+    while n <= hi:
+        ns.append(n)
+        n *= 2
+    return ns
 
 
 def _load_nodes_file(path) -> np.ndarray:
     """Node file: JSON array of [re, im] pairs, or plain text with one angle
     (radians) per line."""
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.strip()
-    if stripped.startswith("["):
-        pairs = json.loads(stripped)
-        return np.array([complex(re, im) for re, im in pairs])
-    thetas = [float(line) for line in stripped.splitlines() if line.strip()]
+    try:
+        with open(path) as fh:
+            stripped = fh.read().strip()
+        if stripped.startswith("["):
+            return np.array([complex(re, im) for re, im in json.loads(stripped)])
+        thetas = [float(line) for line in stripped.splitlines() if line.strip()]
+    except (OSError, ValueError, TypeError) as exc:
+        raise ValidationError(f"nodes file {path}: {exc}") from exc
     return np.exp(1j * np.asarray(thetas))
 
 
@@ -95,11 +100,9 @@ def _measure_from(raw: str):
 def _build_system(cfg):
     if cfg.get("nodes"):
         return make_nodal_system(_load_nodes_file(cfg["nodes"]))
-    measure = _measure_from(cfg.get("measure", "lebesgue"))
-    n = cfg["n"]
-    tau = cfg.get("tau", 1.0 + 0.0j)
-    state = szego_recurrence(verblunsky_coefficients(measure, n), n)
-    return paraorthogonal_nodes(state, ParaOrthogonalSpec(n=n, tau=tau))
+    family = NodalFamily(kind="para-orthogonal", tau=cfg.get("tau", 1.0 + 0.0j),
+                         measure=_measure_from(cfg.get("measure", "lebesgue")))
+    return family.build(cfg["n"])
 
 
 def _config_hash(cfg: dict) -> str:
@@ -367,8 +370,11 @@ _REQUIRED = {
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                cfg.update(json.load(fh))
+        except (OSError, ValueError, TypeError) as exc:
+            raise ValidationError(f"--config {args.config}: {exc}") from exc
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
             continue

@@ -32,7 +32,6 @@ __all__ = [
 
 UNIMODULAR_TOL = 1e-12
 DISTINCT_TOL = 1e-10  # chordal; below this barycentric weights lose all digits
-NEAR_NODE_TOL = 1e-8  # switch to the removable-singularity limit in (ii)
 AT_NODE_TOL = 1e-14  # a point this close to a node takes that node's value
 
 # The pair kernel walks evaluation points in blocks of about PAIR_BUDGET
@@ -231,7 +230,7 @@ def _grid_points(system: NodalSystem, grid_size: int) -> np.ndarray:
 
 def _condition_rows(z: np.ndarray, system: NodalSystem):
     """Per point z: |W'(z)|, the condition (ii) quantity and the log of the
-    Lebesgue function, with removable singularities patched near nodes.
+    Lebesgue function, with removable singularities patched at nodes.
 
     Per pair only real arithmetic is done on q = |z - z_j|^2:
       log|W(z)|        = (1/2) sum_j log q_j,
@@ -239,7 +238,12 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
       condition (ii)   = |W|^2 / n^2 sum_j 1/q_j,
       Lebesgue         = |W| sum_j 1/(|W'(z_j)| sqrt(q_j)),
     the last as one matrix-vector product against exp(c - log|W'(z_j)|),
-    with c the smallest log|W'(z_j)|, so that it cannot overflow."""
+    with c the smallest log|W'(z_j)|, so that it cannot overflow.
+
+    The coordinate differences of z and a node within a factor 2 of each
+    other are exact (Sterbenz), so these formulas keep full relative
+    accuracy down to rounding distance from a node.  Only a point within
+    AT_NODE_TOL of z_j takes the limits of the j-th summands at z_j."""
     nodes = system.nodes
     n = len(nodes)
     abs_derivs = np.abs(system.derivs)
@@ -260,8 +264,8 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
         np.subtract(zc.imag[:, None], nodes.imag[None, :], out=di)
         np.multiply(dr, dr, out=q)
         q += np.multiply(di, di, out=work)
-        near_rows = np.flatnonzero(q.min(axis=1) < NEAR_NODE_TOL**2)
-        loc, cols = np.nonzero(q[near_rows] < NEAR_NODE_TOL**2)
+        near_rows = np.flatnonzero(q.min(axis=1) < AT_NODE_TOL**2)
+        loc, cols = np.nonzero(q[near_rows] < AT_NODE_TOL**2)
         loc = near_rows[loc]
         with np.errstate(divide="ignore", over="ignore"):
             log_w = 0.5 * np.log(q, out=work).sum(axis=1)
@@ -274,7 +278,7 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
             leb_sum = np.einsum("ij,j->i", np.sqrt(inv_q, out=inv_q), scaled_inv_derivs)
             log_leb[rows] = log_w + np.log(leb_sum) - shift
         if len(loc):
-            # near z_j: the j-th summand of (ii) tends to |W'(z_j)|^2 / n^2,
+            # at z_j: the j-th summand of (ii) tends to |W'(z_j)|^2 / n^2,
             # |W'(z)| to |W'(z_j)| and the j-th Lebesgue summand to 1
             hit = loc + rows.start
             np.add.at(cond2, hit, (abs_derivs[cols] / n) ** 2)
@@ -287,8 +291,9 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
 def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> NodalConditionReport:
     """Estimate the sufficiency-condition constants on a circle grid.
 
-    The grid is uniform plus node-argument midpoints.  Near a node the j-th
-    summand of condition (ii) is replaced by its limit |W'(z_j)|^2 / n^2.
+    The grid is uniform plus node-argument midpoints.  At a node, within
+    AT_NODE_TOL, the j-th summand of condition (ii) is replaced by its limit
+    |W'(z_j)|^2 / n^2.
 
     When every sample z_0 e^{2 pi i j/n}, z_0 = nodes[0], is a node (see
     _samples_are_nodes) and n divides grid_size, the rows run on one
@@ -331,8 +336,5 @@ def lebesgue_function(system: NodalSystem, plan: DegreePlan, z: complex) -> floa
     """
     if plan.n != system.n:
         raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
-    z = complex(z)
-    if np.abs(z - system.nodes).min() < AT_NODE_TOL:
-        return 1.0
     with np.errstate(over="ignore"):
-        return float(np.exp(_condition_rows(np.array([z]), system)[2][0]))
+        return float(np.exp(_condition_rows(np.array([complex(z)]), system)[2][0]))

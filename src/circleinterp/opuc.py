@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "trigonometric_moments",
     "moments_to_verblunsky",
     "verblunsky_coefficients",
-    "paraorthogonal",
     "paraorthogonal_nodes",
 ]
 
@@ -62,42 +60,13 @@ _TAIL_POINTS = 256
 @dataclass(frozen=True)
 class OpucState:
     """Verblunsky coefficients alpha_0..alpha_{N-1}, fixing the monic OPUC
-    through degree N.
-
-    The node solver works from ``alphas`` alone.  The ascending coefficient
-    vectors phis[k] and phi_stars[k] (length k+1, k <= N) cost O(N^2) memory
-    and are built on first access only.
-    """
+    through degree N.  The node solver works from ``alphas`` alone."""
 
     alphas: np.ndarray = field(repr=False)
 
     @property
     def degree(self) -> int:
         return len(self.alphas)
-
-    @cached_property
-    def _coefficients(self) -> tuple:
-        phis = [np.ones(1, dtype=complex)]
-        stars = [np.ones(1, dtype=complex)]
-        for a in self.alphas:
-            shifted = np.concatenate([[0.0], phis[-1]])  # z * phi_k
-            star_padded = np.concatenate([stars[-1], [0.0]])
-            nxt = shifted - np.conj(a) * star_padded
-            phis.append(nxt)
-            stars.append(_reverse(nxt))
-        return tuple(phis), tuple(stars)
-
-    @property
-    def phis(self) -> tuple:
-        return self._coefficients[0]
-
-    @property
-    def phi_stars(self) -> tuple:
-        return self._coefficients[1]
-
-    @property
-    def phi_at_zero(self) -> np.ndarray:
-        return np.array([p[0] for p in self.phis])
 
 
 @dataclass(frozen=True)
@@ -108,7 +77,6 @@ class MeasureSpec:
     kind: str  # "lebesgue" | "finite-verblunsky" | "quadrature-weight"
     alphas: tuple = ()
     weight: Callable[[np.ndarray], np.ndarray] | None = None
-    normalization: float = 1.0
     label: str = ""
 
 
@@ -151,16 +119,21 @@ def load_measure_spec(path) -> MeasureSpec:
     Schema: {"kind": "lebesgue" | "verblunsky" | "bernstein-szego",
              "alphas": [[re, im], ...], "h_coeffs": [[re, im], ...]}.
     """
-    with open(path) as fh:
-        data = json.load(fh)
-    kind = data.get("kind")
-    if kind == "lebesgue":
-        return lebesgue_measure()
-    if kind == "verblunsky":
-        return finite_verblunsky([complex(re, im) for re, im in data.get("alphas", [])])
-    if kind == "bernstein-szego":
-        return bernstein_szego([complex(re, im) for re, im in data.get("h_coeffs", [])])
-    raise ValidationError(f"unknown measure kind {kind!r} in {path}")
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValidationError("expected a JSON object")
+        kind = data.get("kind")
+        if kind == "lebesgue":
+            return lebesgue_measure()
+        if kind == "verblunsky":
+            return finite_verblunsky([complex(re, im) for re, im in data.get("alphas", [])])
+        if kind == "bernstein-szego":
+            return bernstein_szego([complex(re, im) for re, im in data.get("h_coeffs", [])])
+        raise ValidationError(f"unknown measure kind {kind!r}")
+    except (OSError, ValueError, TypeError) as exc:
+        raise ValidationError(f"measure file {path}: {exc}") from exc
 
 
 def _reverse(coeffs: np.ndarray) -> np.ndarray:
@@ -277,15 +250,6 @@ class ParaOrthogonalSpec:
             raise ValidationError(f"degree must be >= 1, got {self.n}")
         if abs(abs(complex(self.tau)) - 1.0) > 1e-12:
             raise ValidationError(f"|tau| must equal 1 within 1e-12, got {abs(self.tau)}")
-
-
-def paraorthogonal(state: OpucState, spec: ParaOrthogonalSpec) -> np.ndarray:
-    """Ascending coefficients of omega_n(z, tau) = phi_n + tau phi_n*."""
-    if state.degree < spec.n:
-        raise ValidationError(
-            f"state holds degrees up to {state.degree}, need {spec.n}"
-        )
-    return state.phis[spec.n] + complex(spec.tau) * state.phi_stars[spec.n]
 
 
 def _phase_steps(alphas: np.ndarray) -> list:

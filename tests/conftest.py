@@ -31,6 +31,25 @@ def brute_force_condition_ii(nodes, z):
     return w2 / n**2 * np.sum(1.0 / np.abs(z - nodes) ** 2)
 
 
+def opuc_coefficients(alphas):
+    """Coefficient oracle: ascending coefficient vectors phi_k and phi_k*
+    for k = 0..len(alphas), from phi_{k+1} = z phi_k - conj(alpha_k) phi_k*,
+    where phi* is the conjugated coefficient reversal."""
+    phis = [np.ones(1, dtype=complex)]
+    stars = [np.ones(1, dtype=complex)]
+    for a in alphas:
+        nxt = np.concatenate([[0.0], phis[-1]]) - np.conj(a) * np.concatenate([stars[-1], [0.0]])
+        phis.append(nxt)
+        stars.append(np.conj(nxt[::-1]))
+    return phis, stars
+
+
+def paraorthogonal_coefficients(alphas, n, tau):
+    """Ascending coefficients of phi_n + tau phi_n* for alpha_0..alpha_{n-1}."""
+    phis, stars = opuc_coefficients(alphas[:n])
+    return phis[n] + complex(tau) * stars[n]
+
+
 def real_barycentric(xs, fxs):
     """Classical real barycentric Lagrange interpolation (second form), used
     as an independent oracle for the circle-lift interval interpolant."""

@@ -121,6 +121,28 @@ class TestCommands:
         assert main(["interp", "--n", "8"]) == 1
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,name,text", [
+        (["nodes", "--n", "4", "--tau", "abc"], None, None),
+        (["sweep", "--ns", "a:8", "--corpus", "smooth-exp"], None, None),
+        (["nodes", "--n", "4", "--measure", "{path}"], "m.json", "{"),
+        (["nodes", "--n", "4", "--measure", "{path}"], "m.json", "[]"),
+        (["nodes", "--n", "4", "--measure", "{path}"], "m.json",
+         '{"kind": "verblunsky", "alphas": [[1]]}'),
+        (["check", "--nodes", "{path}"], "nodes.txt", "0.0\nxyz\n"),
+        (["check", "--nodes", "{path}"], "nodes.json", "[1, 2]"),
+        (["nodes", "--n", "4", "--config", "{path}"], "missing.json", None),
+        (["nodes", "--n", "4", "--config", "{path}"], "c.json", "[1, 2]"),
+    ], ids=["tau", "ns", "measure-file", "measure-list", "measure-pair",
+            "nodes-file", "nodes-pair", "config", "config-list"])
+    def test_malformed_input_exit_1(self, tmp_path, capsys, argv, name, text):
+        """Malformed flags and files end in one line on stderr, not a traceback."""
+        path = tmp_path / (name or "unused")
+        if text is not None:
+            path.write_text(text)
+        assert main([a.replace("{path}", str(path)) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+
     def test_numerical_error_exit_2(self, tmp_path, capsys):
         # verblunsky alpha on the unit circle is outside the admissible class
         m = tmp_path / "bad.json"

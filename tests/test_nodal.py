@@ -171,19 +171,20 @@ class TestConditionKernelOracles:
     def test_near_node_patch(self, family):
         sys = _para_system(PARA_FAMILIES[family])
         j = 10
-        z = np.array([sys.nodes[j] * np.exp(1e-9j), sys.nodes[j]])
+        z = np.array([sys.nodes[j] * np.exp(1e-9j), sys.nodes[j] * np.exp(1e-12j), sys.nodes[j]])
         wprime, cond2, log_leb = nodal._condition_rows(z, sys)
-        # within NEAR_NODE_TOL the j-th summands take their limits at z_j,
-        # which moves them by a relative |z - z_j| sum_k 1/|z_j - z_k| to
-        # first order, and twice that for the squares in (ii)
-        slack = 1e-9 * np.sum(1.0 / np.abs(np.delete(sys.nodes - sys.nodes[j], j)))
-        assert np.exp(log_leb[0]) == pytest.approx(
-            brute_force_lebesgue(sys.nodes, z[0]), rel=2.0 * slack)
-        assert cond2[0] == pytest.approx(brute_force_condition_ii(sys.nodes, z[0]), rel=2.0 * slack)
+        # 1e-9 and 1e-12 from z_j the direct formulas hold: a first-order
+        # limit there was off by up to 2.6e-6 relative
+        for k in (0, 1):
+            direct = abs(np.prod(z[k] - sys.nodes) * np.sum(1.0 / (z[k] - sys.nodes)))
+            assert np.exp(log_leb[k]) == pytest.approx(
+                brute_force_lebesgue(sys.nodes, z[k]), rel=1e-12)
+            assert cond2[k] == pytest.approx(brute_force_condition_ii(sys.nodes, z[k]), rel=1e-12)
+            assert wprime[k] == pytest.approx(direct, rel=1e-12)
         # at the node itself every value is the limit
-        assert np.exp(log_leb[1]) == pytest.approx(1.0, rel=1e-12)
-        assert cond2[1] == pytest.approx(abs(sys.derivs[j]) ** 2 / sys.n**2, rel=1e-12)
-        assert np.all(wprime == np.abs(sys.derivs[j]))
+        assert np.exp(log_leb[2]) == pytest.approx(1.0, rel=1e-12)
+        assert cond2[2] == pytest.approx(abs(sys.derivs[j]) ** 2 / sys.n**2, rel=1e-12)
+        assert wprime[2] == np.abs(sys.derivs[j])
 
 
 class TestOnePeriodGrid:
