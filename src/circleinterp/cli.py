@@ -188,7 +188,7 @@ def cmd_interp(cfg) -> int:
     F = parse_corpus(cfg["corpus"])
     plan = make_degree_plan(system.n, cfg.get("r", 0.5))
     I = interpolate(system, plan, F.on_circle(system.nodes))
-    grid = cfg.get("grid") or 8192
+    grid = cfg.get("grid", 8192)
     theta = 2.0 * np.pi * np.arange(grid) / grid
     z = np.exp(1j * theta)
     approx = eval_interpolant(I, z)
@@ -215,7 +215,7 @@ def cmd_interval(cfg) -> int:
     F = parse_corpus(cfg["corpus"])
     sys_iv = interval_nodes_from_measure(w, cfg["n"], cfg.get("variant", "mu1"))
     poly = interval_interpolate(sys_iv, F.on_interval)
-    grid = cfg.get("grid") or 2001
+    grid = cfg.get("grid", 2001)
     xg = np.linspace(-1.0, 1.0, grid)
     f_vals = F.on_interval(xg)
     approx = poly(xg)
@@ -249,7 +249,7 @@ def cmd_trig(cfg) -> int:
         tp = trig_interpolate_paraorthogonal(state, cfg.get("tau", 1.0 + 0.0j), n, F)
     else:
         raise ValidationError(f"trig variant must be 'symmetric' or 'para', got {variant!r}")
-    grid = cfg.get("grid") or 4096
+    grid = cfg.get("grid", 4096)
     theta = 2.0 * np.pi * np.arange(grid) / grid
     f_vals = F(theta)
     approx = tp(theta)
@@ -283,7 +283,7 @@ def cmd_sweep(cfg) -> int:
             f"family must be 'roots-of-unity' or 'para-orthogonal', got {family_name!r}"
         )
     result = convergence_sweep(family, cfg.get("r", 0.5), cfg["ns"], F,
-                               error_grid=cfg.get("grid") or 8192)
+                               error_grid=cfg.get("grid", 8192))
     out = cfg.get("out")
     if out:
         base = out[:-4] if out.endswith(".csv") else out
@@ -305,6 +305,11 @@ COMMANDS = {
     "trig": cmd_trig,
     "sweep": cmd_sweep,
 }
+
+
+_CHOICES = {"weight": sorted(INTERVAL_WEIGHTS), "format": ["csv", "json"]}
+_STR_KEYS = ("measure", "nodes", "corpus", "out", "dense", "nodes_out", "variant", "family",
+             "weight", "format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     out = ("--out", dict(help="output path (stdout when omitted)"))
     corpus_f = ("--corpus", dict(help="test function, e.g. holder:0.6 or smooth-exp"))
     dense = ("--dense", dict(help="write a dense evaluation CSV to this path"))
-    weight = ("--weight", dict(choices=sorted(INTERVAL_WEIGHTS), help="interval weight w(x)"))
+    weight = ("--weight", dict(choices=_CHOICES["weight"], help="interval weight w(x)"))
 
     add("nodes", "generate a nodal system and print/save it",
         measure, tau, n,
         (("--nodes"), dict(help="load nodes from file instead of a measure")),
-        out, (("--format"), dict(choices=["csv", "json"], help="node output format")))
+        out, (("--format"), dict(choices=_CHOICES["format"], help="node output format")))
     add("check", "estimate the sufficiency-condition constants",
         measure, tau, n, (("--nodes"), dict(help="load nodes from file")), grid, out)
     add("interp", "interpolate a corpus function on the circle",
@@ -367,6 +372,41 @@ _REQUIRED = {
 }
 
 
+def _positive_int(key: str, val):
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        raise ValidationError(f"{key} must be an integer >= 1, got {val!r}")
+    return val
+
+
+def _check_values(cfg: dict):
+    """Check the type and range of every known option, whether it came
+    from a flag or from the config file, and parse tau and ns in place."""
+    for key in ("n", "grid"):
+        if key in cfg:
+            _positive_int(key, cfg[key])
+    if "r" in cfg and (isinstance(cfg["r"], bool) or not isinstance(cfg["r"], (int, float))):
+        raise ValidationError(f"r must be a number, got {cfg['r']!r}")
+    for key in _STR_KEYS:
+        if key in cfg and not isinstance(cfg[key], str):
+            raise ValidationError(f"{key} must be a string, got {cfg[key]!r}")
+    for key, choices in _CHOICES.items():
+        if key in cfg and cfg[key] not in choices:
+            raise ValidationError(f"{key} must be one of {choices}, got {cfg[key]!r}")
+    if "tau" in cfg:
+        tau = cfg["tau"]
+        if isinstance(tau, str):
+            cfg["tau"] = _parse_tau(tau)
+        elif isinstance(tau, bool) or not isinstance(tau, (int, float)):
+            raise ValidationError(f"tau must be 're,im' or a real number, got {tau!r}")
+    if "ns" in cfg:
+        ns = cfg["ns"]
+        if isinstance(ns, str):
+            ns = _parse_ns(ns)
+        elif not isinstance(ns, list):
+            raise ValidationError(f"ns must be 'a:b', a comma list or a JSON list, got {ns!r}")
+        cfg["ns"] = [_positive_int("each n in ns", n) for n in ns]
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg: dict = {}
     if getattr(args, "config", None):
@@ -379,10 +419,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if key in ("command", "config") or val is None:
             continue
         cfg[key] = val
-    if "tau" in cfg and isinstance(cfg["tau"], str):
-        cfg["tau"] = _parse_tau(cfg["tau"])
-    if "ns" in cfg and isinstance(cfg["ns"], str):
-        cfg["ns"] = _parse_ns(cfg["ns"])
+    _check_values(cfg)
     for key in _REQUIRED[args.command]:
         if key not in cfg:
             raise ValidationError(f"'{args.command}' requires --{key}")

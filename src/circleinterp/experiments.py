@@ -99,7 +99,11 @@ def parse_corpus(spec: str) -> CorpusFunction:
     """Parse "name" or "name:param" strings, e.g. "holder:0.6"."""
     if ":" in spec:
         name, raw = spec.split(":", 1)
-        return corpus(name, float(raw))
+        try:
+            param = float(raw)
+        except ValueError as exc:
+            raise ValidationError(f"corpus parameter must be a number, got {raw!r}") from exc
+        return corpus(name, param)
     return corpus(spec)
 
 
@@ -241,6 +245,8 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
     ns = np.asarray(sorted(int(n) for n in ns))
     if len(ns) == 0 or np.any(np.diff(ns) <= 0):
         raise ValidationError("ns must be a nonempty strictly increasing collection")
+    if error_grid < 1:
+        raise ValidationError(f"error_grid must be >= 1, got {error_grid}")
 
     def run(n: int):
         try:

@@ -74,9 +74,16 @@ def _log_lebesgue_at_widest_gap(system: NodalSystem) -> float:
     return float(_condition_rows(np.array([z]), system)[2][0])
 
 
-def _unit_powers(system: NodalSystem, p: int) -> np.ndarray:
-    """z_j^p computed from the angles, avoiding repeated-multiplication drift."""
-    return np.exp(1j * p * system.thetas)
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _phase_powers(z, p) -> np.ndarray:
+    """e^{i p arg z}, which is z^p on the unit circle.  The phase error is
+    |p| eps times the size of the angle multiplied, so an exact quarter turn
+    first brings arg z into [-pi/4, pi/4]."""
+    k = np.rint(np.angle(z) / (0.5 * np.pi)).astype(int)
+    reduced = np.angle(z * np.conj(_QUARTER_TURNS[k % 4]))
+    return _QUARTER_TURNS[(p * k) % 4] * np.exp(1j * p * reduced)
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ def interpolate(system: NodalSystem, plan: DegreePlan, values) -> CircleInterpol
             f"node gap, above 1/sqrt(eps) = {MAX_LEBESGUE:.1e}: the interpolant "
             "would lose at least half its digits"
         )
-    weights = _unit_powers(system, plan.p) / system.derivs
+    weights = _phase_powers(system.nodes, plan.p) / system.derivs
     return CircleInterpolant(system=system, plan=plan, values=values, weights=weights)
 
 
@@ -133,7 +140,7 @@ def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: com
     if d[k] < AT_NODE_TOL:
         return 1.0 + 0.0j if k == j else 0.0 + 0.0j
     wu = np.zeros(system.n, dtype=complex)
-    wu[j] = np.exp(1j * plan.p * np.angle(system.nodes[j])) / system.derivs[j]
+    wu[j] = _phase_powers(system.nodes[j], plan.p) / system.derivs[j]
     return complex(_first_form(system, plan.p, wu, np.array([z]))[0])
 
 
@@ -141,14 +148,16 @@ def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray) -> 
     """W_n(z) z^-p sum_j wu_j / (z - z_j) at points zz off the nodes, in
     blocks of about PAIR_BUDGET point-node pairs, so that large evaluation
     grids never materialize an oversized difference matrix."""
-    log_z = np.log(zz)
+    log_abs = np.log(np.abs(zz))
+    phase = _phase_powers(zz, -p)
     nodes = system.nodes
     out = np.empty(len(zz), dtype=complex)
     for rows, (d, work) in _pair_blocks(len(zz), len(nodes), complex, complex):
         np.subtract(zz[rows, None], nodes[None, :], out=d)
         log_w = _log_product(d, work)
         inv_d = np.divide(1.0, d, out=d)
-        out[rows] = np.exp(log_w - p * log_z[rows]) * np.einsum("ij,j->i", inv_d, wu)
+        out[rows] = (np.exp(log_w - p * log_abs[rows]) * phase[rows]
+                     * np.einsum("ij,j->i", inv_d, wu))
     return out
 
 
@@ -201,7 +210,7 @@ def interpolant_coefficients(I: CircleInterpolant) -> LaurentPolynomial:
     L by a Laurent polynomial in the same window, which the n samples
     recover exactly, so the coefficients are as accurate as the samples."""
     L = coefficients_from_samples(_evaluate(I, _samples(I.system), None), I.plan.p)
-    rotate = np.exp(-1j * np.angle(I.system.nodes[0]) * L.exponents)
+    rotate = _phase_powers(I.system.nodes[0], -L.exponents)
     return LaurentPolynomial(p=L.p, q=L.q, coeffs=L.coeffs * rotate)
 
 

@@ -44,6 +44,8 @@ __all__ = [
     "paraorthogonal_nodes",
 ]
 
+# measure kinds whose alphas come from moment quadrature of spec.weight
+_QUADRATURE_KINDS = ("quadrature-weight", "interval-weight")
 ALPHA_LIMIT = 1.0 - 1e-8  # beyond this the analytic-extension hypothesis is implausible
 _TWO_PI = 2.0 * np.pi
 # radians, ~2 ulps of 2 pi.  Near a steep phase jump a Newton step
@@ -72,9 +74,12 @@ class OpucState:
 @dataclass(frozen=True)
 class MeasureSpec:
     """A measure on [0, 2*pi): Lebesgue, a finite Verblunsky sequence, or a
-    quadrature-computable nonnegative weight function of theta."""
+    quadrature-computable nonnegative weight function of theta (an interval
+    weight is the Szego transform of a weight on [-1, 1])."""
 
-    kind: str  # "lebesgue" | "finite-verblunsky" | "quadrature-weight"
+    # "lebesgue" | "finite-verblunsky" | "quadrature-weight" | "interval-weight";
+    # an interval weight is a quadrature weight with w(2 pi - theta) = w(theta)
+    kind: str
     alphas: tuple = ()
     weight: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
@@ -154,6 +159,43 @@ def szego_recurrence(alphas: Sequence[complex], N: int) -> OpucState:
     return OpucState(alphas=alphas[:N].copy())
 
 
+def _weight_values(w, theta: np.ndarray) -> np.ndarray:
+    vals = np.asarray(w(theta), dtype=float)
+    if np.any(vals < -1e-12 * max(1.0, np.max(np.abs(vals)))):
+        raise ValidationError("measure weight must be nonnegative on [0, 2*pi)")
+    return vals
+
+
+def _real_dft(vals: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """F_k = sum_j vals_j e^{-2 pi i j k / L} of real vals at integers
+    k >= 0, from one rfft: F is L-periodic and F_k = conj(F_{L-k})."""
+    L = len(vals)
+    F = np.fft.rfft(vals)
+    k = k % L
+    top = k > L // 2
+    Fk = F[np.where(top, L - k, k)]
+    return np.where(top, np.conj(Fk), Fk)
+
+
+def _midpoint_moments(w, m: int, k: np.ndarray) -> np.ndarray:
+    """(2 pi / m) sum_j w(theta_j) e^{i k theta_j}, theta_j = 2 pi (j + 1/2) / m."""
+    vals = _weight_values(w, 2.0 * np.pi * (np.arange(m) + 0.5) / m)
+    return (2.0 * np.pi / m) * np.exp(1j * np.pi * k / m) * np.conj(_real_dft(vals, k))
+
+
+def _even_moments(w, m: int, k: np.ndarray) -> np.ndarray:
+    """The midpoint moments of a weight with w(2 pi - theta) = w(theta):
+    (4 pi / m) sum_{j < m/2} w(theta_j) cos(k theta_j), a DCT-II of length
+    M = m/2 at the first-kind Chebyshev angles.  Makhoul's reordering
+    v = (x_0, x_2, ..., x_{M-2}, x_{M-1}, ..., x_3, x_1) of x_j = w(theta_j) gives
+    DCT_k = Re(e^{-i pi k / m} V_k) with V the length-M DFT of v; w is
+    evaluated straight in that order."""
+    M = m // 2
+    order = np.concatenate([np.arange(0, M, 2), np.arange(M - 1, 0, -2)])
+    vals = _weight_values(w, np.pi * (2 * order + 1) / m)
+    return (4.0 * np.pi / m) * (np.exp(-1j * np.pi * k / m) * _real_dft(vals, k)).real
+
+
 def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12,
                           max_points: int = 2**20) -> np.ndarray:
     """Moments m_k = int_0^{2 pi} e^{i k theta} w(theta) dtheta for k = 0..N,
@@ -163,23 +205,25 @@ def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12,
     accuracy) so that removable singularities of Szego-transformed weights at
     theta = 0 and theta = pi are never sampled.  Convergence is declared when
     successive estimates differ by less than tol relative to the total mass.
+
+    The weight values are real, so each level of m points takes one rfft.
+    An interval weight (kind "interval-weight") is even, w(2 pi - theta) =
+    w(theta): it is evaluated on the half grid theta_j, j < m/2, only (the
+    first-kind Chebyshev angles), its moments come from one real cosine
+    transform of length m/2, and they are exactly real (zero imaginary part).
     """
-    if spec.kind != "quadrature-weight":
-        raise ValidationError("trigonometric moments require a quadrature-weight measure")
-    w = spec.weight
+    if spec.kind not in _QUADRATURE_KINDS:
+        raise ValidationError(
+            "trigonometric moments require a quadrature-weight or interval-weight measure"
+        )
+    level = _even_moments if spec.kind == "interval-weight" else _midpoint_moments
+    k = np.arange(N + 1)
     prev = None
     m = 256
     while m <= N:  # need at least N+1 resolvable frequencies
         m *= 2
     while m <= max_points:
-        theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-        vals = np.asarray(w(theta), dtype=float)
-        if np.any(vals < -1e-12 * max(1.0, np.max(np.abs(vals)))):
-            raise ValidationError("measure weight must be nonnegative on [0, 2*pi)")
-        # (2 pi / m) * sum w_j e^{i k theta_j}, theta_j = 2 pi (j + 1/2) / m
-        fft = np.fft.fft(vals)
-        k = np.arange(N + 1)
-        cur = (2.0 * np.pi / m) * np.exp(1j * np.pi * k / m) * np.conj(fft[: N + 1])
+        cur = np.asarray(level(spec.weight, m, k), dtype=complex)
         if prev is not None and len(prev) == len(cur):
             scale = max(abs(cur[0].real), 1e-300)
             if np.max(np.abs(cur - prev)) < tol * scale:
@@ -226,6 +270,8 @@ def moments_to_verblunsky(spec: MeasureSpec, N: int) -> np.ndarray:
 
 def verblunsky_coefficients(spec: MeasureSpec, N: int) -> np.ndarray:
     """First N Verblunsky coefficients of any supported measure family."""
+    if N < 0:
+        raise ValidationError(f"N must be nonnegative, got {N}")
     if spec.kind == "lebesgue":
         return np.zeros(N, dtype=complex)
     if spec.kind == "finite-verblunsky":
@@ -233,7 +279,7 @@ def verblunsky_coefficients(spec: MeasureSpec, N: int) -> np.ndarray:
         head = min(N, len(spec.alphas))
         out[:head] = spec.alphas[:head]
         return out
-    if spec.kind == "quadrature-weight":
+    if spec.kind in _QUADRATURE_KINDS:
         return moments_to_verblunsky(spec, N)
     raise ValidationError(f"unknown measure kind {spec.kind!r}")
 

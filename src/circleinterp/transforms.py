@@ -30,7 +30,6 @@ from .opuc import (
     OpucState,
     ParaOrthogonalSpec,
     paraorthogonal_nodes,
-    quadrature_weight,
     szego_recurrence,
     verblunsky_coefficients,
 )
@@ -103,13 +102,14 @@ class TrigPolynomial:
 
 def szego_transform_weight(w, label: str = "szego-transform") -> MeasureSpec:
     """Circle weight theta -> (1/2) w(cos theta) |sin theta| of an interval
-    weight w on [-1, 1]."""
+    weight w on [-1, 1], as an "interval-weight" measure: the weight is even,
+    so its moments are real and need only the half circle."""
 
     def circle_w(theta):
         theta = np.asarray(theta, dtype=float)
         return 0.5 * np.asarray(w(np.cos(theta)), dtype=float) * np.abs(np.sin(theta))
 
-    return quadrature_weight(circle_w, label=label)
+    return MeasureSpec(kind="interval-weight", weight=circle_w, label=label)
 
 
 _VARIANT_TABLE = {

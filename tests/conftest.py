@@ -11,6 +11,16 @@ def chebyshev1_weight(x):
     return 1.0 / np.sqrt(np.clip(1.0 - np.asarray(x) ** 2, 1e-300, None))
 
 
+def midpoint_moments(w, m, N):
+    """Full-circle oracle for the moments of a circle weight w at a fixed
+    grid: (2 pi / m) sum_j w(theta_j) e^{i k theta_j} for k = 0..N < m,
+    theta_j = 2 pi (j + 1/2) / m, by one complex FFT over all m points."""
+    theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+    vals = np.asarray(w(theta), dtype=float)
+    k = np.arange(N + 1)
+    return (2.0 * np.pi / m) * np.exp(1j * np.pi * k / m) * np.conj(np.fft.fft(vals)[: N + 1])
+
+
 def brute_force_lebesgue(nodes, z):
     """Direct-summation oracle for sum_j |l_j(z)|: explicit products, no
     shared code with the library's log-space path."""

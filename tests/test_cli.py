@@ -132,8 +132,32 @@ class TestCommands:
         (["check", "--nodes", "{path}"], "nodes.json", "[1, 2]"),
         (["nodes", "--n", "4", "--config", "{path}"], "missing.json", None),
         (["nodes", "--n", "4", "--config", "{path}"], "c.json", "[1, 2]"),
+        (["interp", "--n", "8", "--corpus", "smooth-exp", "--grid", "-5"], None, None),
+        (["interval", "--n", "4", "--corpus", "smooth-exp", "--grid", "-5"], None, None),
+        (["trig", "--n", "4", "--corpus", "smooth-exp", "--grid", "-5"], None, None),
+        (["interp", "--n", "8", "--corpus", "smooth-exp", "--grid", "0"], None, None),
+        (["interval", "--n", "4", "--corpus", "smooth-exp", "--grid", "0"], None, None),
+        (["trig", "--n", "4", "--corpus", "smooth-exp", "--grid", "0"], None, None),
+        (["sweep", "--ns", "8", "--corpus", "holder:0.5", "--grid", "0"], None, None),
+        (["sweep", "--ns", "8", "--corpus", "holder:0.5", "--grid", "-5"], None, None),
+        (["nodes", "--n", "-3"], None, None),
+        (["interp", "--n", "8", "--corpus", "holder:abc"], None, None),
+        (["nodes", "--config", "{path}"], "c.json", '{"n": "4"}'),
+        (["nodes", "--config", "{path}"], "c.json", '{"n": 4.5}'),
+        (["interp", "--n", "8", "--corpus", "smooth-exp", "--config", "{path}"],
+         "c.json", '{"r": "x"}'),
+        (["interp", "--n", "8", "--corpus", "smooth-exp", "--config", "{path}"],
+         "c.json", '{"grid": "big"}'),
+        (["interval", "--n", "4", "--corpus", "smooth-exp", "--config", "{path}"],
+         "c.json", '{"weight": "legendre"}'),
+        (["sweep", "--corpus", "smooth-exp", "--config", "{path}"], "c.json", '{"ns": [8, "x"]}'),
+        (["nodes", "--n", "4", "--config", "{path}"], "c.json", '{"tau": [1, 0]}'),
     ], ids=["tau", "ns", "measure-file", "measure-list", "measure-pair",
-            "nodes-file", "nodes-pair", "config", "config-list"])
+            "nodes-file", "nodes-pair", "config", "config-list",
+            "interp-grid-neg", "interval-grid-neg", "trig-grid-neg",
+            "interp-grid-0", "interval-grid-0", "trig-grid-0", "sweep-grid-0", "sweep-grid-neg",
+            "nodes-n-neg", "corpus-param", "config-n-str", "config-n-float", "config-r-str",
+            "config-grid-str", "config-weight", "config-ns-list", "config-tau-list"])
     def test_malformed_input_exit_1(self, tmp_path, capsys, argv, name, text):
         """Malformed flags and files end in one line on stderr, not a traceback."""
         path = tmp_path / (name or "unused")

@@ -150,6 +150,23 @@ def _first_form_reference(I, z):
     return scale * terms.sum(axis=1), np.abs(scale) * np.abs(terms).sum(axis=1)
 
 
+class TestPhasePowers:
+    @pytest.mark.parametrize("p", [-1024, -129, 128, 4096])
+    def test_matches_mpmath(self, p):
+        """z^p on the unit circle to |p| (pi/4) eps against 40-digit mpmath.
+        Angles just below 2 pi are where a power taken from arg z in
+        [0, 2 pi) errs most, about 4 times this bound at these p."""
+        mp = pytest.importorskip("mpmath")
+        gen = np.random.default_rng(3)
+        theta = np.concatenate([2.0 * np.pi - np.geomspace(1e-3, 1.0, 8),
+                                gen.uniform(-np.pi, np.pi, 24)])
+        z = np.exp(1j * theta)
+        with mp.workdps(40):
+            ref = np.array([complex((mp.mpc(v) / abs(mp.mpc(v))) ** p) for v in z])
+        got = interp._phase_powers(z, p)
+        assert np.max(np.abs(got - ref)) <= abs(p) * (np.pi / 4) * np.finfo(float).eps
+
+
 class TestConditioningGate:
     def test_underflowing_derivatives_decline(self):
         """64 of 128 nodes 1.1e-10 apart: W'(z_j) underflows to 0 there.

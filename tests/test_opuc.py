@@ -229,6 +229,12 @@ class TestVerblunskyRecovery:
         with pytest.raises(ValidationError):
             moments_to_verblunsky(bernstein_szego([1.0]), 0)
 
+    @pytest.mark.parametrize("spec", [lebesgue_measure(), finite_verblunsky([0.5]),
+                                      bernstein_szego([1.0])], ids=lambda s: s.kind)
+    def test_negative_count(self, spec):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            verblunsky_coefficients(spec, -3)
+
     def test_concentrated_measure_alphas_near_one(self):
         # a sharply peaked weight pushes |alpha_0| toward 1 without crossing
         # the admissibility limit

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from circleinterp import (
+    QuadratureError,
     TrigPolynomial,
     ValidationError,
     interval_interpolate,
@@ -16,7 +19,13 @@ from circleinterp import (
     verblunsky_coefficients,
 )
 
-from conftest import chebyshev1_weight, real_barycentric
+from circleinterp.cli import INTERVAL_WEIGHTS
+from circleinterp.opuc import _even_moments
+from conftest import chebyshev1_weight, midpoint_moments, real_barycentric
+
+
+def legendre_weight(x):
+    return np.ones_like(np.asarray(x, dtype=float))
 
 
 def cheb_closed_form(variant: str, n: int) -> np.ndarray:
@@ -48,6 +57,60 @@ class TestSzegoTransform:
         m = trigonometric_moments(spec, 0, tol=1e-9)
         # int (1/2)|sin theta| dtheta = 2
         assert m[0].real == pytest.approx(2.0, rel=1e-8)
+
+
+class TestIntervalMoments:
+    """Interval weights are even on the circle: their moments come from the
+    half grid by one real cosine transform and are exactly real."""
+
+    @pytest.mark.parametrize("name", sorted(INTERVAL_WEIGHTS))
+    def test_alphas_exactly_real(self, name):
+        nu = szego_transform_weight(INTERVAL_WEIGHTS[name])
+        for N in (256, 257, 258):
+            alphas = verblunsky_coefficients(nu, N)
+            assert np.all(alphas.imag == 0)
+
+    @pytest.mark.parametrize("w", [legendre_weight] + [
+        INTERVAL_WEIGHTS[name] for name in ("chebyshev2", "chebyshev3", "chebyshev4")
+    ], ids=["legendre", "chebyshev2", "chebyshev3", "chebyshev4"])
+    @pytest.mark.parametrize("m", [256, 1024])
+    def test_half_grid_matches_full_circle(self, w, m):
+        """Every k < m, so the aliased moments above m/4 and m/2 are checked
+        too."""
+        circle_w = szego_transform_weight(w).weight
+        ref = midpoint_moments(circle_w, m, m - 1)
+        got = _even_moments(circle_w, m, np.arange(m))
+        assert np.max(np.abs(got - ref)) <= 1e-15 * ref[0].real
+
+    @pytest.mark.parametrize("name,mp_weight", [
+        ("chebyshev2", lambda mp, x: mp.sqrt(1 - x * x)),
+        ("chebyshev3", lambda mp, x: mp.sqrt((1 + x) / (1 - x))),
+        ("chebyshev4", lambda mp, x: mp.sqrt((1 - x) / (1 + x))),
+    ], ids=["chebyshev2", "chebyshev3", "chebyshev4"])
+    def test_chebyshev_moments_match_mpmath(self, name, mp_weight):
+        """The moments of the Szego transform are int w(x) T_k(x) dx."""
+        mp = pytest.importorskip("mpmath")
+        got = trigonometric_moments(szego_transform_weight(INTERVAL_WEIGHTS[name]), 24)
+        assert np.all(got.imag == 0)
+        ks = [0, 1, 2, 3, 7, 12, 24]
+        with mp.workdps(30):
+            ref = [float(mp.quad(lambda x: mp_weight(mp, x) * mp.chebyt(k, x), [-1, 0, 1]))
+                   for k in ks]
+        assert np.max(np.abs(got[ks].real - ref)) < 1e-13
+
+    def test_failing_quadrature_memory(self):
+        """The Legendre weight runs the doubling to 2^20 points and fails;
+        on the half grid the peak stays well under the 59 MB that a
+        full-circle grid with a complex FFT needs."""
+        nu = szego_transform_weight(legendre_weight)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError):
+                verblunsky_coefficients(nu, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestIntervalNodes:
@@ -114,6 +177,33 @@ class TestIntervalInterpolation:
         f = lambda x: np.abs(x) ** 0.6
         poly = interval_interpolate(sys, f)
         assert np.max(np.abs(poly(sys.all_nodes) - f(sys.all_nodes))) < 1e-10
+
+    def test_endpoint_accuracy_at_high_degree(self):
+        """At x = +-1 the mu1 interpolant extrapolates past its outermost
+        nodes.  For the Chebyshev-2 weight at n = 128 and a Hoelder member
+        it matches 40-digit Lagrange interpolation through the same nodes
+        and values there to 3e-14 (9e-15 measured).  The circle kernel's
+        node powers z_j^p set this error."""
+        mp = pytest.importorskip("mpmath")
+        f = lambda x: np.abs(np.sin(np.arccos(np.clip(x, -1.0, 1.0)) / 2.0)) ** 0.8
+        sys = interval_nodes_from_measure(INTERVAL_WEIGHTS["chebyshev2"], 128, "mu1")
+        poly = interval_interpolate(sys, f)
+        with mp.workdps(40):
+            xs = [mp.mpf(float(x)) for x in sys.xs]
+            fs = [mp.mpf(float(v)) for v in f(sys.xs)]
+
+            def lagrange(t):
+                total = 0
+                for j, xj in enumerate(xs):
+                    term = fs[j]
+                    for k, xk in enumerate(xs):
+                        if k != j:
+                            term *= (t - xk) / (xj - xk)
+                    total += term
+                return float(total)
+
+            for t in (-1.0, 1.0):
+                assert abs(poly(t) - lagrange(mp.mpf(t))) < 3e-14
 
     def test_rough_function_converges(self):
         f = lambda x: np.abs(x) ** 0.6
