@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .opuc import (
     verblunsky_coefficients,
 )
 from .transforms import (
+    VARIANTS,
     interval_interpolate,
     interval_nodes_csv,
     interval_nodes_from_measure,
@@ -243,12 +245,10 @@ def cmd_trig(cfg) -> int:
     if variant == "symmetric":
         w = INTERVAL_WEIGHTS[cfg.get("weight", "chebyshev1")]
         tp = trig_interpolate_symmetric(w, n, F)
-    elif variant == "para":
+    else:
         measure = _measure_from(cfg.get("measure", "lebesgue"))
         state = szego_recurrence(verblunsky_coefficients(measure, n), n)
         tp = trig_interpolate_paraorthogonal(state, cfg.get("tau", 1.0 + 0.0j), n, F)
-    else:
-        raise ValidationError(f"trig variant must be 'symmetric' or 'para', got {variant!r}")
     grid = cfg.get("grid", 4096)
     theta = 2.0 * np.pi * np.arange(grid) / grid
     f_vals = F(theta)
@@ -270,17 +270,12 @@ def cmd_trig(cfg) -> int:
 
 def cmd_sweep(cfg) -> int:
     F = parse_corpus(cfg["corpus"])
-    family_name = cfg.get("family", "roots-of-unity")
     tau = cfg.get("tau", 1.0 + 0.0j)
-    if family_name in ("roots-of-unity", "roots-of-unimodular"):
+    if cfg.get("family", "roots-of-unity") == "roots-of-unity":
         family = NodalFamily(kind="roots-of-unimodular", tau=tau)
-    elif family_name == "para-orthogonal":
+    else:
         family = NodalFamily(
             kind="para-orthogonal", tau=tau, measure=_measure_from(cfg.get("measure", "lebesgue"))
-        )
-    else:
-        raise ValidationError(
-            f"family must be 'roots-of-unity' or 'para-orthogonal', got {family_name!r}"
         )
     result = convergence_sweep(family, cfg.get("r", 0.5), cfg["ns"], F,
                                error_grid=cfg.get("grid", 8192))
@@ -297,23 +292,72 @@ def cmd_sweep(cfg) -> int:
     return 2 if failed else 0
 
 
-COMMANDS = {
-    "nodes": cmd_nodes,
-    "check": cmd_check,
-    "interp": cmd_interp,
-    "interval": cmd_interval,
-    "trig": cmd_trig,
-    "sweep": cmd_sweep,
+# option -> (flag type, help).  A config file may also give tau as a number
+# and ns as a list; _check_values holds every value to the same rules.
+OPTIONS = {
+    "measure": (str, "'lebesgue' or a measure-spec JSON file"),
+    "tau": (str, "rotation tau as 're,im' or a real number"),
+    "n": (int, "node count / degree"),
+    "nodes": (str, "load nodes from file instead of a measure"),
+    "weight": (str, "interval weight w(x)"),
+    "variant": (str, None),
+    "family": (str, None),
+    "ns": (str, "'a:b' (powers of two) or comma list"),
+    "r": (float, "window ratio in (0,1)"),
+    "corpus": (str, "test function, e.g. holder:0.6 or smooth-exp"),
+    "grid": (int, "evaluation grid size"),
+    "out": (str, "output path (stdout when omitted)"),
+    "dense": (str, "write a dense evaluation CSV to this path"),
+    "nodes_out": (str, "write interval nodes CSV here"),
+    "format": (str, "node output format"),
+}
+
+# the values an option may take, by option or by (subcommand, option)
+_CHOICES = {
+    "weight": sorted(INTERVAL_WEIGHTS),
+    "format": ["csv", "json"],
+    "family": ["roots-of-unity", "para-orthogonal"],
+    ("interval", "variant"): list(VARIANTS),
+    ("trig", "variant"): ["symmetric", "para"],
 }
 
 
-_CHOICES = {"weight": sorted(INTERVAL_WEIGHTS), "format": ["csv", "json"]}
-_STR_KEYS = ("measure", "nodes", "corpus", "out", "dense", "nodes_out", "variant", "family",
-             "weight", "format")
+# options and required list option names, space-separated; a required
+# "n|nodes" means either one
+Command = namedtuple("Command", "run help options required")
+
+
+COMMANDS = {
+    "nodes": Command(cmd_nodes, "generate a nodal system and print/save it",
+                     "measure tau n nodes out format", "n|nodes"),
+    "check": Command(cmd_check, "estimate the sufficiency-condition constants",
+                     "measure tau n nodes grid out", "n|nodes"),
+    "interp": Command(cmd_interp, "interpolate a corpus function on the circle",
+                      "measure tau n nodes r corpus grid out dense", "n|nodes corpus"),
+    "interval": Command(cmd_interval, "interpolate on [-1,1] via the circle lift",
+                        "weight n variant corpus grid out dense nodes_out", "n corpus"),
+    "trig": Command(cmd_trig, "trigonometric interpolation on [0, 2*pi)",
+                    "weight measure tau n variant corpus grid out dense", "n corpus"),
+    "sweep": Command(cmd_sweep, "convergence sweep over increasing n",
+                     "family measure tau ns r corpus grid out", "ns corpus"),
+}
+
+
+def _choices(command: str, key: str):
+    return _CHOICES.get((command, key), _CHOICES.get(key))
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed flag is invalid input: exit 1, not 2
+        raise ValidationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circle-interp",
         description="Laurent-polynomial Lagrange interpolation on the unit circle.",
         epilog="Option precedence: command-line flags override --config file "
@@ -321,55 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, *specs):
-        p = sub.add_parser(name, help=help_)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        for flags, kwargs in specs:
-            p.add_argument(flags, **kwargs)
-        return p
-
-    measure = ("--measure", dict(help="'lebesgue' or a measure-spec JSON file"))
-    tau = ("--tau", dict(help="rotation tau as 're,im' or a real number"))
-    n = ("--n", dict(type=int, help="node count / degree"))
-    grid = ("--grid", dict(type=int, help="evaluation grid size"))
-    out = ("--out", dict(help="output path (stdout when omitted)"))
-    corpus_f = ("--corpus", dict(help="test function, e.g. holder:0.6 or smooth-exp"))
-    dense = ("--dense", dict(help="write a dense evaluation CSV to this path"))
-    weight = ("--weight", dict(choices=_CHOICES["weight"], help="interval weight w(x)"))
-
-    add("nodes", "generate a nodal system and print/save it",
-        measure, tau, n,
-        (("--nodes"), dict(help="load nodes from file instead of a measure")),
-        out, (("--format"), dict(choices=_CHOICES["format"], help="node output format")))
-    add("check", "estimate the sufficiency-condition constants",
-        measure, tau, n, (("--nodes"), dict(help="load nodes from file")), grid, out)
-    add("interp", "interpolate a corpus function on the circle",
-        measure, tau, n, (("--nodes"), dict(help="load nodes from file")),
-        (("--r"), dict(type=float, help="window ratio in (0,1)")), corpus_f, grid, out, dense)
-    add("interval", "interpolate on [-1,1] via the circle lift",
-        weight, n, (("--variant"), dict(choices=["mu1", "mu2", "mu3", "mu4"])),
-        corpus_f, grid, out, dense,
-        (("--nodes-out"), dict(dest="nodes_out", help="write interval nodes CSV here")))
-    add("trig", "trigonometric interpolation on [0, 2*pi)",
-        weight, measure, tau, n,
-        (("--variant"), dict(choices=["symmetric", "para"])), corpus_f, grid, out, dense)
-    add("sweep", "convergence sweep over increasing n",
-        (("--family"), dict(choices=["roots-of-unity", "para-orthogonal"])),
-        measure, tau,
-        (("--ns"), dict(help="'a:b' (powers of two) or comma list")),
-        (("--r"), dict(type=float, help="window ratio in (0,1)")), corpus_f, grid, out)
+        for key in command.options.split():
+            kind, help_ = OPTIONS[key]
+            p.add_argument(_flag(key), dest=key, type=kind, choices=_choices(name, key),
+                           help=help_)
     return parser
-
-
-_REQUIRED = {
-    "nodes": [],
-    "check": [],
-    "interp": ["corpus"],
-    "interval": ["n", "corpus"],
-    "trig": ["n", "corpus"],
-    "sweep": ["ns", "corpus"],
-}
 
 
 def _positive_int(key: str, val):
@@ -378,33 +381,32 @@ def _positive_int(key: str, val):
     return val
 
 
-def _check_values(cfg: dict):
+def _check_values(command: str, cfg: dict):
     """Check the type and range of every known option, whether it came
     from a flag or from the config file, and parse tau and ns in place."""
-    for key in ("n", "grid"):
-        if key in cfg:
-            _positive_int(key, cfg[key])
-    if "r" in cfg and (isinstance(cfg["r"], bool) or not isinstance(cfg["r"], (int, float))):
-        raise ValidationError(f"r must be a number, got {cfg['r']!r}")
-    for key in _STR_KEYS:
-        if key in cfg and not isinstance(cfg[key], str):
-            raise ValidationError(f"{key} must be a string, got {cfg[key]!r}")
-    for key, choices in _CHOICES.items():
-        if key in cfg and cfg[key] not in choices:
-            raise ValidationError(f"{key} must be one of {choices}, got {cfg[key]!r}")
-    if "tau" in cfg:
-        tau = cfg["tau"]
-        if isinstance(tau, str):
-            cfg["tau"] = _parse_tau(tau)
-        elif isinstance(tau, bool) or not isinstance(tau, (int, float)):
-            raise ValidationError(f"tau must be 're,im' or a real number, got {tau!r}")
-    if "ns" in cfg:
-        ns = cfg["ns"]
-        if isinstance(ns, str):
-            ns = _parse_ns(ns)
-        elif not isinstance(ns, list):
-            raise ValidationError(f"ns must be 'a:b', a comma list or a JSON list, got {ns!r}")
-        cfg["ns"] = [_positive_int("each n in ns", n) for n in ns]
+    for key, (kind, _) in OPTIONS.items():
+        if key not in cfg:
+            continue
+        val = cfg[key]
+        if key == "tau":
+            if isinstance(val, str):
+                cfg[key] = _parse_tau(val)
+            elif isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ValidationError(f"tau must be 're,im' or a real number, got {val!r}")
+        elif key == "ns":
+            ns = _parse_ns(val) if isinstance(val, str) else val
+            if not isinstance(ns, list):
+                raise ValidationError(f"ns must be 'a:b', a comma list or a JSON list, got {val!r}")
+            cfg[key] = [_positive_int("each n in ns", n) for n in ns]
+        elif kind is int:
+            _positive_int(key, val)
+        elif kind is float and (isinstance(val, bool) or not isinstance(val, (int, float))):
+            raise ValidationError(f"{key} must be a number, got {val!r}")
+        elif kind is str and not isinstance(val, str):
+            raise ValidationError(f"{key} must be a string, got {val!r}")
+        choices = _choices(command, key)
+        if choices and val not in choices:
+            raise ValidationError(f"{key} must be one of {choices}, got {val!r}")
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -419,20 +421,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if key in ("command", "config") or val is None:
             continue
         cfg[key] = val
-    _check_values(cfg)
-    for key in _REQUIRED[args.command]:
-        if key not in cfg:
-            raise ValidationError(f"'{args.command}' requires --{key}")
-    if args.command in ("nodes", "check", "interp") and "nodes" not in cfg and "n" not in cfg:
-        raise ValidationError(f"'{args.command}' requires --n or --nodes")
+    _check_values(args.command, cfg)
+    for need in COMMANDS[args.command].required.split():
+        keys = need.split("|")
+        if not any(key in cfg for key in keys):
+            raise ValidationError(f"'{args.command}' requires {' or '.join(map(_flag, keys))}")
     return cfg
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command].run(cfg)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

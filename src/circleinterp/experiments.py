@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CircleInterpError, ValidationError
 from .interp import eval_interpolant, interpolate
-from .laurent import DegreePlan, make_degree_plan
+from .laurent import DegreePlan, _check_ratio, make_degree_plan
 from .nodal import NodalSystem, _grid_points, estimate_conditions, roots_of_unimodular
 from .opuc import (
     MeasureSpec,
@@ -247,6 +247,7 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
         raise ValidationError("ns must be a nonempty strictly increasing collection")
     if error_grid < 1:
         raise ValidationError(f"error_grid must be >= 1, got {error_grid}")
+    _check_ratio(r)
 
     def run(n: int):
         try:

@@ -126,8 +126,8 @@ def interpolate(system: NodalSystem, plan: DegreePlan, values) -> CircleInterpol
 def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: complex) -> complex:
     """l_{j,n-1}(z) for the 0-based node index j; returns delta_{jk} at a node z_k.
 
-    Off the nodes this is the first-form kernel on the j-th unit vector,
-    without the conditioning gate of interpolate()."""
+    This is the interpolant of the j-th unit vector, evaluated like any
+    other, without the conditioning gate of interpolate()."""
     if plan.n != system.n:
         raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
     if not (0 <= j < system.n):
@@ -135,13 +135,12 @@ def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: com
     z = complex(z)
     if z == 0:
         raise ValidationError("fundamental polynomials are undefined at z = 0")
-    d = np.abs(z - system.nodes)
-    k = int(np.argmin(d))
-    if d[k] < AT_NODE_TOL:
-        return 1.0 + 0.0j if k == j else 0.0 + 0.0j
-    wu = np.zeros(system.n, dtype=complex)
-    wu[j] = _phase_powers(system.nodes[j], plan.p) / system.derivs[j]
-    return complex(_first_form(system, plan.p, wu, np.array([z]))[0])
+    unit = np.zeros(system.n, dtype=complex)
+    unit[j] = 1.0
+    # the other values are zero, so only the j-th weight enters the kernel
+    weights = unit * (_phase_powers(system.nodes[j], plan.p) / system.derivs[j])
+    I = CircleInterpolant(system=system, plan=plan, values=unit, weights=weights)
+    return complex(_evaluate(I, np.array([z]), None)[0])
 
 
 def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray) -> np.ndarray:
@@ -171,7 +170,7 @@ def _evaluate(I: CircleInterpolant, zz: np.ndarray, L: LaurentPolynomial | None)
         out = eval_laurent(L, zz)
     else:
         out = np.empty(len(zz), dtype=complex)
-        if not np.all(at):
+        if not at.all():
             out[~at] = _first_form(I.system, I.plan.p, I.weights * I.values, zz[~at])
     out[at] = I.values[nearest[at]]
     return out

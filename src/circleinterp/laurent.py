@@ -3,7 +3,7 @@
 A Laurent polynomial here lives in the span of z^k for -p <= k <= q, stored
 as a dense coefficient vector indexed by exponent.  The degree plan splits
 n interpolation conditions into (p, q) with p + q = n - 1 according to a
-target ratio r, keeping track of s = min(p, q).
+target ratio r; n and s = min(p, q) follow from p and q.
 """
 
 from __future__ import annotations
@@ -26,42 +26,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DegreePlan:
-    """Bookkeeping for the window [-p, q] used with n nodes.
+    """The window [-p, q] for n = p + q + 1 nodes."""
 
-    Invariants: p + q == n - 1 and s == min(p, q).  The ratio r is
-    informational; make_degree_plan additionally guarantees p = floor(r*(n-1)).
-    """
-
-    n: int
-    r: float
     p: int
     q: int
-    s: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"need at least one node, got n={self.n}")
         if self.p < 0 or self.q < 0:
             raise ValidationError(f"window exponents must be nonnegative: p={self.p}, q={self.q}")
-        if self.p + self.q != self.n - 1:
-            raise ValidationError(f"p + q must equal n - 1: p={self.p}, q={self.q}, n={self.n}")
-        if self.s != min(self.p, self.q):
-            raise ValidationError(f"s must equal min(p, q), got s={self.s}")
+
+    @property
+    def n(self) -> int:
+        return self.p + self.q + 1
+
+    @property
+    def s(self) -> int:
+        return min(self.p, self.q)
+
+
+def _check_ratio(r: float) -> None:
+    if not (0.0 < r < 1.0):
+        raise ValidationError(f"ratio r must lie in (0, 1), got {r}")
 
 
 def make_degree_plan(n: int, r: float) -> DegreePlan:
-    """Build the plan with p = floor(r*(n-1)), q = n-1-p, s = min(p, q).
+    """Build the plan with p = floor(r*(n-1)), q = n-1-p.
 
     Requires n >= 2 and 0 < r < 1.  The floor rounding is deterministic and
     monotone in n, and |p/(n-1) - r| <= 1/(n-1).
     """
     if n < 2:
         raise ValidationError(f"need n >= 2 nodes for a degree plan, got {n}")
-    if not (0.0 < r < 1.0):
-        raise ValidationError(f"ratio r must lie in (0, 1), got {r}")
+    _check_ratio(r)
     p = math.floor(r * (n - 1))
-    q = n - 1 - p
-    return DegreePlan(n=n, r=r, p=p, q=q, s=min(p, q))
+    return DegreePlan(p=p, q=n - 1 - p)
 
 
 @dataclass(frozen=True)
@@ -134,6 +132,8 @@ def coefficients_from_samples(samples, p: int) -> LaurentPolynomial:
 
     z^p * L(z) is an ordinary polynomial of degree <= m-1, so its
     coefficients follow from one discrete Fourier inversion of the samples.
+    The inversion gives the coefficient of z^k at index k mod m, so an
+    exact cyclic shift by p puts it at k + p.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 1 or len(samples) < 1:
@@ -141,8 +141,6 @@ def coefficients_from_samples(samples, p: int) -> LaurentPolynomial:
     m = len(samples)
     if not (0 <= p <= m - 1):
         raise ValidationError(f"p must satisfy 0 <= p <= m-1={m - 1}, got {p}")
-    roots = np.exp(2j * np.pi * np.arange(m) / m)
-    shifted = samples * roots**p  # values of the degree <= m-1 polynomial z^p L
-    # g_k = (1/m) sum_j shifted_j z_j^{-k} is exactly the forward FFT / m
-    g = np.fft.fft(shifted) / m
+    # (1/m) sum_j samples_j z_j^{-k} is the forward FFT / m
+    g = np.roll(np.fft.fft(samples) / m, p)
     return LaurentPolynomial(p=p, q=m - 1 - p, coeffs=g)

@@ -73,7 +73,10 @@ class NodalConditionReport:
     l_hat: float          # max over the grid of the condition (ii) quantity
     lebesgue_max: float   # max over the grid of sum_j |l_j(z)|
     grid_size: int
-    reliable: bool        # False when grid_size < n
+
+    @property
+    def reliable(self) -> bool:
+        return self.grid_size >= self.n
 
 
 def _validate_nodes(nodes: np.ndarray) -> None:
@@ -195,6 +198,10 @@ def _nearest_nodes(system: NodalSystem, z: np.ndarray):
     """Index of the node nearest to each z and the distance to it.  For any
     z != 0 the nearest node in distance is the nearest in argument, so a
     binary search over the sorted arguments finds it."""
+    if len(z) == 1:  # one point: scanning the nodes costs less than sorting them
+        d = np.abs(z - system.nodes)
+        k = d.argmin(keepdims=True)
+        return k, d[k]
     thetas = system.thetas
     order = np.argsort(thetas)
     i = np.searchsorted(thetas[order], np.mod(np.angle(z), 2.0 * np.pi))
@@ -324,7 +331,6 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
         l_hat=float(cond2.max()),
         lebesgue_max=max(leb_max, 1.0),
         grid_size=grid_size,
-        reliable=grid_size >= n,
     )
 
 

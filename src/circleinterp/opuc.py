@@ -57,6 +57,8 @@ _NEWTON_MAX_STEPS = 100
 _SUBDIVISIONS = 8
 # a Newton pass spends up to this many points on its last few zeros
 _TAIL_POINTS = 256
+# moment quadrature gives up beyond this many points on the circle
+MAX_QUADRATURE_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -196,15 +198,15 @@ def _even_moments(w, m: int, k: np.ndarray) -> np.ndarray:
     return (4.0 * np.pi / m) * (np.exp(-1j * np.pi * k / m) * _real_dft(vals, k)).real
 
 
-def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12,
-                          max_points: int = 2**20) -> np.ndarray:
+def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12) -> np.ndarray:
     """Moments m_k = int_0^{2 pi} e^{i k theta} w(theta) dtheta for k = 0..N,
     by periodic trapezoid quadrature with point-count doubling.
 
     The grid is shifted by half a step (periodic midpoint rule, same spectral
     accuracy) so that removable singularities of Szego-transformed weights at
     theta = 0 and theta = pi are never sampled.  Convergence is declared when
-    successive estimates differ by less than tol relative to the total mass.
+    successive estimates differ by less than tol relative to the total mass,
+    with at most MAX_QUADRATURE_POINTS points.
 
     The weight values are real, so each level of m points takes one rfft.
     An interval weight (kind "interval-weight") is even, w(2 pi - theta) =
@@ -222,16 +224,16 @@ def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12,
     m = 256
     while m <= N:  # need at least N+1 resolvable frequencies
         m *= 2
-    while m <= max_points:
+    while m <= MAX_QUADRATURE_POINTS:
         cur = np.asarray(level(spec.weight, m, k), dtype=complex)
-        if prev is not None and len(prev) == len(cur):
+        if prev is not None:
             scale = max(abs(cur[0].real), 1e-300)
             if np.max(np.abs(cur - prev)) < tol * scale:
                 return cur
         prev = cur
         m *= 2
     raise QuadratureError(
-        f"moment quadrature did not converge below {tol} with up to {max_points} points"
+        f"moment quadrature did not converge below {tol} with up to {MAX_QUADRATURE_POINTS} points"
     )
 
 

@@ -46,20 +46,33 @@ __all__ = [
     "interval_nodes_csv",
 ]
 
-VARIANTS = ("mu1", "mu2", "mu3", "mu4")
+_VARIANT_TABLE = {
+    # variant -> (degree for n interior nodes, tau, minus-one flag, plus-one flag)
+    "mu1": (lambda n: 2 * n, 1.0, False, False),
+    "mu2": (lambda n: 2 * n + 2, -1.0, True, True),
+    "mu3": (lambda n: 2 * n + 1, -1.0, False, True),
+    "mu4": (lambda n: 2 * n + 1, 1.0, True, False),
+}
+VARIANTS = tuple(_VARIANT_TABLE)
 _ENDPOINT_IM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class IntervalNodalSystem:
     """Interior interval nodes plus the conjugate-closed circle system they
-    came from; endpoints +-1 enter only through the flags."""
+    came from; endpoints +-1 enter only through the variant's flags."""
 
     xs: np.ndarray = field(repr=False)  # interior nodes, strictly increasing
     circle_system: NodalSystem = field(repr=False)
-    has_minus_one: bool = False
-    has_plus_one: bool = False
     variant: str = "mu1"
+
+    @property
+    def has_minus_one(self) -> bool:
+        return _VARIANT_TABLE[self.variant][2]
+
+    @property
+    def has_plus_one(self) -> bool:
+        return _VARIANT_TABLE[self.variant][3]
 
     @property
     def all_nodes(self) -> np.ndarray:
@@ -112,15 +125,6 @@ def szego_transform_weight(w, label: str = "szego-transform") -> MeasureSpec:
     return MeasureSpec(kind="interval-weight", weight=circle_w, label=label)
 
 
-_VARIANT_TABLE = {
-    # variant -> (degree for n interior nodes, tau, minus-one flag, plus-one flag)
-    "mu1": (lambda n: 2 * n, 1.0, False, False),
-    "mu2": (lambda n: 2 * n + 2, -1.0, True, True),
-    "mu3": (lambda n: 2 * n + 1, -1.0, False, True),
-    "mu4": (lambda n: 2 * n + 1, 1.0, True, False),
-}
-
-
 def _classify_zeros(nodes: np.ndarray):
     upper = nodes[nodes.imag > _ENDPOINT_IM_TOL]
     lower = nodes[nodes.imag < -_ENDPOINT_IM_TOL]
@@ -165,13 +169,7 @@ def interval_nodes_from_measure(w, n: int, variant: str = "mu1",
             f"(-1: {want_minus}, +1: {want_plus}); zeros disagree"
         )
     xs = np.sort(np.clip(up.real, -1.0, 1.0))
-    return IntervalNodalSystem(
-        xs=xs,
-        circle_system=system,
-        has_minus_one=want_minus,
-        has_plus_one=want_plus,
-        variant=variant,
-    )
+    return IntervalNodalSystem(xs=xs, circle_system=system, variant=variant)
 
 
 def _folded(L: LaurentPolynomial, K: int):
@@ -184,9 +182,7 @@ def _folded(L: LaurentPolynomial, K: int):
 def _interval_plan(m: int) -> DegreePlan:
     # 2n nodes -> (p, q) = (n, n-1); 2n+2 -> (n+1, n); 2n+1 -> (n, n)
     p = math.ceil((m - 1) / 2)
-    q = m - 1 - p
-    r = p / (m - 1) if m > 1 else 0.5
-    return DegreePlan(n=m, r=r, p=p, q=q, s=min(p, q))
+    return DegreePlan(p=p, q=m - 1 - p)
 
 
 def interval_interpolate(sys: IntervalNodalSystem, f):
@@ -215,15 +211,11 @@ def interval_interpolate(sys: IntervalNodalSystem, f):
 
 
 def trig_nodes_symmetric(w, n: int) -> np.ndarray:
-    """2n angles: theta_j = arccos x_j in (0, pi) for the mu1 interval nodes,
-    mirrored symmetrically about pi into (pi, 2 pi)."""
+    """The 2n angles of the mu1 circle system of the weight w, increasing:
+    theta_j = arccos x_j in (0, pi) for the interval nodes x_j and their
+    mirror images 2 pi - theta_j."""
     sys = interval_nodes_from_measure(w, n, "mu1")
-    xs = np.sort(sys.xs)[::-1]  # decreasing x -> increasing theta
-    if np.any(np.abs(xs) >= 1.0):
-        raise ValidationError("a node at +-1 cannot be mirrored into (pi, 2*pi)")
-    theta = np.arccos(xs)
-    mirrored = 2.0 * np.pi - theta[::-1]
-    return np.concatenate([theta, mirrored])
+    return np.sort(sys.circle_system.thetas)
 
 
 def _trig_coeffs(L, degree: int) -> TrigPolynomial:

@@ -152,12 +152,22 @@ class TestCommands:
          "c.json", '{"weight": "legendre"}'),
         (["sweep", "--corpus", "smooth-exp", "--config", "{path}"], "c.json", '{"ns": [8, "x"]}'),
         (["nodes", "--n", "4", "--config", "{path}"], "c.json", '{"tau": [1, 0]}'),
+        (["interval", "--n", "4", "--corpus", "smooth-exp", "--weight", "foo"], None, None),
+        (["interval", "--n", "abc", "--corpus", "smooth-exp"], None, None),
+        (["trig", "--n", "4", "--corpus", "smooth-exp", "--variant", "foo"], None, None),
+        (["nodes", "--n", "4", "--format", "xml"], None, None),
+        (["interp", "--n", "8", "--corpus", "smooth-exp", "--r", "x"], None, None),
+        (["sweep", "--ns", "8", "--corpus", "smooth-exp", "--r", "0"], None, None),
+        (["sweep", "--ns", "8", "--corpus", "smooth-exp", "--r", "1"], None, None),
+        (["sweep", "--ns", "8", "--corpus", "smooth-exp", "--r", "2.0"], None, None),
     ], ids=["tau", "ns", "measure-file", "measure-list", "measure-pair",
             "nodes-file", "nodes-pair", "config", "config-list",
             "interp-grid-neg", "interval-grid-neg", "trig-grid-neg",
             "interp-grid-0", "interval-grid-0", "trig-grid-0", "sweep-grid-0", "sweep-grid-neg",
             "nodes-n-neg", "corpus-param", "config-n-str", "config-n-float", "config-r-str",
-            "config-grid-str", "config-weight", "config-ns-list", "config-tau-list"])
+            "config-grid-str", "config-weight", "config-ns-list", "config-tau-list",
+            "flag-weight", "flag-n-str", "flag-variant", "flag-format", "flag-r-str",
+            "sweep-r-0", "sweep-r-1", "sweep-r-2"])
     def test_malformed_input_exit_1(self, tmp_path, capsys, argv, name, text):
         """Malformed flags and files end in one line on stderr, not a traceback."""
         path = tmp_path / (name or "unused")

@@ -103,6 +103,14 @@ class TestSweep:
         assert np.all(np.diff(result.sup_errors) < 0)
         assert np.max(np.abs(result.b_hats - result.b_hats[0])) < 0.3
 
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
+    def test_ratio_checked_before_the_pool(self, r):
+        """A ratio outside (0, 1) is invalid input for the whole sweep, not
+        an error recorded at every n."""
+        family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
+        with pytest.raises(ValidationError, match="ratio r"):
+            convergence_sweep(family, r, [8, 16], corpus("smooth-exp"), error_grid=256)
+
     def test_para_orthogonal_family(self):
         family = NodalFamily(kind="para-orthogonal", tau=1.0,
                              measure=finite_verblunsky([0.5]))

@@ -47,6 +47,18 @@ class TestFundamentalPolynomials:
             total = sum(fundamental_polynomial(sys, plan, j, z) for j in range(16))
             assert total == pytest.approx(1.0, abs=1e-11)
 
+    def test_at_node_rule_skips_the_kernel(self, monkeypatch):
+        """The kernel runs once for a point off the nodes, and not at all for
+        a point at a node or 1e-15 from one."""
+        sys = roots_of_unimodular(16, np.exp(0.3j))
+        plan = make_degree_plan(16, 0.4)
+        calls = _spy_kernel(monkeypatch)
+        assert fundamental_polynomial(sys, plan, 2, sys.nodes[2]) == 1.0
+        assert fundamental_polynomial(sys, plan, 2, sys.nodes[5] + 1e-15) == 0.0
+        assert calls == []
+        fundamental_polynomial(sys, plan, 2, np.exp(0.1j))
+        assert calls == [1]
+
     def test_index_validation(self):
         sys = roots_of_unimodular(4, 1.0)
         plan = make_degree_plan(4, 0.5)

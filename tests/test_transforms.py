@@ -223,6 +223,14 @@ class TestTrig:
         assert np.all(np.diff(theta) > 0)
         assert np.max(np.abs((theta + theta[::-1]) - 2 * np.pi)) < 1e-12
 
+    @pytest.mark.parametrize("n", [3, 8, 33])
+    def test_symmetric_angles_are_the_circle_system(self, n):
+        """The 2n angles are those of the mu1 circle system, not re-derived
+        from the interval nodes."""
+        circle = interval_nodes_from_measure(chebyshev1_weight, n, "mu1").circle_system
+        np.testing.assert_array_equal(trig_nodes_symmetric(chebyshev1_weight, n),
+                                      np.sort(circle.thetas))
+
     def test_chebyshev_symmetric_angles_closed_form(self):
         theta = trig_nodes_symmetric(chebyshev1_weight, 3)
         j = np.arange(1, 4)
