@@ -10,6 +10,7 @@ library version and a hash of the resolved config.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -375,6 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on first use and kept for the process: each
+    parse_args call fills a fresh namespace, so no value carries over."""
+    return build_parser()
+
+
 def _positive_int(key: str, val):
     if isinstance(val, bool) or not isinstance(val, int) or val < 1:
         raise ValidationError(f"{key} must be an integer >= 1, got {val!r}")
@@ -431,7 +439,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = resolve_config(args)
         return COMMANDS[args.command].run(cfg)
     except ValidationError as exc:

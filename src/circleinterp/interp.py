@@ -137,10 +137,13 @@ def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: com
         raise ValidationError("fundamental polynomials are undefined at z = 0")
     unit = np.zeros(system.n, dtype=complex)
     unit[j] = 1.0
-    # the other values are zero, so only the j-th weight enters the kernel
-    weights = unit * (_phase_powers(system.nodes[j], plan.p) / system.derivs[j])
-    I = CircleInterpolant(system=system, plan=plan, values=unit, weights=weights)
-    return complex(_evaluate(I, np.array([z]), None)[0])
+
+    def kernel(zz, off):
+        # the other values are zero, so only the j-th weight enters the kernel
+        wu = unit * (_phase_powers(system.nodes[j], plan.p) / system.derivs[j])
+        return _first_form(system, plan.p, wu, zz[off])
+
+    return complex(_evaluate(system, unit, np.array([z]), kernel)[0])
 
 
 def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray) -> np.ndarray:
@@ -160,20 +163,22 @@ def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray) -> 
     return out
 
 
-def _evaluate(I: CircleInterpolant, zz: np.ndarray, L: LaurentPolynomial | None) -> np.ndarray:
-    """Horner on L at the points zz, or the first-form kernel when L is
-    None; a point within AT_NODE_TOL of a node takes that node's value
-    exactly, and the kernel runs only on the other points."""
-    nearest, dist = _nearest_nodes(I.system, zz)
+def _evaluate(system: NodalSystem, values: np.ndarray, zz: np.ndarray, off_nodes) -> np.ndarray:
+    """The values at the points zz.  A point within AT_NODE_TOL of a node
+    takes that node's value exactly; off_nodes(zz, off) gives the values at
+    the other points zz[off], and is called only if there are any."""
+    nearest, dist = _nearest_nodes(system, zz)
     at = dist < AT_NODE_TOL
-    if L is not None:
-        out = eval_laurent(L, zz)
-    else:
-        out = np.empty(len(zz), dtype=complex)
-        if not at.all():
-            out[~at] = _first_form(I.system, I.plan.p, I.weights * I.values, zz[~at])
-    out[at] = I.values[nearest[at]]
+    out = np.empty(len(zz), dtype=complex)
+    if not at.all():
+        out[~at] = off_nodes(zz, ~at)
+    out[at] = values[nearest[at]]
     return out
+
+
+def _kernel(I: CircleInterpolant):
+    """off_nodes for _evaluate: the first-form pair kernel of I."""
+    return lambda zz, off: _first_form(I.system, I.plan.p, I.weights * I.values, zz[off])
 
 
 def eval_interpolant(I: CircleInterpolant, z):
@@ -190,11 +195,13 @@ def eval_interpolant(I: CircleInterpolant, z):
     zz = np.atleast_1d(zz)
     if np.any(zz == 0):
         raise ValidationError("the interpolant is undefined at z = 0")
-    L = None
+    off_nodes = _kernel(I)
     if len(zz) >= HORNER_MIN_POINTS and np.all(np.abs(np.abs(zz) - 1.0) <= UNIMODULAR_TOL):
         if len(zz) > I.n or _samples_are_nodes(I.system):
             L = interpolant_coefficients(I)
-    out = _evaluate(I, zz, L)
+            # Horner runs on every point: on a subset its last bits can differ
+            off_nodes = lambda zz, off: eval_laurent(L, zz)[off]
+    out = _evaluate(I.system, I.values, zz, off_nodes)
     return complex(out[0]) if scalar else out
 
 
@@ -208,7 +215,8 @@ def interpolant_coefficients(I: CircleInterpolant) -> LaurentPolynomial:
     a node and the cost is the FFT alone.  Rounding of the weights perturbs
     L by a Laurent polynomial in the same window, which the n samples
     recover exactly, so the coefficients are as accurate as the samples."""
-    L = coefficients_from_samples(_evaluate(I, _samples(I.system), None), I.plan.p)
+    samples = _evaluate(I.system, I.values, _samples(I.system), _kernel(I))
+    L = coefficients_from_samples(samples, I.plan.p)
     rotate = _phase_powers(I.system.nodes[0], -L.exponents)
     return LaurentPolynomial(p=L.p, q=L.q, coeffs=L.coeffs * rotate)
 

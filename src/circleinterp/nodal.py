@@ -205,12 +205,12 @@ def _nearest_nodes(system: NodalSystem, z: np.ndarray):
     thetas = system.thetas
     order = np.argsort(thetas)
     i = np.searchsorted(thetas[order], np.mod(np.angle(z), 2.0 * np.pi))
-    # the two neighbours in argument; index -1 and n wrap round the circle
-    cand = np.stack([order[i % system.n], order[i - 1]])
-    dist = np.abs(z - system.nodes[cand])
-    pick = np.argmin(dist, axis=0)
-    cols = np.arange(len(z))
-    return cand[pick, cols], dist[pick, cols]
+    # the two neighbours in argument; index -1 and n wrap round the circle.
+    # A tie goes to the node after.
+    after, before = order[i % system.n], order[i - 1]
+    d_after, d_before = np.abs(z - system.nodes[after]), np.abs(z - system.nodes[before])
+    pick = d_before < d_after
+    return np.where(pick, before, after), np.where(pick, d_before, d_after)
 
 
 def _samples(system: NodalSystem) -> np.ndarray:

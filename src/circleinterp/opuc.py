@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +57,16 @@ _NEWTON_MAX_STEPS = 100
 _SUBDIVISIONS = 8
 # a Newton pass spends up to this many points on its last few zeros
 _TAIL_POINTS = 256
+# _phase_steps closes a group of nonzero alphas after _GROUP_ROWS steps, or
+# before sum -log(1 - |alpha_k|) passes _GROUP_DECAY: |q| then stays within
+# e^{+-300} and |q|^2 within double range.  A group whose arcsin|alpha_k|
+# add up to less than _PRINCIPAL_TURN < pi takes its winding from one
+# principal arg.  The q rows of one block of points hold about _PHASE_BUDGET
+# complex numbers (16 MB).
+_GROUP_ROWS = 64
+_GROUP_DECAY = 300.0
+_PRINCIPAL_TURN = 3.0
+_PHASE_BUDGET = 1 << 20
 # moment quadrature gives up beyond this many points on the circle
 MAX_QUADRATURE_POINTS = 2**20
 
@@ -141,10 +151,6 @@ def load_measure_spec(path) -> MeasureSpec:
         raise ValidationError(f"unknown measure kind {kind!r}")
     except (OSError, ValueError, TypeError) as exc:
         raise ValidationError(f"measure file {path}: {exc}") from exc
-
-
-def _reverse(coeffs: np.ndarray) -> np.ndarray:
-    return np.conj(coeffs[::-1])
 
 
 def szego_recurrence(alphas: Sequence[complex], N: int) -> OpucState:
@@ -253,10 +259,16 @@ def moments_to_verblunsky(spec: MeasureSpec, N: int) -> np.ndarray:
     if mass <= 0:
         raise ValidationError("measure has nonpositive total mass")
     alphas = np.zeros(N, dtype=complex)
-    phi = np.ones(1, dtype=complex)
+    # phi_k = buf[N - k:], right-aligned behind zeros, so that z phi_k is
+    # buf[N - k - 1:]; rev[:k + 1] = phi_k* coefficients, then zeros
+    buf = np.zeros(N + 1, dtype=complex)
+    buf[N] = 1.0
+    rev = np.zeros(N + 1, dtype=complex)
+    rev[0] = 1.0
+    tmp = np.empty(N + 1, dtype=complex)
     norm2 = mass
     for k in range(N):
-        ip = np.dot(phi, m[1:k + 2])  # <z phi_k, 1> = sum_j a_j m_{j+1}
+        ip = np.dot(buf[N - k:], m[1:k + 2])  # <z phi_k, 1> = sum_j a_j m_{j+1}
         c = ip / norm2
         alpha = np.conj(c)
         if abs(alpha) >= ALPHA_LIMIT:
@@ -265,7 +277,10 @@ def moments_to_verblunsky(spec: MeasureSpec, N: int) -> np.ndarray:
                 "measure is numerically outside the admissible class"
             )
         alphas[k] = alpha
-        phi = np.concatenate([[0.0], phi]) - c * np.concatenate([_reverse(phi), [0.0]])
+        # phi_{k+1} = z phi_k - c phi_k*
+        nxt = buf[N - k - 1:]
+        nxt -= np.multiply(c, rev[:k + 2], out=tmp[:k + 2])
+        np.conjugate(nxt[::-1], out=rev[:k + 2])
         norm2 *= 1.0 - abs(alpha) ** 2
     return alphas
 
@@ -300,70 +315,134 @@ class ParaOrthogonalSpec:
             raise ValidationError(f"|tau| must equal 1 within 1e-12, got {abs(self.tau)}")
 
 
+class _Group(NamedTuple):
+    """A run of nonzero Verblunsky coefficients that _blaschke_phase steps
+    through before it takes the winding and psi' in bulk."""
+
+    alphas: list         # (alpha_k, conj(alpha_k)) per step, as Python complex
+    decay: np.ndarray    # suffix products prod_{j >= k} (1 - |alpha_j|^2) in the group
+    bulk: bool           # sum arcsin|alpha_k| >= _PRINCIPAL_TURN: one arg per step
+
+
+def _group(alphas: list) -> _Group:
+    """The _Group of a run of nonzero alphas, given as Python complex."""
+    mag = np.abs(alphas)
+    decay = np.cumprod(((1.0 - mag) * (1.0 + mag))[::-1])[::-1]
+    bulk = bool(np.arcsin(mag).sum() >= _PRINCIPAL_TURN)
+    return _Group([(a, a.conjugate()) for a in alphas], decay, bulk)
+
+
 def _phase_steps(alphas: np.ndarray) -> list:
-    """The recursion steps for alpha_0..alpha_{n-1}: each nonzero alpha as a
-    complex number, each run of r zero alphas as the int r."""
+    """The recursion steps for alpha_0..alpha_{n-1}: each run of r zero
+    alphas as the int r, and the nonzero alphas between them as _Groups of
+    at most _GROUP_ROWS steps whose sum of -log(1 - |alpha_k|) stays within
+    _GROUP_DECAY."""
     steps: list = []
-    done = 0
-    for k in np.flatnonzero(alphas).tolist():
-        if k > done:
-            steps.append(k - done)
-        steps.append(complex(alphas[k]))
-        done = k + 1
-    if len(alphas) > done:
-        steps.append(len(alphas) - done)
+    group: list = []
+    run = 0
+    cost = 0.0
+    for a, c in zip(alphas.tolist(), (-np.log1p(-np.abs(alphas))).tolist()):
+        if a == 0:
+            run += 1
+            continue
+        if group and (run or len(group) == _GROUP_ROWS or cost + c > _GROUP_DECAY):
+            steps.append(_group(group))
+            group, cost = [], 0.0
+        if run:
+            steps.append(run)
+            run = 0
+        group.append(a)
+        cost += c
+    if group:
+        steps.append(_group(group))
+    if run:
+        steps.append(run)
     return steps
 
 
-def _blaschke_phase(steps: list, theta: np.ndarray):
+def _blaschke_phase(steps: list, theta: np.ndarray, _slope: bool = True):
     """The phase psi_n(theta) = 2 pi w + phi of b_n = phi_n / phi_n* on the
     circle, as an exact integer winding w and a reduced phase phi in
-    (-pi, pi], together with its derivative g = psi_n'(theta).
+    (-pi, pi], together with its derivative g = psi_n'(theta) (None when
+    _slope is False).
 
-    With z = e^{i theta}, u = z b_k and d = 1 - alpha_k u, the Szego
-    recursion is the Moebius step
+    With z = e^{i theta} the Szego recursion carries the values
+    p = phi_k(z) and q = phi_k*(z):
 
-        b_{k+1} = (u - conj(alpha_k)) / d = (u - conj(alpha_k)) conj(d) / |d|^2,
-        g_{k+1} = (1 + g_k) (1 - |alpha_k|^2) / |d|^2,
+        p <- z p - conj(alpha_k) q,    q <- q - alpha_k z p,
 
-    and a run of r zero alphas multiplies b by z^r and adds r to g.  b is
-    carried as a unit complex number, renormalised after every step, so its
-    argument keeps the rounding of a few operations per step; |b| before
-    the renormalisation is |d|^2.  g > 0 (a Poisson kernel), so psi_n is
-    strictly increasing and gains 2 pi n per turn.  Each step adds
-    theta - 2 Arg(d) to psi, with Arg(d) in (-pi/2, pi/2) since Re d > 0;
-    that coarse sum only rounds the winding against Arg b_n.  A step costs
-    one arctan2 per point and no complex exp.
+    and a run of r zero alphas multiplies p by z^r.  On the circle
+    |p| = |q|, and b_n = p / q.  Each step multiplies q by
+    d_k = 1 - alpha_k z b_k, with Re d_k > 0 and |Arg d_k| <= arcsin|alpha_k|,
+    so arg phi_n* = sum_k Arg d_k is continuous in theta and
+    psi_n = n theta - 2 sum_k Arg d_k; that coarse sum only rounds the
+    winding against Arg b_n.  psi_n' = g_n follows from G_k = g_k |q_k|^2,
+
+        G_{k+1} = (1 - |alpha_k|^2) (G_k + |q_k|^2),
+
+    with g > 0 (a Poisson kernel), so psi_n is strictly increasing and
+    gains 2 pi n per turn.
+
+    A step costs five array operations.  At the end of each _Group the
+    group's sum of Arg d_k is one principal arg of q, or, when its
+    arcsin|alpha_k| add up to _PRINCIPAL_TURN or more, a bulk arg of the
+    buffered ratios q_{k+1} conj(q_k); G takes the group's |q_k|^2 against
+    its suffix products.  Then p becomes p / q = b and q becomes 1.  The
+    group bounds keep |q| within e^{+-_GROUP_DECAY}, so it neither
+    underflows nor overflows.  Points run in blocks, so that the buffered
+    q rows hold about _PHASE_BUDGET complex numbers.
     """
-    z = np.exp(1j * theta)
-    b = np.ones_like(z)
-    g = np.zeros_like(theta)
-    neg_args = np.zeros_like(theta)  # sum over the steps of Arg(conj(d)) = -Arg(d)
-    u = np.empty_like(z)
-    d = np.empty_like(z)
-    mag = np.empty_like(theta)
-    total = 0
-    for step in steps:
-        if isinstance(step, int):
-            b *= np.exp((1j * step) * theta)
-            g += step
-            total += step
-            continue
-        total += 1
-        np.multiply(z, b, out=u)
-        np.multiply(u, -step, out=d)
-        d += 1.0
-        u -= step.conjugate()
-        np.conjugate(d, out=d)  # d holds conj(d) from here on
-        np.multiply(u, d, out=b)
-        np.abs(b, out=mag)
-        b /= mag
-        g += 1.0
-        g *= 1.0 - abs(step) ** 2
-        g /= mag
-        neg_args += np.arctan2(d.imag, d.real, out=mag)
-    phi = np.angle(b)
-    w = np.rint((total * theta + 2.0 * neg_args - phi) / _TWO_PI).astype(np.int64)
+    w = np.empty(len(theta), dtype=np.int64)
+    phi = np.empty(len(theta))
+    g = np.empty(len(theta)) if _slope else None
+    block = _PHASE_BUDGET // (_GROUP_ROWS + 1)
+    qs = np.empty((_GROUP_ROWS + 1, min(block, len(theta))), dtype=complex)
+    for start in range(0, len(theta), block):
+        pts = slice(start, start + block)
+        t = theta[pts]
+        rows = list(qs[:, : len(t)])  # views: rows[k] holds q_k of the group
+        rows[0].fill(1.0)
+        z = np.exp(1j * t)
+        p = np.ones_like(z)
+        zp = np.empty_like(z)
+        tmp = np.empty_like(z)
+        arg_q = np.zeros_like(t)  # sum over the steps of Arg d_k
+        G = np.zeros_like(t)
+        total = 0
+        for step in steps:
+            if not isinstance(step, _Group):
+                p *= np.exp((1j * step) * t)
+                G += step
+                total += step
+                continue
+            q = rows[0]
+            for (a, a_conj), nxt in zip(step.alphas, rows[1:]):
+                np.multiply(z, p, out=zp)
+                np.multiply(q, a_conj, out=p)
+                np.subtract(zp, p, out=p)
+                np.multiply(zp, a, out=tmp)
+                q = np.subtract(q, tmp, out=nxt)
+            m = len(step.alphas)
+            total += m
+            buf = qs[: m + 1, : len(t)]
+            if step.bulk:
+                ratio = buf[1:] * np.conj(buf[:-1])
+                arg_q += np.arctan2(ratio.imag, ratio.real).sum(axis=0)
+            else:
+                arg_q += np.arctan2(q.imag, q.real)
+            if _slope:
+                # the rows q_0..q_{m-1} are spent: square them in place
+                sq = buf[:-1].view(float)
+                np.square(sq, out=sq)
+                G *= step.decay[0]
+                parts = np.einsum("k,kj->j", step.decay, sq)  # real and imaginary interleaved
+                G += parts[::2] + parts[1::2]
+                G /= q.real**2 + q.imag**2
+            p /= q
+        phi[pts] = np.angle(p)
+        w[pts] = np.rint((total * t - 2.0 * arg_q - phi[pts]) / _TWO_PI)
+        if _slope:
+            g[pts] = G
     return w, phi, g
 
 
@@ -377,7 +456,7 @@ def _count_brackets(steps: list, n: int, c: float):
     until it holds one, or until it is narrower than DISTINCT_TOL, where
     its zeros would collide anyway."""
     t = _TWO_PI * np.arange(n + 1) / n
-    w, phi, _ = _blaschke_phase(steps, t[:n])
+    w, phi, _ = _blaschke_phase(steps, t[:n], _slope=False)
     q = w + (phi - c) / _TWO_PI
     q = np.append(q, q[0] + n)  # periodicity closes the last cell
     while True:
@@ -389,7 +468,7 @@ def _count_brackets(steps: list, n: int, c: float):
             return t, q
         parts = np.arange(1, _SUBDIVISIONS) / _SUBDIVISIONS
         new_t = (t[crowded, None] + width[crowded, None] * parts).ravel()
-        w, phi, _ = _blaschke_phase(steps, new_t)
+        w, phi, _ = _blaschke_phase(steps, new_t, _slope=False)
         at = np.repeat(crowded + 1, _SUBDIVISIONS - 1)
         t = np.insert(t, at, new_t)
         q = np.insert(q, at, w + (phi - c) / _TWO_PI)

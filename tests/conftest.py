@@ -97,3 +97,18 @@ def brute_force_interpolant(nodes, p, values, z):
         wprime = np.prod(nodes[j] - np.delete(nodes, j))
         total += values[j] * nodes[j] ** p * w / (wprime * (z - nodes[j]) * z**p)
     return total
+
+
+def levinson_reference(m, N):
+    """The Levinson loop of opuc.moments_to_verblunsky as it was, with two
+    concatenations per degree: alpha_0..alpha_{N-1} from the moments
+    m_0..m_N.  The library's in-place loop must agree bit for bit."""
+    alphas = np.zeros(N, dtype=complex)
+    phi = np.ones(1, dtype=complex)
+    norm2 = m[0].real
+    for k in range(N):
+        c = np.dot(phi, m[1:k + 2]) / norm2
+        alphas[k] = np.conj(c)
+        phi = np.concatenate([[0.0], phi]) - c * np.concatenate([np.conj(phi[::-1]), [0.0]])
+        norm2 *= 1.0 - abs(alphas[k]) ** 2
+    return alphas

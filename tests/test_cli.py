@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circleinterp import ValidationError
-from circleinterp.cli import _load_nodes_file, _parse_ns, _parse_tau, main
+from circleinterp.cli import _load_nodes_file, _parse_ns, _parse_tau, _parser, main
 
 
 class TestParsers:
@@ -176,6 +176,27 @@ class TestCommands:
         assert main([a.replace("{path}", str(path)) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and err.count("\n") == 1
+
+    def test_parser_reused_without_carry_over(self, capsys):
+        """main builds its parser once per process.  No value given in one
+        call, nor one left by a call that failed, reaches a later call."""
+        runs = [
+            (["nodes", "--n", "4"], 0),
+            (["nodes", "--n", "6", "--tau", "-1", "--format", "json"], 0),
+            (["nodes", "--n", "4", "--format", "xml"], 1),
+            (["interval", "--n", "8", "--weight", "foo", "--corpus", "smooth-exp"], 1),
+            (["check", "--n", "8", "--grid", "64"], 0),
+            (["nodes", "--n", "4"], 0),
+        ]
+        outs = []
+        for argv, code in runs:
+            assert main(argv) == code
+            outs.append(capsys.readouterr().out)
+        assert len(json.loads(outs[1])) == 6
+        assert outs[2] == outs[3] == ""
+        assert json.loads(outs[4])["metadata"]["config"] == {"n": 8, "grid": 64}
+        assert outs[5] == outs[0] and len(outs[0].split()) == 4
+        assert _parser() is _parser()
 
     def test_numerical_error_exit_2(self, tmp_path, capsys):
         # verblunsky alpha on the unit circle is outside the admissible class

@@ -264,3 +264,30 @@ class TestOnePeriodGrid:
         assert nodal._samples_are_nodes(make_nodal_system(sys.nodes[::-1]))
         jitter = np.exp(1e-9j * (np.arange(1000) % 2))
         assert not nodal._samples_are_nodes(make_nodal_system(sys.nodes * jitter))
+
+
+def stacked_nearest_nodes(system, z):
+    """The gather _nearest_nodes used to do: both neighbours in argument
+    stacked as two rows, and argmin over them."""
+    order = np.argsort(system.thetas)
+    i = np.searchsorted(system.thetas[order], np.mod(np.angle(z), 2.0 * np.pi))
+    cand = np.stack([order[i % system.n], order[i - 1]])
+    dist = np.abs(z - system.nodes[cand])
+    pick = np.argmin(dist, axis=0)
+    cols = np.arange(len(z))
+    return cand[pick, cols], dist[pick, cols]
+
+
+@pytest.mark.parametrize("system", ["random", "roots"])
+def test_nearest_nodes_match_the_stacked_gather(system):
+    """Indices and distances are identical to the stacked gather, also for
+    points at, between (ties) and inside the nodes."""
+    if system == "random":
+        sys = make_nodal_system(np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, 256)))
+    else:
+        sys = roots_of_unimodular(256, 1.0)
+    t = np.sort(sys.thetas)
+    z = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, 8192))
+    for pts in (z, 0.5 * z, sys.nodes, np.exp(0.5j * (t + np.roll(t, -1)))):
+        got, want = nodal._nearest_nodes(sys, pts), stacked_nearest_nodes(sys, pts)
+        assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()

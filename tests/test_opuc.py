@@ -23,7 +23,7 @@ from circleinterp import (
     verblunsky_coefficients,
 )
 from circleinterp import opuc
-from conftest import opuc_coefficients, paraorthogonal_coefficients
+from conftest import levinson_reference, opuc_coefficients, paraorthogonal_coefficients
 
 
 def orthogonality_defect(alphas, weight, degree, m=4096):
@@ -129,6 +129,37 @@ def decaying(n):
     return 0.9 * np.exp(2j * np.pi * u) * (np.arange(n) + 1.0) ** -1.5
 
 
+def arcsin_turn(total):
+    """A constant real alpha whose arcsin, summed over a full group of
+    opuc._GROUP_ROWS steps, is total: below opuc._PRINCIPAL_TURN the group's
+    winding is one principal arg, from it on a bulk arg per step."""
+    return lambda n: [np.sin(total / opuc._GROUP_ROWS)] * n
+
+
+def near_one(n):
+    """A run of n - 40 alphas with |alpha| = 1 - 2^-27 (exact in binary),
+    turning by i per step, between two runs of 20 with |alpha| = 0.5: the
+    magnitude budget closes a group about every 16 steps of the run."""
+    gen = np.random.default_rng(1)
+    edge = 0.5 * np.exp(2j * np.pi * gen.random((2, 20)))
+    run = (1.0 - 2.0**-27) * 1j ** np.arange(n - 40)
+    return np.concatenate([edge[0], run, edge[1]])
+
+
+def sparse(n):
+    """Random alphas, |alpha| < 0.8, half of them zero: short groups with
+    runs of zeros between them."""
+    gen = np.random.default_rng(3)
+    alphas = 0.8 * gen.random(n) * np.exp(2j * np.pi * gen.random(n))
+    alphas[gen.random(n) < 0.5] = 0.0
+    return alphas
+
+
+FAMILIES = {"alternating": alternating, "random-0.95": random_095, "decaying": decaying,
+            "constant-0.5": lambda n: [0.5] * n, "arcsin-2.99": arcsin_turn(2.99),
+            "arcsin-3.01": arcsin_turn(3.01), "near-one": near_one, "sparse": sparse}
+
+
 class TestSzegoRecurrence:
     def test_lebesgue_monomials(self):
         phis, _ = opuc_coefficients(np.zeros(5))
@@ -225,6 +256,17 @@ class TestVerblunskyRecovery:
         got = verblunsky_coefficients(finite_verblunsky([0.5, -0.2]), 4)
         assert np.allclose(got, [0.5, -0.2, 0.0, 0.0])
 
+    @pytest.mark.parametrize("weight", ["chebyshev1", "chebyshev2", "chebyshev3", "chebyshev4"])
+    def test_in_place_levinson_is_bit_identical(self, weight):
+        """The preallocated loop does the arithmetic of the concatenating
+        one, on the CLI's interval weights at N = 258."""
+        from circleinterp.cli import INTERVAL_WEIGHTS
+        from circleinterp.transforms import szego_transform_weight
+
+        spec = szego_transform_weight(INTERVAL_WEIGHTS[weight])
+        ref = levinson_reference(trigonometric_moments(spec, 258), 258)
+        assert moments_to_verblunsky(spec, 258).tobytes() == ref.tobytes()
+
     def test_invalid_count(self):
         with pytest.raises(ValidationError):
             moments_to_verblunsky(bernstein_szego([1.0]), 0)
@@ -278,22 +320,48 @@ class TestParaOrthogonal:
     @pytest.mark.parametrize("family", ["alternating", "random-0.95"])
     def test_matches_mpmath_roots(self, family, tau):
         n = 64
-        alphas = alternating(n) if family == "alternating" else random_095(n)
+        alphas = FAMILIES[family](n)
         sys = paraorthogonal_nodes(szego_recurrence(alphas, n), ParaOrthogonalSpec(n=n, tau=tau))
         ref = mpmath_paraorthogonal_angles(alphas, tau)
         assert np.max(angle_distance(np.sort(sys.thetas), ref)) <= 1e-13
 
-    @pytest.mark.parametrize("family,n,floor", [("alternating", 256, 0.0),
-                                                 ("random-0.95", 64, 1.0)])
+    def test_phase_steps_groups(self):
+        """How _phase_steps cuts the families of the phase tests below."""
+        def shape(family, n):
+            return [s if isinstance(s, int) else (len(s.alphas), s.bulk)
+                    for s in opuc._phase_steps(np.asarray(FAMILIES[family](n), dtype=complex))]
+
+        assert shape("arcsin-2.99", 128) == [(64, False)] * 2
+        assert shape("arcsin-3.01", 128) == [(64, True)] * 2
+        assert shape("near-one", 74) == [(35, True), (16, True), (23, True)]
+        assert shape("decaying", 4096) == [(64, False)] * 64
+        # short groups, each closed by a run of zeros
+        steps = shape("sparse", 128)
+        assert sum(isinstance(s, int) for s in steps) > 10
+        assert all(isinstance(a, int) != isinstance(b, int) for a, b in zip(steps, steps[1:]))
+
+    @pytest.mark.parametrize("family,n,floor", [
+        ("alternating", 256, 0.0),
+        ("random-0.95", 64, 1.0),
+        ("arcsin-2.99", 128, 0.0),
+        ("arcsin-3.01", 128, 0.0),
+        ("near-one", 74, 1.0),
+        ("sparse", 128, 0.0),
+        ("decaying", 4096, 0.0),
+    ])
     def test_phase_matches_mpmath(self, family, n, floor):
-        """psi_n = 2 pi w + phi at 40 seeded angles against 50-digit mpmath.
+        """psi_n = 2 pi w + phi at 40 seeded angles (3 for n > 1024, where
+        the oracle takes 0.5 s per angle) against 50-digit mpmath.
         The phase error divided by psi' is the shift it causes in a zero
         there; it must stay below 1e-15 rad (measured 4.8e-16 for
         alternating).  Where psi' < 1 (down to 0.026 for random-0.95) one
-        ulp of phi is already 4.4e-16 rad, so there the bound is absolute."""
-        alphas = alternating(n) if family == "alternating" else random_095(n)
-        theta = np.random.default_rng(7).uniform(0, 2 * np.pi, 40)
-        w, phi, g = opuc._blaschke_phase(opuc._phase_steps(np.asarray(alphas, dtype=complex)), theta)
+        ulp of phi is already 4.4e-16 rad, so there the bound is absolute.
+        Overflow, division by zero or an invalid value in the recursion
+        raises."""
+        alphas = FAMILIES[family](n)
+        theta = np.random.default_rng(7).uniform(0, 2 * np.pi, 40 if n <= 1024 else 3)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            w, phi, g = opuc._blaschke_phase(opuc._phase_steps(np.asarray(alphas, dtype=complex)), theta)
         mp = pytest.importorskip("mpmath")
         for k, t in enumerate(theta):
             psi, dpsi = mpmath_blaschke_phase(alphas, t)
@@ -302,16 +370,29 @@ class TestParaOrthogonal:
             assert err <= 1e-15 * max(float(dpsi), floor)
             assert g[k] == pytest.approx(float(dpsi), rel=1e-12)
 
+    @pytest.mark.parametrize("family", ["alternating", "near-one", "sparse"])
+    def test_point_blocks_agree(self, monkeypatch, family):
+        """Points split into blocks of 7 give the phase and psi' of one
+        block."""
+        steps = opuc._phase_steps(np.asarray(FAMILIES[family](74), dtype=complex))
+        theta = np.random.default_rng(7).uniform(0, 2 * np.pi, 40)
+        w, phi, g = opuc._blaschke_phase(steps, theta)
+        monkeypatch.setattr(opuc, "_PHASE_BUDGET", 7 * (opuc._GROUP_ROWS + 1))
+        w7, phi7, g7 = opuc._blaschke_phase(steps, theta)
+        assert np.array_equal(w7, w)
+        assert np.allclose(phi7, phi, rtol=0, atol=1e-15) and np.allclose(g7, g, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("family,n", [("alternating", 256), ("random-0.95", 64),
-                                          ("constant-0.5", 64)])
+                                          ("constant-0.5", 64), ("arcsin-2.99", 128),
+                                          ("arcsin-3.01", 128), ("near-one", 74),
+                                          ("sparse", 128), ("decaying", 4096)])
     def test_count_brackets_separate_zeros(self, family, n):
         """Every cell of the bracketing samples holds at most one zero,
         except cells narrower than DISTINCT_TOL, and the cells hold n zeros
         in all."""
-        alphas = {"alternating": alternating, "random-0.95": random_095,
-                  "constant-0.5": lambda n: [0.5] * n}[family](n)
-        steps = opuc._phase_steps(np.asarray(alphas, dtype=complex))
-        t, q = opuc._count_brackets(steps, n, np.pi)
+        steps = opuc._phase_steps(np.asarray(FAMILIES[family](n), dtype=complex))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            t, q = opuc._count_brackets(steps, n, np.pi)
         assert t[0] == 0.0 and t[-1] == 2 * np.pi and np.all(np.diff(t) > 0)
         counts = np.diff(np.floor(q))
         assert counts.sum() == n
@@ -334,8 +415,7 @@ class TestParaOrthogonal:
         ("decaying", 512, 1.0),
     ])
     def test_matches_cmv_eigenvalues(self, family, n, tau):
-        alphas = {"alternating": alternating, "random-0.95": random_095,
-                  "decaying": decaying}[family](n)
+        alphas = FAMILIES[family](n)
         sys = paraorthogonal_nodes(szego_recurrence(alphas, n), ParaOrthogonalSpec(n=n, tau=tau))
         ref = cmv_paraorthogonal_angles(alphas, tau)
         # measured at most 1.1e-14
