@@ -29,7 +29,7 @@ from .experiments import (
     sweep_to_json,
 )
 from .interp import eval_interpolant, interpolate
-from .laurent import make_degree_plan
+from .laurent import _uniform_angles, make_degree_plan
 from .nodal import estimate_conditions, make_nodal_system
 from .opuc import (
     lebesgue_measure,
@@ -192,7 +192,7 @@ def cmd_interp(cfg) -> int:
     plan = make_degree_plan(system.n, cfg.get("r", 0.5))
     I = interpolate(system, plan, F.on_circle(system.nodes))
     grid = cfg.get("grid", 8192)
-    theta = 2.0 * np.pi * np.arange(grid) / grid
+    theta = _uniform_angles(grid)
     z = np.exp(1j * theta)
     approx = eval_interpolant(I, z)
     f_vals = F(theta)
@@ -251,7 +251,7 @@ def cmd_trig(cfg) -> int:
         state = szego_recurrence(verblunsky_coefficients(measure, n), n)
         tp = trig_interpolate_paraorthogonal(state, cfg.get("tau", 1.0 + 0.0j), n, F)
     grid = cfg.get("grid", 4096)
-    theta = 2.0 * np.pi * np.arange(grid) / grid
+    theta = _uniform_angles(grid)
     f_vals = F(theta)
     approx = tp(theta)
     payload = {

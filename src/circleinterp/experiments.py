@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CircleInterpError, ValidationError
-from .interp import eval_interpolant, interpolate
-from .laurent import DegreePlan, _check_ratio, make_degree_plan
-from .nodal import NodalSystem, _grid_points, estimate_conditions, roots_of_unimodular
+from .interp import _evaluate, _on_coefficients, interpolant_coefficients, interpolate
+from .laurent import DegreePlan, _check_ratio, _uniform_angles, make_degree_plan
+from .nodal import NodalSystem, _node_midpoints, estimate_conditions, roots_of_unimodular
 from .opuc import (
     MeasureSpec,
     ParaOrthogonalSpec,
@@ -127,7 +127,7 @@ def estimate_modulus(F: CorpusFunction, deltas, grid_size: int = 2**14) -> Modul
         raise ValidationError("deltas must be positive")
     if grid_size < 1024:
         raise ValidationError(f"grid_size must be >= 1024, got {grid_size}")
-    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    theta = _uniform_angles(grid_size)
     vals = np.asarray(F(theta), dtype=float)
 
     def window(delta: float) -> int:
@@ -172,7 +172,7 @@ def near_best_error(F: CorpusFunction, plan: DegreePlan, grid_size: int = 8192) 
     M = grid_size
     while M < 4 * (max(plan.p, plan.q) + 2):
         M *= 2
-    theta = 2.0 * np.pi * np.arange(M) / M
+    theta = _uniform_angles(M)
     vals = np.asarray(F(theta), dtype=complex)
     c = np.fft.fft(vals) / M
     approx = np.fft.ifft(c * _vp_taper(plan.p, plan.q, M) * M)
@@ -230,9 +230,14 @@ def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction, error_g
     system = family.build(n)
     plan = make_degree_plan(n, r)
     I = interpolate(system, plan, F.on_circle(system.nodes))
-    # error grid: uniform angles plus node midpoints, where the error peaks
-    z = _grid_points(system, error_grid)
-    sup_error = float(np.max(np.abs(F.on_circle(z) - eval_interpolant(I, z))))
+    # error grid: uniform angles plus node midpoints, where the error peaks.
+    # Both come from one set of coefficients, as two arrays: the uniform
+    # grid takes the FFT, and so do the midpoints of rotation-symmetric nodes
+    off_nodes = _on_coefficients(interpolant_coefficients(I))
+    sup_error = float(np.max([
+        np.max(np.abs(F.on_circle(z) - _evaluate(system, I.values, z, off_nodes)))
+        for z in (np.exp(1j * _uniform_angles(error_grid)), np.exp(1j * _node_midpoints(system)))
+    ]))
     report = estimate_conditions(system)
     return plan, sup_error, report
 

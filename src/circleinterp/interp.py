@@ -15,7 +15,8 @@ clustered nodes with large Lebesgue constants.
 Batches of points on the unit circle mostly skip the kernel.  L lies in a
 window of n exponents, so its values at the n samples z_0 e^{2 pi i j/n},
 z_0 = nodes[0], fix its Laurent coefficients through one inverse DFT, and
-Horner then evaluates them at a few flops per point and coefficient.  When
+eval_laurent then evaluates them: one FFT on a rotated uniform grid of M
+points, at O(M log M), and Horner, at O(n) per point, elsewhere.  When
 every sample is a node, as on the roots of z^n = tau, the interpolant is a
 rotated trigonometric interpolant and the samples are the node values
 themselves (Henrici 1979); otherwise the kernel computes the samples that
@@ -34,7 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .laurent import DegreePlan, LaurentPolynomial, coefficients_from_samples, eval_laurent
+from .laurent import (
+    DegreePlan,
+    LaurentPolynomial,
+    _uniform_angles,
+    coefficients_from_samples,
+    eval_laurent,
+)
 from .nodal import (
     AT_NODE_TOL,
     UNIMODULAR_TOL,
@@ -181,14 +188,23 @@ def _kernel(I: CircleInterpolant):
     return lambda zz, off: _first_form(I.system, I.plan.p, I.weights * I.values, zz[off])
 
 
+def _on_coefficients(L: LaurentPolynomial):
+    """off_nodes for _evaluate: L on every point, not on the subset off
+    the nodes, so that a uniform grid keeps its FFT and no value depends on
+    which other points are nodes."""
+    return lambda zz, off: eval_laurent(L, zz)[off]
+
+
 def eval_interpolant(I: CircleInterpolant, z):
     """Evaluate the interpolant at z != 0 (scalar or array).
 
-    For at least HORNER_MIN_POINTS points, all on the unit circle, Horner
-    runs on interpolant_coefficients(I) when they are cheaper than the pair
-    kernel on every point: when every sample z_0 e^{2 pi i j/n} is a node,
-    so that they cost one FFT, or when there are more points than nodes.
-    Otherwise the first-form pair kernel runs on the points.  A point
+    For at least HORNER_MIN_POINTS points, all on the unit circle,
+    eval_laurent runs on interpolant_coefficients(I), by one FFT on a
+    rotated uniform grid and by Horner elsewhere, when they are cheaper
+    than the pair kernel on every point: when every sample
+    z_0 e^{2 pi i j/n} is a node, so that they cost one FFT, or when there
+    are more points than nodes.  Otherwise the first-form pair kernel runs
+    on the points.  A point
     within AT_NODE_TOL of a node returns that node's value either way."""
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
@@ -198,9 +214,7 @@ def eval_interpolant(I: CircleInterpolant, z):
     off_nodes = _kernel(I)
     if len(zz) >= HORNER_MIN_POINTS and np.all(np.abs(np.abs(zz) - 1.0) <= UNIMODULAR_TOL):
         if len(zz) > I.n or _samples_are_nodes(I.system):
-            L = interpolant_coefficients(I)
-            # Horner runs on every point: on a subset its last bits can differ
-            off_nodes = lambda zz, off: eval_laurent(L, zz)[off]
+            off_nodes = _on_coefficients(interpolant_coefficients(I))
     out = _evaluate(I.system, I.values, zz, off_nodes)
     return complex(out[0]) if scalar else out
 
@@ -223,6 +237,5 @@ def interpolant_coefficients(I: CircleInterpolant) -> LaurentPolynomial:
 
 def interpolation_error(I: CircleInterpolant, F, grid_size: int = 8192) -> float:
     """max over a uniform circle grid of |F(z) - L(z)|."""
-    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    z = np.exp(1j * theta)
+    z = np.exp(1j * _uniform_angles(grid_size))
     return float(np.max(np.abs(np.asarray(F(z), dtype=complex) - eval_interpolant(I, z))))

@@ -4,6 +4,12 @@ A Laurent polynomial here lives in the span of z^k for -p <= k <= q, stored
 as a dense coefficient vector indexed by exponent.  The degree plan splits
 n interpolation conditions into (p, q) with p + q = n - 1 according to a
 target ratio r; n and s = min(p, q) follow from p and q.
+
+Evaluation recognises a rotated uniform circle grid z_0 e^{2 pi i j/M}
+from the points alone and takes one inverse FFT of length M there, at
+O(M log M) for any number of coefficients; other points take Horner, at
+O(1) per point and coefficient.  _uniform_angles builds the angles of the
+unrotated grid for the whole library.
 """
 
 from __future__ import annotations
@@ -14,6 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+
+# A point set counts as a rotated uniform grid when every point lies within
+# _GRID_TOL of it.  exp(2j pi (j + s) / M) leaves up to 8.6 eps at angles
+# below 2 pi and 15.4 eps at angles up to 4 pi (measured, M <= 70000); the
+# FFT's backward error in z is at most _GRID_TOL, below the 1e-14 within
+# which an interpolant already takes a node's value.
+_GRID_TOL = 32 * np.finfo(float).eps
 
 __all__ = [
     "LaurentPolynomial",
@@ -97,17 +110,55 @@ class LaurentPolynomial:
         return eval_laurent(self, z)
 
 
-def eval_laurent(L: LaurentPolynomial, z):
-    """Evaluate L at z != 0 (scalar or array).
+def _uniform_angles(M: int) -> np.ndarray:
+    """The angles 2 pi j / M, j = 0..M-1, of the uniform circle grid."""
+    return 2.0 * np.pi * np.arange(M) / M
 
-    The nonnegative-exponent part runs Horner in z and the negative part
-    Horner in 1/z, so no power larger than needed is ever formed.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z == 0):
-        raise ValidationError("Laurent polynomials are undefined at z = 0")
-    # a_k z^k for k = 0..q
-    pos = L.coeffs[L.p:]
+
+def _grid_rotation(z: np.ndarray):
+    """(j0, a) when the points are the rotated uniform grid
+    z_j = e^{ia} e^{2 pi i (j - j0)/M}, each within _GRID_TOL, with z_{j0}
+    the point nearest 1 and a = arg z_{j0}, so |a| <= pi/M; else None.
+    The first two points reject most other inputs before the reference
+    grid is built."""
+    if z.ndim != 1 or len(z) < 2:
+        return None
+    M = len(z)
+    step = 2.0 * np.pi / M
+    # written as "not <=" so that a NaN point rejects the grid
+    if not (abs(z[1] - z[0] * np.exp(1j * step)) <= 2 * _GRID_TOL
+            and abs(abs(z[0]) - 1.0) <= _GRID_TOL):
+        return None
+    j0 = int(round(-np.angle(z[0]) / step)) % M
+    a = float(np.angle(z[j0]))
+    # signed offsets from j0 keep the reference angles within [-pi, pi]
+    k = np.roll(np.arange(M), j0)
+    k[k > M // 2] -= M
+    t = a + step * k
+    if not np.max((z.real - np.cos(t)) ** 2 + (z.imag - np.sin(t)) ** 2) <= _GRID_TOL**2:
+        return None
+    return j0, a
+
+
+def _fft_on_grid(L: LaurentPolynomial, M: int, j0: int, a: float) -> np.ndarray:
+    """L at e^{ia} e^{2 pi i (j - j0)/M}, j = 0..M-1: with w the M-th
+    roots of unity, L(e^{ia} w^m) = sum_k c_k e^{ika} w^{mk}, one inverse
+    DFT of the c_k e^{ika} folded to index k mod M.  The fold starts at
+    offset -p mod M, so no shift is needed."""
+    c = L.coeffs
+    if a != 0.0:
+        c = c * np.exp(1j * a * L.exponents)
+    start = -L.p % M
+    folded = np.zeros(-(-(start + len(c)) // M) * M, dtype=complex)
+    folded[start:start + len(c)] = c
+    values = np.fft.ifft(folded.reshape(-1, M).sum(axis=0), norm="forward")
+    return np.roll(values, j0)
+
+
+def _horner(L: LaurentPolynomial, z: np.ndarray) -> np.ndarray:
+    """The nonnegative-exponent part by Horner in z and the negative part
+    by Horner in 1/z, so no power larger than needed is ever formed."""
+    pos = L.coeffs[L.p:]  # a_k z^k for k = 0..q
     acc = np.full_like(z, pos[-1])
     # in place: the same roundings as acc = acc * z + c, without two
     # temporaries per coefficient
@@ -123,6 +174,24 @@ def eval_laurent(L: LaurentPolynomial, z):
             nacc *= u
             nacc += c
         acc = acc + nacc * u
+    return acc
+
+
+def eval_laurent(L: LaurentPolynomial, z):
+    """Evaluate L at z != 0 (scalar or array).
+
+    On a rotated uniform grid, a one-dimensional array of M >= 2 points
+    z_j = e^{ia} e^{2 pi i (j - j0)/M} in order, each within _GRID_TOL
+    (32 eps), one inverse FFT of length M returns L at those ideal points
+    (see _grid_rotation, _fft_on_grid).  Any other input runs Horner.
+    """
+    z = np.asarray(z, dtype=complex)
+    if np.any(z == 0):
+        raise ValidationError("Laurent polynomials are undefined at z = 0")
+    grid = _grid_rotation(z)
+    if grid is not None:
+        return _fft_on_grid(L, len(z), *grid)
+    acc = _horner(L, z)
     return complex(acc) if acc.ndim == 0 else acc
 
 

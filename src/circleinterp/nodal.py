@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .laurent import DegreePlan
+from .laurent import DegreePlan, _uniform_angles
 
 __all__ = [
     "NodalSystem",
@@ -185,7 +185,7 @@ def roots_of_unimodular(n: int, tau: complex) -> NodalSystem:
     if abs(abs(tau) - 1.0) > UNIMODULAR_TOL:
         raise ValidationError(f"|tau| must equal 1 within {UNIMODULAR_TOL}, got |tau|={abs(tau)}")
     theta0 = np.angle(tau) / n
-    nodes = np.exp(1j * (theta0 + 2.0 * np.pi * np.arange(n) / n))
+    nodes = np.exp(1j * (theta0 + _uniform_angles(n)))
     derivs = n * tau / nodes
     return NodalSystem(nodes=nodes, derivs=derivs, source="roots-of-unimodular")
 
@@ -226,13 +226,17 @@ def _samples_are_nodes(system: NodalSystem) -> bool:
     return bool(np.all(_nearest_nodes(system, _samples(system))[1] < AT_NODE_TOL))
 
 
-def _grid_points(system: NodalSystem, grid_size: int) -> np.ndarray:
-    """Uniform angles plus midpoints between adjacent node arguments."""
+def _node_midpoints(system: NodalSystem) -> np.ndarray:
+    """The angles midway between adjacent node arguments, increasing."""
     thetas = np.sort(system.thetas)
     mids = 0.5 * (thetas + np.roll(thetas, -1))
     mids[-1] = 0.5 * (thetas[-1] + thetas[0] + 2.0 * np.pi)  # wrap-around gap
-    uniform = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    return np.exp(1j * np.concatenate([uniform, mids]))
+    return mids
+
+
+def _grid_points(system: NodalSystem, grid_size: int) -> np.ndarray:
+    """Uniform angles plus midpoints between adjacent node arguments."""
+    return np.exp(1j * np.concatenate([_uniform_angles(grid_size), _node_midpoints(system)]))
 
 
 def _condition_rows(z: np.ndarray, system: NodalSystem):
@@ -316,7 +320,7 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
     if grid_size < 4:
         raise ValidationError(f"grid_size must be >= 4, got {grid_size}")
     if grid_size % n == 0 and _samples_are_nodes(system):
-        period = 2.0 * np.pi * np.arange(grid_size // n) / grid_size
+        period = _uniform_angles(grid_size)[: grid_size // n]
         z = np.append(np.exp(1j * period), system.nodes[0] * np.exp(1j * np.pi / n))
     else:
         z = _grid_points(system, grid_size)

@@ -59,10 +59,10 @@ _SUBDIVISIONS = 8
 _TAIL_POINTS = 256
 # _phase_steps closes a group of nonzero alphas after _GROUP_ROWS steps, or
 # before sum -log(1 - |alpha_k|) passes _GROUP_DECAY: |q| then stays within
-# e^{+-300} and |q|^2 within double range.  A group whose arcsin|alpha_k|
-# add up to less than _PRINCIPAL_TURN < pi takes its winding from one
-# principal arg.  The q rows of one block of points hold about _PHASE_BUDGET
-# complex numbers (16 MB).
+# e^{+-300} and |q|^2 within double range.  A group is cut into segments
+# whose arcsin|alpha_k| add up to less than _PRINCIPAL_TURN < pi, and each
+# segment takes its winding from one principal arg.  The q rows of one
+# block of points hold about _PHASE_BUDGET complex numbers (16 MB).
 _GROUP_ROWS = 64
 _GROUP_DECAY = 300.0
 _PRINCIPAL_TURN = 3.0
@@ -317,19 +317,39 @@ class ParaOrthogonalSpec:
 
 class _Group(NamedTuple):
     """A run of nonzero Verblunsky coefficients that _blaschke_phase steps
-    through before it takes the winding and psi' in bulk."""
+    through before it takes the winding and psi' in bulk.
+
+    The group's q_0..q_m go to buffer rows so that the segment ends
+    q_0 = q_{c_0}, q_{c_1}, .., q_{c_S} = q_m fill the last rows start..m
+    in order, and the other q_k the rows before them."""
 
     alphas: list         # (alpha_k, conj(alpha_k)) per step, as Python complex
-    decay: np.ndarray    # suffix products prod_{j >= k} (1 - |alpha_j|^2) in the group
-    bulk: bool           # sum arcsin|alpha_k| >= _PRINCIPAL_TURN: one arg per step
+    rows: list           # buffer row of q_{k+1} per step
+    start: int           # buffer row of q_0
+    decay: np.ndarray    # per buffer row of q_k, k < m: prod_{j >= k} (1 - |alpha_j|^2)
 
 
 def _group(alphas: list) -> _Group:
-    """The _Group of a run of nonzero alphas, given as Python complex."""
+    """The _Group of a run of nonzero alphas, given as Python complex.  A
+    segment ends before the step whose arcsin|alpha_k| would bring its sum
+    to _PRINCIPAL_TURN; each |alpha_k| < 1 adds less than pi/2."""
     mag = np.abs(alphas)
-    decay = np.cumprod(((1.0 - mag) * (1.0 + mag))[::-1])[::-1]
-    bulk = bool(np.arcsin(mag).sum() >= _PRINCIPAL_TURN)
-    return _Group([(a, a.conjugate()) for a in alphas], decay, bulk)
+    m = len(alphas)
+    ends = np.zeros(m + 1, dtype=bool)
+    ends[[0, m]] = True
+    turn = 0.0
+    for k, t in enumerate(np.arcsin(mag).tolist()):
+        if turn + t >= _PRINCIPAL_TURN:
+            ends[k] = True
+            turn = 0.0
+        turn += t
+    start = m + 1 - int(ends.sum())
+    row = np.empty(m + 1, dtype=int)
+    row[~ends] = np.arange(start)
+    row[ends] = np.arange(start, m + 1)
+    decay = np.empty(m)
+    decay[row[:m]] = np.cumprod(((1.0 - mag) * (1.0 + mag))[::-1])[::-1]
+    return _Group([(a, a.conjugate()) for a in alphas], row[1:].tolist(), start, decay)
 
 
 def _phase_steps(alphas: np.ndarray) -> list:
@@ -384,10 +404,11 @@ def _blaschke_phase(steps: list, theta: np.ndarray, _slope: bool = True):
     gains 2 pi n per turn.
 
     A step costs five array operations.  At the end of each _Group the
-    group's sum of Arg d_k is one principal arg of q, or, when its
-    arcsin|alpha_k| add up to _PRINCIPAL_TURN or more, a bulk arg of the
-    buffered ratios q_{k+1} conj(q_k); G takes the group's |q_k|^2 against
-    its suffix products.  Then p becomes p / q = b and q becomes 1.  The
+    group's sum of Arg d_k is one arctan2 over its segments: a segment
+    from q_a to q_b has arcsin|alpha_k| adding up to less than
+    _PRINCIPAL_TURN < pi, so the principal arg of q_b conj(q_a) is its sum
+    of Arg d_k exactly.  G takes the group's |q_k|^2 against its suffix
+    products.  Then p becomes p / q = b and q becomes 1.  The
     group bounds keep |q| within e^{+-_GROUP_DECAY}, so it neither
     underflows nor overflows.  Points run in blocks, so that the buffered
     q rows hold about _PHASE_BUDGET complex numbers.
@@ -400,8 +421,7 @@ def _blaschke_phase(steps: list, theta: np.ndarray, _slope: bool = True):
     for start in range(0, len(theta), block):
         pts = slice(start, start + block)
         t = theta[pts]
-        rows = list(qs[:, : len(t)])  # views: rows[k] holds q_k of the group
-        rows[0].fill(1.0)
+        rows = list(qs[:, : len(t)])  # views into the buffer, one per q_k of a group
         z = np.exp(1j * t)
         p = np.ones_like(z)
         zp = np.empty_like(z)
@@ -415,26 +435,25 @@ def _blaschke_phase(steps: list, theta: np.ndarray, _slope: bool = True):
                 G += step
                 total += step
                 continue
-            q = rows[0]
-            for (a, a_conj), nxt in zip(step.alphas, rows[1:]):
+            q = rows[step.start]
+            q.fill(1.0)
+            for (a, a_conj), r in zip(step.alphas, step.rows):
                 np.multiply(z, p, out=zp)
                 np.multiply(q, a_conj, out=p)
                 np.subtract(zp, p, out=p)
                 np.multiply(zp, a, out=tmp)
-                q = np.subtract(q, tmp, out=nxt)
+                q = np.subtract(q, tmp, out=rows[r])
             m = len(step.alphas)
             total += m
             buf = qs[: m + 1, : len(t)]
-            if step.bulk:
-                ratio = buf[1:] * np.conj(buf[:-1])
-                arg_q += np.arctan2(ratio.imag, ratio.real).sum(axis=0)
-            else:
-                arg_q += np.arctan2(q.imag, q.real)
+            ends = buf[step.start:]
+            turns = ends[1:] * np.conj(ends[:-1])
+            arg_q += np.arctan2(turns.imag, turns.real).sum(axis=0)
             if _slope:
-                # the rows q_0..q_{m-1} are spent: square them in place
+                # the rows of q_0..q_{m-1} are spent: square them in place
                 sq = buf[:-1].view(float)
                 np.square(sq, out=sq)
-                G *= step.decay[0]
+                G *= step.decay[step.start]
                 parts = np.einsum("k,kj->j", step.decay, sq)  # real and imaginary interleaved
                 G += parts[::2] + parts[1::2]
                 G /= q.real**2 + q.imag**2

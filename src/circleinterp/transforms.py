@@ -106,7 +106,8 @@ class TrigPolynomial:
         return len(self.a) - 1
 
     def __call__(self, theta):
-        """a_0 + Re sum_k (a_k - i b_k) e^{i k theta}, by Horner in e^{i theta}."""
+        """a_0 + Re sum_k (a_k - i b_k) e^{i k theta}, through eval_laurent at
+        e^{i theta}: one FFT on uniform theta, Horner otherwise."""
         L = LaurentPolynomial(p=0, q=self.degree,
                               coeffs=np.concatenate([self.a[:1], self.a[1:] - 1j * self.b]))
         out = eval_laurent(L, np.exp(1j * np.asarray(theta, dtype=float)))

@@ -18,6 +18,9 @@ from circleinterp import (
     sweep_to_csv,
     sweep_to_json,
 )
+from circleinterp import interp, laurent, nodal
+from circleinterp.interp import interpolate
+from conftest import joined_grid_sup_error
 
 
 class TestCorpus:
@@ -117,6 +120,34 @@ class TestSweep:
         sys = family.build(8)
         assert sys.n == 8
         assert np.max(np.abs(np.abs(sys.nodes) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("family", [
+        NodalFamily(kind="roots-of-unimodular", tau=1.0),
+        NodalFamily(kind="roots-of-unimodular", tau=np.exp(0.7j)),
+        NodalFamily(kind="para-orthogonal", tau=1.0, measure=finite_verblunsky([0.5])),
+    ], ids=["roots", "roots-0.7", "para-0.5"])
+    def test_sup_error_matches_joined_grid(self, monkeypatch, family):
+        """The uniform grid and the node midpoints, evaluated apart from one
+        set of coefficients, give the sup error of the joined grid under
+        Horner within 1e-12 relative.  The pair kernel runs once per n for
+        para-orthogonal nodes, at the samples of the coefficients, and never
+        for roots; the midpoints of roots form a rotated uniform grid."""
+        ns, r, F = (32, 256, 1024), 0.5, corpus("holder", 0.6)
+        kernel_calls = []
+        kernel = interp._first_form
+        monkeypatch.setattr(interp, "_first_form",
+                            lambda system, *a: kernel_calls.append(system.n) or kernel(system, *a))
+        result = convergence_sweep(family, r, ns, F)
+        roots = family.kind == "roots-of-unimodular"
+        assert sorted(kernel_calls) == ([] if roots else list(ns))
+        monkeypatch.setattr(interp, "_first_form", kernel)
+        for n, got in zip(ns, result.sup_errors):
+            system = family.build(n)
+            I = interpolate(system, make_degree_plan(n, r), F.on_circle(system.nodes))
+            ref = joined_grid_sup_error(I, F, result.error_grid)
+            assert abs(got - ref) <= 1e-12 * ref
+            mids = laurent._grid_rotation(np.exp(1j * nodal._node_midpoints(system)))
+            assert (mids is not None) == roots
 
     def test_failed_n_recorded_not_fatal(self):
         family = NodalFamily(kind="roots-of-unimodular", tau=1.0)

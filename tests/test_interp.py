@@ -24,7 +24,7 @@ from circleinterp import (
     coefficients_from_samples,
     szego_recurrence,
 )
-from circleinterp import interp, nodal
+from circleinterp import interp, laurent, nodal
 
 from conftest import brute_force_interpolant
 
@@ -356,6 +356,27 @@ class TestRotatedFastPath:
         calls = _spy_kernel(monkeypatch)
         np.testing.assert_array_equal(eval_interpolant(I, sys.nodes), values)
         assert calls == []
+
+    @pytest.mark.parametrize("tau", [1.0, np.exp(0.7j)])
+    def test_grid_through_every_node(self, monkeypatch, tau):
+        """A uniform grid of 4n points through the roots of z^n = tau takes
+        one FFT; its every fourth point is a node and returns the node's
+        value exactly."""
+        n = 256
+        sys = roots_of_unimodular(n, tau)
+        plan = make_degree_plan(n, 0.5)
+        G = _member(plan, 8)
+        values = eval_laurent(G, sys.nodes)
+        I = interpolate(sys, plan, values)
+        z = np.exp(1j * (np.angle(tau) / n + laurent._uniform_angles(4 * n)))
+        calls = []
+        fft = laurent._fft_on_grid
+        monkeypatch.setattr(laurent, "_fft_on_grid", lambda *a: calls.append(a[1]) or fft(*a))
+        got = eval_interpolant(I, z)
+        assert calls == [4 * n]
+        np.testing.assert_array_equal(got[::4], values)
+        exact = eval_laurent(G, z)
+        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("tau", [1.0, np.exp(0.3j)])
     def test_coefficients_match_sampled_kernel(self, tau):

@@ -131,8 +131,8 @@ def decaying(n):
 
 def arcsin_turn(total):
     """A constant real alpha whose arcsin, summed over a full group of
-    opuc._GROUP_ROWS steps, is total: below opuc._PRINCIPAL_TURN the group's
-    winding is one principal arg, from it on a bulk arg per step."""
+    opuc._GROUP_ROWS steps, is total: below opuc._PRINCIPAL_TURN the group is
+    one segment with one principal arg, from it on two segments."""
     return lambda n: [np.sin(total / opuc._GROUP_ROWS)] * n
 
 
@@ -326,15 +326,33 @@ class TestParaOrthogonal:
         assert np.max(angle_distance(np.sort(sys.thetas), ref)) <= 1e-13
 
     def test_phase_steps_groups(self):
-        """How _phase_steps cuts the families of the phase tests below."""
+        """How _phase_steps cuts the families of the phase tests below: each
+        group as its length and the steps at which its segments end.  A
+        segment's arcsin|alpha_k| add up to less than _PRINCIPAL_TURN, and
+        one more step would bring them to it."""
         def shape(family, n):
-            return [s if isinstance(s, int) else (len(s.alphas), s.bulk)
-                    for s in opuc._phase_steps(np.asarray(FAMILIES[family](n), dtype=complex))]
+            alphas = np.asarray(FAMILIES[family](n), dtype=complex)
+            out, k = [], 0
+            for s in opuc._phase_steps(alphas):
+                if isinstance(s, int):
+                    out.append(s)
+                    k += s
+                    continue
+                ends = [0] + [i + 1 for i, r in enumerate(s.rows) if r >= s.start]
+                turn = np.arcsin(np.abs(alphas[k:k + len(s.alphas)]))
+                for a, b in zip(ends, ends[1:]):
+                    assert turn[a:b].sum() < opuc._PRINCIPAL_TURN
+                    if b < len(turn):
+                        assert turn[a:b + 1].sum() >= opuc._PRINCIPAL_TURN
+                out.append((len(s.alphas), ends))
+                k += len(s.alphas)
+            return out
 
-        assert shape("arcsin-2.99", 128) == [(64, False)] * 2
-        assert shape("arcsin-3.01", 128) == [(64, True)] * 2
-        assert shape("near-one", 74) == [(35, True), (16, True), (23, True)]
-        assert shape("decaying", 4096) == [(64, False)] * 64
+        assert shape("arcsin-2.99", 128) == [(64, [0, 64])] * 2
+        assert shape("arcsin-3.01", 128) == [(64, [0, 63, 64])] * 2
+        assert [m for m, _ in shape("near-one", 74)] == [35, 16, 23]
+        assert shape("decaying", 4096) == [(64, [0, 64])] * 64
+        assert shape("alternating", 256) == [(64, list(range(0, 64, 3)) + [64])] * 4
         # short groups, each closed by a run of zeros
         steps = shape("sparse", 128)
         assert sum(isinstance(s, int) for s in steps) > 10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circleinterp import (
+    LaurentPolynomial,
     QuadratureError,
     TrigPolynomial,
     ValidationError,
@@ -19,6 +20,7 @@ from circleinterp import (
     verblunsky_coefficients,
 )
 
+from circleinterp import laurent
 from circleinterp.cli import INTERVAL_WEIGHTS
 from circleinterp.opuc import _even_moments
 from conftest import chebyshev1_weight, midpoint_moments, real_barycentric
@@ -272,8 +274,9 @@ class TestTrig:
 
     @pytest.mark.parametrize("degree", [0, 1, 64])
     def test_trig_polynomial_matches_cos_sin_sum(self, degree):
-        """Horner on a_0 + Re sum_k (a_k - i b_k) e^{ik theta} against the
-        cos and sin sum, on arrays of any shape and on a scalar."""
+        """a_0 + Re sum_k (a_k - i b_k) e^{ik theta} against the cos and sin
+        sum, on arrays of any shape, on a scalar and on a rotated uniform
+        grid, which takes the FFT."""
         gen = np.random.default_rng(degree)
         a, b = gen.standard_normal(degree + 1), gen.standard_normal(degree)
         tp = TrigPolynomial(a=a, b=b)
@@ -291,4 +294,11 @@ class TestTrig:
         scalar = tp(1.25)
         assert isinstance(scalar, float)
         assert abs(scalar - loop(np.float64(1.25))) <= tol
+        # uniform theta takes the FFT, and matches Horner and the loop
+        uniform = 2 * np.pi * (np.arange(257) + 0.37) / 257
+        got = tp(uniform)
+        L = LaurentPolynomial(p=0, q=degree, coeffs=np.concatenate([a[:1], a[1:] - 1j * b]))
+        assert laurent._grid_rotation(np.exp(1j * uniform)) is not None
+        assert np.max(np.abs(got - laurent._horner(L, np.exp(1j * uniform)).real)) <= tol
+        assert np.max(np.abs(got - loop(uniform))) <= tol
 
