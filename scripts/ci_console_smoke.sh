@@ -1,0 +1,22 @@
+#!/usr/bin/env bash
+# Smoke checks of the installed `circle-interp` console script: version,
+# nodes, the exit code of a malformed flag, interp on the FFT path, trig
+# and a sweep that must write its CSV.
+#
+#   scripts/ci_console_smoke.sh [OUT_DIR]
+#
+# OUT_DIR holds the sweep output; it defaults to $RUNNER_TEMP, else a fresh
+# temporary directory.
+set -euo pipefail
+
+out_dir="${1:-${RUNNER_TEMP:-$(mktemp -d)}}"
+
+circle-interp --version
+circle-interp nodes --n 4
+rc=0
+circle-interp interval --n 8 --weight foo --corpus smooth-exp || rc=$?
+test "$rc" -eq 1
+circle-interp interp --n 2048 --corpus holder:0.6
+circle-interp trig --n 128 --variant para --corpus holder:0.6
+circle-interp sweep --ns 256:2048 --corpus holder:0.6 --out "$out_dir/sweep"
+test -s "$out_dir/sweep.csv"

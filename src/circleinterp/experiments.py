@@ -219,14 +219,23 @@ class SweepResult:
 
 
 def max_workers() -> int:
+    """CIRCLE_INTERP_THREADS when it is set to an integer, otherwise the
+    number of CPUs this process may run on (its affinity mask where the
+    platform has one, so that a pinned process does not oversubscribe)."""
     raw = os.environ.get("CIRCLE_INTERP_THREADS", "")
     try:
         return max(1, int(raw))
     except ValueError:
-        return max(1, os.cpu_count() or 1)
+        pass
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
 
 
-def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction, error_grid: int):
+def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction,
+               z_grid: np.ndarray, f_grid):
+    """One n of the sweep; f_grid is F at the uniform error grid z_grid, or
+    the library error F raised there."""
     system = family.build(n)
     plan = make_degree_plan(n, r)
     I = interpolate(system, plan, F.on_circle(system.nodes))
@@ -234,10 +243,14 @@ def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction, error_g
     # Both come from one set of coefficients, as two arrays: the uniform
     # grid takes the FFT, and so do the midpoints of rotation-symmetric nodes
     off_nodes = _on_coefficients(interpolant_coefficients(I))
-    sup_error = float(np.max([
-        np.max(np.abs(F.on_circle(z) - _evaluate(system, I.values, z, off_nodes)))
-        for z in (np.exp(1j * _uniform_angles(error_grid)), np.exp(1j * _node_midpoints(system)))
-    ]))
+    if isinstance(f_grid, Exception):
+        raise f_grid
+
+    def error_on(z, f):
+        return np.max(np.abs(f - _evaluate(system, I.values, z, off_nodes)))
+
+    z_mids = np.exp(1j * _node_midpoints(system))
+    sup_error = float(np.max([error_on(z_grid, f_grid), error_on(z_mids, F.on_circle(z_mids))]))
     report = estimate_conditions(system)
     return plan, sup_error, report
 
@@ -246,17 +259,31 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
                       error_grid: int = 8192) -> SweepResult:
     """For each n: build nodes, plan, and interpolant; record the sup-grid
     error and the condition constants.  A failing n is recorded with its
-    error message and the sweep continues."""
+    error message and the sweep continues.
+
+    The n run on max_workers() threads.  F runs once per sweep on the
+    uniform error grid, in the calling thread, and per n at the nodes and
+    at the node midpoints, in the worker threads, so F must be pointwise
+    and thread-safe.  A library error that F raises on the grid is recorded
+    at every n that gets that far; any other exception propagates."""
     ns = np.asarray(sorted(int(n) for n in ns))
     if len(ns) == 0 or np.any(np.diff(ns) <= 0):
         raise ValidationError("ns must be a nonempty strictly increasing collection")
     if error_grid < 1:
         raise ValidationError(f"error_grid must be >= 1, got {error_grid}")
     _check_ratio(r)
+    # the error grid is the same for every n.  A library error F raises on
+    # it is raised again by _sweep_one at each n, at the step that needs
+    # the values, so that an n which fails earlier keeps its own message
+    z_grid = np.exp(1j * _uniform_angles(error_grid))
+    try:
+        f_grid = F.on_circle(z_grid)
+    except CircleInterpError as exc:
+        f_grid = exc
 
     def run(n: int):
         try:
-            return _sweep_one(family, r, int(n), F, error_grid)
+            return _sweep_one(family, r, int(n), F, z_grid, f_grid)
         except CircleInterpError as exc:
             return exc
 

@@ -225,6 +225,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.startswith("n,p,q,s,sup_error,lebesgue_max,B_hat,L_hat")
 
+    def test_sweep_target_failing_on_grid_exit_2(self, monkeypatch, tmp_path, capsys):
+        """A target that fails on the error grid fails every n: one stderr
+        line per n, exit 2, and every output still written."""
+        from circleinterp import cli
+        from circleinterp.experiments import CorpusFunction
+
+        def f_theta(t):
+            if np.size(t) == 512:
+                raise ValidationError("no grid today")
+            return np.cos(t)
+
+        monkeypatch.setattr(cli, "parse_corpus",
+                            lambda spec: CorpusFunction("grid-shy", None, f_theta))
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--family", "roots-of-unity", "--ns", "8,16,32",
+                     "--corpus", "smooth-exp", "--grid", "512", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"sweep failed at n={n}: error: no grid today" for n in (8, 16, 32)]
+        rows = json.loads((tmp_path / "s.json").read_text())["rows"]
+        assert [row["sup_error"] for row in rows] == [None] * 3
+
     def test_sweep_failed_n_exit_2(self, tmp_path, capsys):
         # alpha_k = 0.5 for every k: the zeros collide at n = 64 only
         m = tmp_path / "const.json"

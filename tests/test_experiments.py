@@ -1,6 +1,8 @@
+import collections
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from circleinterp import (
     sweep_to_json,
 )
 from circleinterp import interp, laurent, nodal
+from circleinterp.experiments import CorpusFunction, max_workers
 from circleinterp.interp import interpolate
 from conftest import joined_grid_sup_error
 
@@ -149,6 +152,80 @@ class TestSweep:
             mids = laurent._grid_rotation(np.exp(1j * nodal._node_midpoints(system)))
             assert (mids is not None) == roots
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_target_runs_once_on_the_shared_grid(self, monkeypatch, threads):
+        """F sees the error grid once per sweep; per n it sees the n nodes
+        and the n node midpoints, and nothing else."""
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", threads)
+        ns, holder = (32, 256, 1024), corpus("holder", 0.6)
+        calls = []
+        spy = CorpusFunction("spy", None, lambda t: calls.append(np.size(t)) or holder(t))
+        family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
+        result = convergence_sweep(family, 0.5, ns, spy)
+        assert result.statuses == ("ok",) * len(ns)
+        assert result.error_grid not in ns
+        assert collections.Counter(calls) == {result.error_grid: 1, **{n: 2 for n in ns}}
+
+    @pytest.mark.parametrize("family", [
+        NodalFamily(kind="roots-of-unimodular", tau=1.0),
+        NodalFamily(kind="para-orthogonal", tau=1.0, measure=finite_verblunsky([0.5])),
+    ], ids=["roots", "para-0.5"])
+    def test_sup_errors_equal_a_grid_per_n(self, family):
+        """Every sup error is == the one from a uniform grid built and
+        evaluated for that n alone, and from the node midpoints."""
+        ns, r, F, M = (32, 256, 1024), 0.5, corpus("holder", 0.6), 4096
+        result = convergence_sweep(family, r, ns, F, error_grid=M)
+        for n, got in zip(ns, result.sup_errors):
+            system = family.build(n)
+            I = interpolate(system, make_degree_plan(n, r), F.on_circle(system.nodes))
+            off_nodes = interp._on_coefficients(interp.interpolant_coefficients(I))
+            t = np.sort(system.thetas)
+            mids = 0.5 * (t + np.roll(t, -1))
+            mids[-1] = 0.5 * (t[-1] + t[0] + 2.0 * np.pi)
+            ref = max(
+                float(np.max(np.abs(F.on_circle(z) - interp._evaluate(system, I.values, z,
+                                                                      off_nodes))))
+                for z in (np.exp(1j * laurent._uniform_angles(M)), np.exp(1j * mids)))
+            assert got == ref
+
+    def test_target_failing_on_the_grid(self):
+        """A library error F raises on the error grid is recorded at every
+        n; an n whose family fails first keeps its own message."""
+        M = 512
+
+        def f_theta(t):
+            if np.size(t) == M:
+                raise ValidationError("no grid today")
+            return np.cos(t)
+
+        F = CorpusFunction("grid-shy", None, f_theta)
+
+        class FailsAt16(NodalFamily):
+            def build(self, n):
+                if n == 16:
+                    raise ValidationError("boom")
+                return super().build(n)
+
+        for family in (NodalFamily(kind="roots-of-unimodular", tau=1.0),
+                       FailsAt16(kind="roots-of-unimodular", tau=1.0)):
+            result = convergence_sweep(family, 0.5, [8, 16, 32], F, error_grid=M)
+            assert np.all(np.isnan(result.sup_errors))
+            build_failed = isinstance(family, FailsAt16)
+            assert result.statuses == ("error: no grid today",
+                                       "error: boom" if build_failed else "error: no grid today",
+                                       "error: no grid today")
+
+    def test_target_raising_other_errors_propagates(self):
+        def f_theta(t):
+            if np.size(t) == 512:
+                raise ZeroDivisionError("not a library error")
+            return np.cos(t)
+
+        family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
+        with pytest.raises(ZeroDivisionError):
+            convergence_sweep(family, 0.5, [8, 16], CorpusFunction("bad", None, f_theta),
+                              error_grid=512)
+
     def test_failed_n_recorded_not_fatal(self):
         family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
         F = corpus("smooth-exp")
@@ -248,3 +325,25 @@ class TestSweep:
         family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
         with pytest.raises(ValidationError, match="error_grid"):
             convergence_sweep(family, 0.5, [8], corpus("holder", 0.5), error_grid=grid)
+
+
+class TestMaxWorkers:
+    def test_affinity_mask_bounds_the_default(self, monkeypatch):
+        """The default counts the CPUs the process may run on, not the host's."""
+        monkeypatch.delenv("CIRCLE_INTERP_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert max_workers() == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("CIRCLE_INTERP_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert max_workers() == 64
+
+    @pytest.mark.parametrize("raw, want", [("3", 3), ("0", 1), ("x", 1)])
+    def test_environment_first(self, monkeypatch, raw, want):
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", raw)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert max_workers() == want
