@@ -235,7 +235,8 @@ def max_workers() -> int:
 def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction,
                z_grid: np.ndarray, f_grid):
     """One n of the sweep; f_grid is F at the uniform error grid z_grid, or
-    the library error F raised there."""
+    the library error F raised there, which every n that gets that far
+    returns as its result rather than raising the one shared instance."""
     system = family.build(n)
     plan = make_degree_plan(n, r)
     I = interpolate(system, plan, F.on_circle(system.nodes))
@@ -244,7 +245,7 @@ def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction,
     # grid takes the FFT, and so do the midpoints of rotation-symmetric nodes
     off_nodes = _on_coefficients(interpolant_coefficients(I))
     if isinstance(f_grid, Exception):
-        raise f_grid
+        return f_grid
 
     def error_on(z, f):
         return np.max(np.abs(f - _evaluate(system, I.values, z, off_nodes)))
@@ -265,7 +266,9 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
     uniform error grid, in the calling thread, and per n at the nodes and
     at the node midpoints, in the worker threads, so F must be pointwise
     and thread-safe.  A library error that F raises on the grid is recorded
-    at every n that gets that far; any other exception propagates."""
+    at every n that gets that far.  Any other exception propagates; one
+    that F raises on the grid does so before any n runs, even if every n
+    would have failed first."""
     ns = np.asarray(sorted(int(n) for n in ns))
     if len(ns) == 0 or np.any(np.diff(ns) <= 0):
         raise ValidationError("ns must be a nonempty strictly increasing collection")
@@ -273,13 +276,14 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
         raise ValidationError(f"error_grid must be >= 1, got {error_grid}")
     _check_ratio(r)
     # the error grid is the same for every n.  A library error F raises on
-    # it is raised again by _sweep_one at each n, at the step that needs
-    # the values, so that an n which fails earlier keeps its own message
+    # it is returned by _sweep_one at each n, at the step that needs the
+    # values, so that an n which fails earlier keeps its own message.  Its
+    # traceback is dropped: it would hold this frame, and so f_grid itself
     z_grid = np.exp(1j * _uniform_angles(error_grid))
     try:
         f_grid = F.on_circle(z_grid)
     except CircleInterpError as exc:
-        f_grid = exc
+        f_grid = exc.with_traceback(None)
 
     def run(n: int):
         try:

@@ -74,7 +74,7 @@ MAX_LEBESGUE = 1.0 / math.sqrt(np.finfo(float).eps)
 def _log_lebesgue_at_widest_gap(system: NodalSystem) -> float:
     """log of the Lebesgue function at the midpoint z of the widest gap
     between adjacent nodes.  O(n)."""
-    t = system.thetas[system.order]
+    t = np.sort(system.thetas)
     gaps = np.diff(t, append=t[0] + 2.0 * np.pi)
     k = int(np.argmax(gaps))
     z = np.exp(1j * (t[k] + 0.5 * gaps[k]))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -64,12 +63,6 @@ class NodalSystem:
     def thetas(self) -> np.ndarray:
         """Node arguments in [0, 2*pi)."""
         return np.mod(np.angle(self.nodes), 2.0 * np.pi)
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Node indices by increasing argument: the argsort of thetas, taken
-        once per system."""
-        return np.argsort(self.thetas)
 
 
 @dataclass(frozen=True)
@@ -209,8 +202,9 @@ def _nearest_nodes(system: NodalSystem, z: np.ndarray):
         d = np.abs(z - system.nodes)
         k = d.argmin(keepdims=True)
         return k, d[k]
-    order = system.order
-    i = np.searchsorted(system.thetas[order], np.mod(np.angle(z), 2.0 * np.pi))
+    thetas = system.thetas
+    order = np.argsort(thetas)
+    i = np.searchsorted(thetas[order], np.mod(np.angle(z), 2.0 * np.pi))
     # the two neighbours in argument; index -1 and n wrap round the circle.
     # A tie goes to the node after.
     after, before = order[i % system.n], order[i - 1]
@@ -234,7 +228,7 @@ def _samples_are_nodes(system: NodalSystem) -> bool:
 
 def _node_midpoints(system: NodalSystem) -> np.ndarray:
     """The angles midway between adjacent node arguments, increasing."""
-    thetas = system.thetas[system.order]
+    thetas = np.sort(system.thetas)
     mids = 0.5 * (thetas + np.roll(thetas, -1))
     mids[-1] = 0.5 * (thetas[-1] + thetas[0] + 2.0 * np.pi)  # wrap-around gap
     return mids

@@ -179,18 +179,18 @@ class TestSweep:
             system = family.build(n)
             I = interpolate(system, make_degree_plan(n, r), F.on_circle(system.nodes))
             off_nodes = interp._on_coefficients(interp.interpolant_coefficients(I))
-            t = np.sort(system.thetas)
-            mids = 0.5 * (t + np.roll(t, -1))
-            mids[-1] = 0.5 * (t[-1] + t[0] + 2.0 * np.pi)
             ref = max(
                 float(np.max(np.abs(F.on_circle(z) - interp._evaluate(system, I.values, z,
                                                                       off_nodes))))
-                for z in (np.exp(1j * laurent._uniform_angles(M)), np.exp(1j * mids)))
+                for z in (np.exp(1j * laurent._uniform_angles(M)),
+                          np.exp(1j * nodal._node_midpoints(system))))
             assert got == ref
 
-    def test_target_failing_on_the_grid(self):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_target_failing_on_the_grid(self, monkeypatch, threads):
         """A library error F raises on the error grid is recorded at every
         n; an n whose family fails first keeps its own message."""
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", threads)
         M = 512
 
         def f_theta(t):
@@ -215,13 +215,21 @@ class TestSweep:
                                        "error: boom" if build_failed else "error: no grid today",
                                        "error: no grid today")
 
-    def test_target_raising_other_errors_propagates(self):
+    @pytest.mark.parametrize("every_n_fails", [False, True])
+    def test_target_raising_other_errors_propagates(self, every_n_fails):
+        """A non-library error F raises on the error grid propagates, from
+        before any n runs: also when every n would have failed first."""
         def f_theta(t):
             if np.size(t) == 512:
                 raise ZeroDivisionError("not a library error")
             return np.cos(t)
 
-        family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
+        class FailsAlways(NodalFamily):
+            def build(self, n):
+                raise ValidationError("boom")
+
+        family = (FailsAlways if every_n_fails else NodalFamily)(kind="roots-of-unimodular",
+                                                                 tau=1.0)
         with pytest.raises(ZeroDivisionError):
             convergence_sweep(family, 0.5, [8, 16], CorpusFunction("bad", None, f_theta),
                               error_grid=512)

@@ -278,57 +278,19 @@ def stacked_nearest_nodes(system, z):
     return cand[pick, cols], dist[pick, cols]
 
 
-@pytest.mark.parametrize("system", ["random", "roots"])
+@pytest.mark.parametrize("system", ["random", "roots", "para-0.5"])
 def test_nearest_nodes_match_the_stacked_gather(system):
     """Indices and distances are identical to the stacked gather, also for
     points at, between (ties) and inside the nodes."""
     if system == "random":
         sys = make_nodal_system(np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, 256)))
-    else:
+    elif system == "roots":
         sys = roots_of_unimodular(256, 1.0)
+    else:
+        sys = _para_system([0.5], 256)
     t = np.sort(sys.thetas)
     z = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, 8192))
     for pts in (z, 0.5 * z, sys.nodes, np.exp(0.5j * (t + np.roll(t, -1)))):
         got, want = nodal._nearest_nodes(sys, pts), stacked_nearest_nodes(sys, pts)
         assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
 
-
-def per_call_sort_nearest_nodes(system, z):
-    """_nearest_nodes with the argsort taken on every call."""
-    order = np.argsort(system.thetas)
-    i = np.searchsorted(system.thetas[order], np.mod(np.angle(z), 2.0 * np.pi))
-    after, before = order[i % system.n], order[i - 1]
-    d_after, d_before = np.abs(z - system.nodes[after]), np.abs(z - system.nodes[before])
-    pick = d_before < d_after
-    return np.where(pick, before, after), np.where(pick, d_before, d_after)
-
-
-def per_call_sort_midpoints(system):
-    """_node_midpoints with np.sort on every call."""
-    thetas = np.sort(system.thetas)
-    mids = 0.5 * (thetas + np.roll(thetas, -1))
-    mids[-1] = 0.5 * (thetas[-1] + thetas[0] + 2.0 * np.pi)
-    return mids
-
-
-@pytest.mark.parametrize("system", ["roots", "para-0.5"])
-def test_one_sorted_view_per_system(system):
-    """The argsort of the node arguments is taken once per system and
-    cached; nearest nodes, distances, midpoints and the widest-gap Lebesgue
-    value are bit-identical to sorting on every call."""
-    from circleinterp import interp
-
-    sys = roots_of_unimodular(256, 1.0) if system == "roots" else _para_system([0.5], 256)
-    assert sys.order is sys.order
-    assert np.array_equal(sys.order, np.argsort(sys.thetas))
-    z = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * np.pi, 4096))
-    mids = per_call_sort_midpoints(sys)
-    assert nodal._node_midpoints(sys).tobytes() == mids.tobytes()
-    for pts in (z, sys.nodes, np.exp(1j * mids)):
-        got, want = nodal._nearest_nodes(sys, pts), per_call_sort_nearest_nodes(sys, pts)
-        assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
-    t = np.sort(sys.thetas)
-    gaps = np.diff(t, append=t[0] + 2.0 * np.pi)
-    k = int(np.argmax(gaps))
-    widest = np.array([np.exp(1j * (t[k] + 0.5 * gaps[k]))])
-    assert interp._log_lebesgue_at_widest_gap(sys) == nodal._condition_rows(widest, sys)[2][0]
