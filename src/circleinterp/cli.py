@@ -171,6 +171,8 @@ def cmd_check(cfg) -> int:
         "B_hat_nodes": report.b_hat_nodes,
         "L_hat": report.l_hat,
         "lebesgue_max": report.lebesgue_max,
+        "log10_L_hat": report.log10_l_hat,
+        "log10_lebesgue_max": report.log10_lebesgue_max,
         "grid_size": report.grid_size,
         "reliable": report.reliable,
         "metadata": _metadata(cfg),
@@ -180,9 +182,12 @@ def cmd_check(cfg) -> int:
 
 
 def _dense_csv(xs, f_vals, approx, header: str) -> str:
+    # Python floats from one tolist() per column: float() per numpy scalar
+    # costs more than the formatting
+    cols = (np.asarray(c, dtype=float).tolist() for c in (xs, f_vals, approx))
     lines = [header]
-    for x, fv, av in zip(xs, f_vals, approx):
-        lines.append(f"{float(x)!r},{float(fv)!r},{float(av)!r},{abs(float(fv) - float(av))!r}")
+    for x, fv, av in zip(*cols):
+        lines.append(f"{x!r},{fv!r},{av!r},{abs(fv - av)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,13 @@ class NumericalError(CircleInterpError):
 
 
 class QuadratureError(NumericalError):
-    """Moment quadrature did not converge within the point-count budget."""
+    """Moment quadrature did not converge within the point-count budget.
+
+    Raised past opuc.MAX_QUADRATURE_POINTS points, or as soon as the
+    differences between doubling levels follow a power law of the point
+    count (an endpoint or kink singularity of the weight) that cannot reach
+    tol by then; that message names the observed order, the points reached
+    and about how many points tol needs."""
 
 
 class RootFindingError(NumericalError):

@@ -73,6 +73,9 @@ class NodalConditionReport:
     l_hat: float          # max over the grid of the condition (ii) quantity
     lebesgue_max: float   # max over the grid of sum_j |l_j(z)|
     grid_size: int
+    # log10 of l_hat and lebesgue_max, finite where those overflow to inf
+    log10_l_hat: float
+    log10_lebesgue_max: float
 
     @property
     def reliable(self) -> bool:
@@ -240,8 +243,9 @@ def _grid_points(system: NodalSystem, grid_size: int) -> np.ndarray:
 
 
 def _condition_rows(z: np.ndarray, system: NodalSystem):
-    """Per point z: |W'(z)|, the condition (ii) quantity and the log of the
-    Lebesgue function, with removable singularities patched at nodes.
+    """Per point z: |W'(z)|, the condition (ii) quantity, the log of the
+    Lebesgue function and the log of (ii), with removable singularities
+    patched at nodes.
 
     Per pair only real arithmetic is done on q = |z - z_j|^2:
       log|W(z)|        = (1/2) sum_j log q_j,
@@ -269,6 +273,7 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
     wprime = np.empty(len(z))
     cond2 = np.empty(len(z))
     log_leb = np.empty(len(z))
+    log_cond2 = np.empty(len(z))
     for rows, (dr, di, q, work) in _pair_blocks(len(z), n, float, float, float, float):
         zc = z[rows]
         np.subtract(zc.real[:, None], nodes.real[None, :], out=dr)
@@ -282,7 +287,10 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
             log_w = 0.5 * np.log(q, out=work).sum(axis=1)
             inv_q = np.divide(1.0, q, out=q)
             inv_q[loc, cols] = 0.0
-            cond2[rows] = np.exp(2.0 * (log_w - math.log(n))) * inv_q.sum(axis=1)
+            log_w2 = 2.0 * (log_w - math.log(n))  # log of |W|^2 / n^2
+            sum_inv_q = inv_q.sum(axis=1)
+            cond2[rows] = np.exp(log_w2) * sum_inv_q
+            log_cond2[rows] = log_w2 + np.log(sum_inv_q)
             # |W'(z)| = |W(z)| * |sum_j 1/(z - z_j)| away from nodes
             wprime[rows] = np.exp(log_w) * np.hypot(
                 np.einsum("ij,ij->i", dr, inv_q), np.einsum("ij,ij->i", di, inv_q))
@@ -293,10 +301,11 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
             # |W'(z)| to |W'(z_j)| and the j-th Lebesgue summand to 1
             hit = loc + rows.start
             np.add.at(cond2, hit, (abs_derivs[cols] / n) ** 2)
+            np.logaddexp.at(log_cond2, hit, 2.0 * (log_abs_derivs[cols] - math.log(n)))
             wprime[hit] = abs_derivs[cols]
             hit, count = np.unique(hit, return_counts=True)
             log_leb[hit] = np.logaddexp(log_leb[hit], np.log(count))
-    return wprime, cond2, log_leb
+    return wprime, cond2, log_leb, log_cond2
 
 
 def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> NodalConditionReport:
@@ -324,7 +333,7 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
         z = np.append(np.exp(1j * period), system.nodes[0] * np.exp(1j * np.pi / n))
     else:
         z = _grid_points(system, grid_size)
-    wprime, cond2, log_leb = _condition_rows(z, system)
+    wprime, cond2, log_leb, log_cond2 = _condition_rows(z, system)
     with np.errstate(over="ignore"):
         leb_max = float(np.exp(log_leb.max()))
     b_nodes = float(np.min(np.abs(system.derivs))) / n
@@ -335,6 +344,8 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
         l_hat=float(cond2.max()),
         lebesgue_max=max(leb_max, 1.0),
         grid_size=grid_size,
+        log10_l_hat=float(log_cond2.max()) / math.log(10.0),
+        log10_lebesgue_max=max(float(log_leb.max()), 0.0) / math.log(10.0),
     )
 
 

@@ -15,6 +15,7 @@ as interpolation nodal systems.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -67,8 +68,20 @@ _GROUP_ROWS = 64
 _GROUP_DECAY = 300.0
 _PRINCIPAL_TURN = 3.0
 _PHASE_BUDGET = 1 << 20
-# moment quadrature gives up beyond this many points on the circle
+# moment quadrature gives up beyond this many points on the circle, or
+# sooner when its relative differences d_i follow a power law that misses
+# tol at the cap: the last _ORDER_RUN observed orders log2(d_{i-1} / d_i)
+# lie within _ORDER_SPREAD of each other and above _MIN_ORDER, and the
+# latest d_i, extrapolated to the cap at the latest order plus
+# _ORDER_SPREAD, stays above _MISS_FACTOR tol.  The margins keep an order
+# still creeping up, or rounding in the last levels, from declining a
+# weight that converges.  Spectral convergence doubles its order per level
+# and never qualifies.
 MAX_QUADRATURE_POINTS = 2**20
+_ORDER_RUN = 3
+_ORDER_SPREAD = 0.1
+_MIN_ORDER = 0.5
+_MISS_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -204,6 +217,30 @@ def _even_moments(w, m: int, k: np.ndarray) -> np.ndarray:
     return (4.0 * np.pi / m) * (np.exp(-1j * np.pi * k / m) * _real_dft(vals, k)).real
 
 
+def _check_power_law(diffs: list, m: int, tol: float) -> None:
+    """Raise QuadratureError when the relative differences diffs of the
+    levels up to m points converge like a power law of m that cannot reach
+    tol by MAX_QUADRATURE_POINTS points (the rule is stated there)."""
+    if len(diffs) <= _ORDER_RUN:
+        return
+    d = np.asarray(diffs[-_ORDER_RUN - 1:])
+    orders = np.log2(d[:-1] / d[1:])
+    # written so that a NaN order never qualifies
+    if not (orders.min() >= _MIN_ORDER and orders.max() - orders.min() <= _ORDER_SPREAD):
+        return
+    order = float(orders[-1])
+    doublings_left = math.log2(MAX_QUADRATURE_POINTS / m)
+    if d[-1] * 2.0 ** (-(order + _ORDER_SPREAD) * doublings_left) < _MISS_FACTOR * tol:
+        return
+    needed = round(math.log2(m) + math.ceil(math.log2(d[-1] / tol) / order))
+    raise QuadratureError(
+        f"moment quadrature converges like m^-{order:.2f} (an endpoint or kink "
+        f"singularity of the weight); at {m} points successive estimates differ "
+        f"by {d[-1]:.1e}, and tol {tol:g} needs about 2^{needed} points, above "
+        f"the cap 2^{round(math.log2(MAX_QUADRATURE_POINTS))}"
+    )
+
+
 def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12) -> np.ndarray:
     """Moments m_k = int_0^{2 pi} e^{i k theta} w(theta) dtheta for k = 0..N,
     by periodic trapezoid quadrature with point-count doubling.
@@ -213,6 +250,15 @@ def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12) -> np.n
     theta = 0 and theta = pi are never sampled.  Convergence is declared when
     successive estimates differ by less than tol relative to the total mass,
     with at most MAX_QUADRATURE_POINTS points.
+
+    A weight with an endpoint or kink singularity converges only like a
+    power m^-r of the point count.  After each level that did not converge,
+    the observed orders r_i = log2(d_{i-1} / d_i) of the relative
+    differences d_i are checked: when the last three are above 1/2 and agree
+    within 0.1, and the latest d_i extrapolated at the latest order plus 0.1
+    would still miss 2 tol at MAX_QUADRATURE_POINTS, QuadratureError is
+    raised at once, naming the order and the point count tol needs.  A
+    weight that converges returns the same moments as without the check.
 
     The weight values are real, so each level of m points takes one rfft.
     An interval weight (kind "interval-weight") is even, w(2 pi - theta) =
@@ -224,9 +270,12 @@ def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12) -> np.n
         raise ValidationError(
             "trigonometric moments require a quadrature-weight or interval-weight measure"
         )
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
     level = _even_moments if spec.kind == "interval-weight" else _midpoint_moments
     k = np.arange(N + 1)
     prev = None
+    diffs = []
     m = 256
     while m <= N:  # need at least N+1 resolvable frequencies
         m *= 2
@@ -234,8 +283,11 @@ def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12) -> np.n
         cur = np.asarray(level(spec.weight, m, k), dtype=complex)
         if prev is not None:
             scale = max(abs(cur[0].real), 1e-300)
-            if np.max(np.abs(cur - prev)) < tol * scale:
+            diff = np.max(np.abs(cur - prev))
+            if diff < tol * scale:
                 return cur
+            diffs.append(diff / scale)
+            _check_power_law(diffs, m, tol)
         prev = cur
         m *= 2
     raise QuadratureError(

@@ -21,6 +21,31 @@ def midpoint_moments(w, m, N):
     return (2.0 * np.pi / m) * np.exp(1j * np.pi * k / m) * np.conj(np.fft.fft(vals)[: N + 1])
 
 
+def plain_trigonometric_moments(spec, N, tol=1e-12):
+    """opuc.trigonometric_moments without its early power-law decline: the
+    plain doubling loop, which stops only when successive estimates differ
+    by less than tol relative to the mass, or past MAX_QUADRATURE_POINTS
+    points with QuadratureError.  Returns the moments and the point count
+    of the level that converged."""
+    from circleinterp import QuadratureError, opuc
+
+    level = opuc._even_moments if spec.kind == "interval-weight" else opuc._midpoint_moments
+    k = np.arange(N + 1)
+    prev = None
+    m = 256
+    while m <= N:
+        m *= 2
+    while m <= opuc.MAX_QUADRATURE_POINTS:
+        cur = np.asarray(level(spec.weight, m, k), dtype=complex)
+        if prev is not None:
+            scale = max(abs(cur[0].real), 1e-300)
+            if np.max(np.abs(cur - prev)) < tol * scale:
+                return cur, m
+        prev = cur
+        m *= 2
+    raise QuadratureError(f"no convergence below {tol} with up to {opuc.MAX_QUADRATURE_POINTS} points")
+
+
 def brute_force_lebesgue(nodes, z):
     """Direct-summation oracle for sum_j |l_j(z)|: explicit products, no
     shared code with the library's log-space path."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circleinterp import ValidationError
-from circleinterp.cli import _load_nodes_file, _parse_ns, _parse_tau, _parser, main
+from circleinterp.cli import _dense_csv, _load_nodes_file, _parse_ns, _parse_tau, _parser, main
 
 
 class TestParsers:
@@ -37,6 +37,34 @@ class TestParsers:
         assert np.allclose(nodes, [1.0, 1j])
 
 
+def _dense_csv_per_scalar(xs, f_vals, approx, header):
+    """The dense CSV writer as it was, with float() on every numpy scalar."""
+    lines = [header]
+    for x, fv, av in zip(xs, f_vals, approx):
+        lines.append(f"{float(x)!r},{float(fv)!r},{float(av)!r},{abs(float(fv) - float(av))!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dense_csv_bytes_unchanged():
+    """Formatting from tolist() gives the bytes of float() per scalar,
+    also where f - L is exactly 0, subnormal, signed zero or not finite."""
+    rng = np.random.default_rng(1503)
+    xs = np.sort(rng.uniform(-1.0, 1.0, 2001))
+    f = rng.standard_normal(2001) * 10.0 ** rng.integers(-300, 300, 2001)
+    approx = f * (1.0 + rng.standard_normal(2001) * 1e-14)
+    approx[:200] = f[:200]                      # difference exactly 0
+    tiny = 5e-324 * rng.integers(1, 2**20, 200)
+    f[200:400] = tiny
+    approx[200:400] = 2.0 * tiny                # subnormal differences
+    f[400:410], approx[400:410] = 0.0, -0.0
+    f[410:413] = [np.inf, np.nan, -np.inf]
+    approx[410:413] = [np.inf, 1.0, 2.0]
+    header = "x,f,interpolant,error"
+    want = _dense_csv_per_scalar(xs, f, approx, header)
+    assert _dense_csv(xs, f, approx, header).encode() == want.encode()
+    assert _dense_csv(list(xs), f.tolist(), approx, header) == want
+
+
 class TestCommands:
     def test_nodes_lebesgue(self, capsys):
         assert main(["nodes", "--n", "4", "--tau", "1"]) == 0
@@ -60,6 +88,9 @@ class TestCommands:
         assert payload["n"] == 16
         assert payload["B_hat_nodes"] == pytest.approx(1.0, abs=1e-9)
         assert payload["reliable"] is True
+        assert payload["log10_L_hat"] == pytest.approx(0.0, abs=1e-12)
+        assert payload["log10_lebesgue_max"] == pytest.approx(
+            np.log10(payload["lebesgue_max"]), rel=1e-13)
         assert payload["metadata"]["version"]
         assert len(payload["metadata"]["config_hash"]) == 16
 
@@ -78,6 +109,8 @@ class TestCommands:
         payload = json.loads(out.read_text(), parse_constant=reject)
         assert payload["L_hat"] is None and payload["lebesgue_max"] is None
         assert payload["B_hat"] > 0
+        # their logs stay finite: the Lebesgue maximum is near 1e385
+        assert payload["log10_L_hat"] > 308 and payload["log10_lebesgue_max"] > 308
 
     def test_interp_command(self, tmp_path):
         out = tmp_path / "interp.json"

@@ -155,7 +155,7 @@ class TestConditionKernelOracles:
         z = np.exp(1j * np.concatenate([2.0 * np.pi * np.arange(1024) / 1024, mids]))
         brute_leb = np.array([brute_force_lebesgue(sys.nodes, p) for p in z])
         brute_ii = np.array([brute_force_condition_ii(sys.nodes, p) for p in z])
-        _, cond2, log_leb = nodal._condition_rows(z, sys)
+        _, cond2, log_leb, _ = nodal._condition_rows(z, sys)
         # measured 6e-15; the partial-fraction shortcut
         # |W| = 1 / |sum_j 1/(W'(z_j)(z - z_j))| is off by 1e-3 on random-0.95
         np.testing.assert_allclose(np.exp(log_leb), brute_leb, rtol=1e-12)
@@ -172,7 +172,7 @@ class TestConditionKernelOracles:
         sys = _para_system(PARA_FAMILIES[family])
         j = 10
         z = np.array([sys.nodes[j] * np.exp(1e-9j), sys.nodes[j] * np.exp(1e-12j), sys.nodes[j]])
-        wprime, cond2, log_leb = nodal._condition_rows(z, sys)
+        wprime, cond2, log_leb, _ = nodal._condition_rows(z, sys)
         # 1e-9 and 1e-12 from z_j the direct formulas hold: a first-order
         # limit there was off by up to 2.6e-6 relative
         for k in (0, 1):
@@ -185,6 +185,61 @@ class TestConditionKernelOracles:
         assert np.exp(log_leb[2]) == pytest.approx(1.0, rel=1e-12)
         assert cond2[2] == pytest.approx(abs(sys.derivs[j]) ** 2 / sys.n**2, rel=1e-12)
         assert wprime[2] == np.abs(sys.derivs[j])
+
+
+def _log_space_rows(nodes, z):
+    """Oracle for the logs of the Lebesgue function and of (ii) at z,
+    summed straight from the node differences in log space, so that
+    nothing overflows at any n; no shared code with the library."""
+    n = len(nodes)
+    d = np.abs(nodes[:, None] - nodes[None, :])
+    np.fill_diagonal(d, 1.0)
+    log_wprime = np.log(d).sum(axis=1)
+    log_leb, log_ii = [], []
+    for chunk in np.array_split(z, -(-len(z) // 256)):
+        log_q = np.log(np.abs(chunk[:, None] - nodes[None, :]))
+        log_w = log_q.sum(axis=1)
+        log_leb.append(log_w + np.logaddexp.reduce(-log_wprime - log_q, axis=1))
+        log_ii.append(2.0 * (log_w - np.log(n)) + np.logaddexp.reduce(-2.0 * log_q, axis=1))
+    return np.concatenate(log_leb), np.concatenate(log_ii)
+
+
+class TestLogReport:
+    """log10_l_hat and log10_lebesgue_max stay finite where l_hat and
+    lebesgue_max overflow."""
+
+    def test_alternating_family_past_overflow(self):
+        """alpha_k = 0.7 (-1)^k at n = 1024: the Lebesgue function peaks
+        near 1e385, beyond the largest double."""
+        sys = _para_system([0.7 * (-1) ** k for k in range(1024)], n=1024)
+        report = estimate_conditions(sys, grid_size=4096)
+        log_leb, log_ii = _log_space_rows(sys.nodes, nodal._grid_points(sys, 4096))
+        assert report.l_hat == np.inf and report.lebesgue_max == np.inf
+        assert report.log10_lebesgue_max > 308
+        assert report.log10_lebesgue_max == pytest.approx(log_leb.max() / np.log(10), rel=1e-12)
+        assert report.log10_l_hat == pytest.approx(log_ii.max() / np.log(10), rel=1e-12)
+
+    @pytest.mark.parametrize("family", sorted(PARA_FAMILIES))
+    def test_logs_match_linear_values(self, family):
+        sys = _para_system(PARA_FAMILIES[family])
+        report = estimate_conditions(sys)
+        assert report.log10_l_hat == pytest.approx(np.log10(report.l_hat), rel=1e-13, abs=1e-13)
+        assert report.log10_lebesgue_max == pytest.approx(
+            np.log10(report.lebesgue_max), rel=1e-13, abs=1e-13)
+        # rows on the grid, near a node and at it, where the limit of the
+        # j-th summand of (ii) enters by logaddexp
+        j = 10
+        z = np.concatenate([nodal._grid_points(sys, 256),
+                            sys.nodes[j] * np.exp(np.array([1e-9j, 1e-12j, 0.0]))])
+        _, cond2, _, log_cond2 = nodal._condition_rows(z, sys)
+        np.testing.assert_allclose(log_cond2, np.log(cond2), rtol=1e-13, atol=1e-13)
+
+    def test_roots_of_unity(self):
+        """For z^n = 1, (ii) is 1 on the whole circle and the Lebesgue
+        maximum is finite."""
+        report = estimate_conditions(roots_of_unimodular(16, 1.0))
+        assert report.log10_l_hat == pytest.approx(0.0, abs=1e-14)
+        assert report.log10_lebesgue_max == pytest.approx(np.log10(report.lebesgue_max), rel=1e-13)
 
 
 class TestOnePeriodGrid:
@@ -222,7 +277,7 @@ class TestOnePeriodGrid:
         # 1.2e-12 at n = 512).  That bounds how far the extrema of one
         # period can sit from those of the full grid.
         rtol = 16 * n * np.finfo(float).eps
-        wprime, cond2, log_leb = full
+        wprime, cond2, log_leb, _ = full
         assert report.grid_size == grid and report.reliable
         assert report.b_hat == pytest.approx(wprime.min() / n, rel=rtol)
         assert report.l_hat == pytest.approx(cond2.max(), rel=rtol)

@@ -7,6 +7,7 @@ from circleinterp import (
     ConditioningError,
     DegeneracyError,
     ParaOrthogonalSpec,
+    QuadratureError,
     RootFindingError,
     ValidationError,
     bernstein_szego,
@@ -23,7 +24,12 @@ from circleinterp import (
     verblunsky_coefficients,
 )
 from circleinterp import opuc
-from conftest import levinson_reference, opuc_coefficients, paraorthogonal_coefficients
+from conftest import (
+    levinson_reference,
+    opuc_coefficients,
+    paraorthogonal_coefficients,
+    plain_trigonometric_moments,
+)
 
 
 def orthogonality_defect(alphas, weight, degree, m=4096):
@@ -225,6 +231,50 @@ class TestMoments:
     def test_requires_quadrature_kind(self):
         with pytest.raises(ValidationError):
             trigonometric_moments(lebesgue_measure(), 2)
+
+
+def _seeded_weight(rng, kind):
+    """A narrow bump or a kink on a background of 0, 1e-3 or 1, at a
+    random angle: a von Mises ("gauss") or Poisson ("lorentz") bump of
+    width 1e-2 to 3e-5, or |sin((theta - t0)/2)|^s with s in [1.5, 4]."""
+    t0 = rng.uniform(0.0, 2.0 * np.pi)
+    bg = float(rng.choice([0.0, 1e-3, 1.0]))
+    width = 10.0 ** rng.uniform(np.log10(3e-5), -2.0)
+    if kind == "gauss":
+        return quadrature_weight(lambda t: bg + np.exp((np.cos(t - t0) - 1.0) / width**2))
+    if kind == "lorentz":
+        r = 1.0 - width
+        return quadrature_weight(lambda t: bg + (1 - r * r) / (1 - 2 * r * np.cos(t - t0) + r * r))
+    s = rng.uniform(1.5, 4.0)
+    return quadrature_weight(lambda t: bg + np.abs(np.sin((t - t0) / 2.0)) ** s)
+
+
+class TestQuadratureDecline:
+    """trigonometric_moments declines a power law early; against the plain
+    doubling loop it must change nothing else."""
+
+    @pytest.mark.parametrize("kind", ["gauss", "lorentz", "kink"])
+    def test_matches_plain_loop(self, kind):
+        rng = np.random.default_rng({"gauss": 1501, "lorentz": 1502, "kink": 1503}[kind])
+        resolved = 0
+        for _ in range(8):
+            spec = _seeded_weight(rng, kind)
+            N = int(rng.choice([0, 8, 64, 256]))
+            try:
+                ref, _ = plain_trigonometric_moments(spec, N)
+            except QuadratureError:
+                with pytest.raises(QuadratureError):
+                    trigonometric_moments(spec, N)
+                continue
+            resolved += 1
+            assert trigonometric_moments(spec, N).tobytes() == ref.tobytes()
+        assert resolved >= 4
+
+    def test_rejects_nonpositive_tol(self):
+        spec = quadrature_weight(lambda t: np.ones_like(t))
+        for tol in (0.0, -1e-12, float("nan")):
+            with pytest.raises(ValidationError):
+                trigonometric_moments(spec, 2, tol=tol)
 
 
 class TestVerblunskyRecovery:

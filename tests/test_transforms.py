@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,12 @@ from circleinterp import (
 from circleinterp import laurent
 from circleinterp.cli import INTERVAL_WEIGHTS
 from circleinterp.opuc import _even_moments
-from conftest import chebyshev1_weight, midpoint_moments, real_barycentric
+from conftest import (
+    chebyshev1_weight,
+    midpoint_moments,
+    plain_trigonometric_moments,
+    real_barycentric,
+)
 
 
 def legendre_weight(x):
@@ -101,18 +107,48 @@ class TestIntervalMoments:
         assert np.max(np.abs(got[ks].real - ref)) < 1e-13
 
     def test_failing_quadrature_memory(self):
-        """The Legendre weight runs the doubling to 2^20 points and fails;
-        on the half grid the peak stays well under the 59 MB that a
-        full-circle grid with a complex FFT needs."""
+        """The Legendre weight converges like m^-2, which cannot reach tol
+        1e-12 by 2^20 points: the doubling stops at 2^15 points or sooner,
+        and the peak stays at a few MB (measured 0.8 MB), not the 21 MB
+        that running every level to 2^20 took."""
         nu = szego_transform_weight(legendre_weight)
         tracemalloc.start()
         try:
-            with pytest.raises(QuadratureError):
+            with pytest.raises(QuadratureError) as info:
                 verblunsky_coefficients(nu, 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert "converges like m^-2.00" in str(info.value)
+        points = int(re.search(r"at (\d+) points", str(info.value)).group(1))
+        assert points <= 2**15
+        assert peak < 3e6
+
+    @pytest.mark.parametrize("a,b,order", [(0.0, 0.0, "2.00"), (1.5, -0.3, "1.40")])
+    @pytest.mark.parametrize("N", [129, 257])
+    def test_power_law_declined_early(self, a, b, order, N):
+        """The Szego transform of (1-x)^a (1+x)^b behaves like |theta|^{2a+1}
+        and |theta - pi|^{2b+1}, so the midpoint rule converges like
+        m^-(2 min(a, b) + 2).  The plain loop fails too, at 2^20 points."""
+        def w(x):
+            return (1.0 - x) ** a * (1.0 + x) ** b
+        nu = szego_transform_weight(w)
+        with pytest.raises(QuadratureError) as info:
+            trigonometric_moments(nu, N)
+        message = str(info.value)
+        assert f"converges like m^-{order}" in message
+        assert int(re.search(r"at (\d+) points", message).group(1)) <= 2**15
+        assert "above the cap 2^20" in message
+        with pytest.raises(QuadratureError):
+            plain_trigonometric_moments(nu, N)
+
+    def test_border_converges_at_the_cap(self):
+        """Legendre at tol 1e-11 converges at exactly 2^20 points; its
+        power law must not decline it on the way."""
+        nu = szego_transform_weight(legendre_weight)
+        ref, points = plain_trigonometric_moments(nu, 128, tol=1e-11)
+        assert points == 2**20
+        assert trigonometric_moments(nu, 128, tol=1e-11).tobytes() == ref.tobytes()
 
 
 class TestIntervalNodes:
