@@ -24,7 +24,6 @@ from .experiments import (
     convergence_sweep,
     corpus,
     estimate_modulus,
-    max_workers,
     near_best_error,
     parse_corpus,
     sweep_to_csv,
@@ -51,6 +50,7 @@ from .nodal import (
     estimate_conditions,
     lebesgue_function,
     make_nodal_system,
+    max_workers,
     roots_of_unimodular,
 )
 from .opuc import (

@@ -8,10 +8,8 @@ Hoelder family |sin(theta/2)|^beta crosses the boundary exactly at beta = 1/2.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +38,6 @@ __all__ = [
     "convergence_sweep",
     "sweep_to_csv",
     "sweep_to_json",
-    "max_workers",
 ]
 
 CORPUS_NAMES = ("holder", "smooth-exp", "step-smooth", "lipschitz", "boundary-half")
@@ -218,18 +215,22 @@ class SweepResult:
     condition_grid: tuple = ()
 
 
-def max_workers() -> int:
-    """CIRCLE_INTERP_THREADS when it is set to an integer, otherwise the
-    number of CPUs this process may run on (its affinity mask where the
-    platform has one, so that a pinned process does not oversubscribe)."""
-    raw = os.environ.get("CIRCLE_INTERP_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        pass
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return max(1, os.cpu_count() or 1)
+def _target_on(F: CorpusFunction, z: np.ndarray, z_grid: np.ndarray, f_grid) -> np.ndarray:
+    """F at the points z.  A point bit-equal to a point of the uniform
+    grid z_grid takes the value F gave there, f_grid; F runs on the other
+    points only, and not at all when there are none.  When f_grid is the
+    error F raised on the grid, F runs on every point."""
+    if isinstance(f_grid, Exception):
+        return F.on_circle(z)
+    M = len(z_grid)
+    k = np.rint(np.angle(z) * (M / (2.0 * np.pi))).astype(int) % M
+    miss = z_grid[k] != z
+    values = np.asarray(f_grid)[k]
+    if miss.any():
+        rest = F.on_circle(z[miss])
+        values = values.astype(np.result_type(values, rest), copy=False)
+        values[miss] = rest
+    return values
 
 
 def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction,
@@ -239,7 +240,7 @@ def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction,
     returns as its result rather than raising the one shared instance."""
     system = family.build(n)
     plan = make_degree_plan(n, r)
-    I = interpolate(system, plan, F.on_circle(system.nodes))
+    I = interpolate(system, plan, _target_on(F, system.nodes, z_grid, f_grid))
     # error grid: uniform angles plus node midpoints, where the error peaks.
     # Both come from one set of coefficients, as two arrays: the uniform
     # grid takes the FFT, and so do the midpoints of rotation-symmetric nodes
@@ -251,24 +252,28 @@ def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction,
         return np.max(np.abs(f - _evaluate(system, I.values, z, off_nodes)))
 
     z_mids = np.exp(1j * _node_midpoints(system))
-    sup_error = float(np.max([error_on(z_grid, f_grid), error_on(z_mids, F.on_circle(z_mids))]))
+    sup_error = float(np.max([error_on(z_grid, f_grid),
+                              error_on(z_mids, _target_on(F, z_mids, z_grid, f_grid))]))
     report = estimate_conditions(system)
     return plan, sup_error, report
 
 
 def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
                       error_grid: int = 8192) -> SweepResult:
-    """For each n: build nodes, plan, and interpolant; record the sup-grid
-    error and the condition constants.  A failing n is recorded with its
-    error message and the sweep continues.
+    """For each n in increasing order: build nodes, plan, and interpolant;
+    record the sup-grid error and the condition constants.  A failing n is
+    recorded with its error message and the sweep continues.
 
-    The n run on max_workers() threads.  F runs once per sweep on the
-    uniform error grid, in the calling thread, and per n at the nodes and
-    at the node midpoints, in the worker threads, so F must be pointwise
-    and thread-safe.  A library error that F raises on the grid is recorded
-    at every n that gets that far.  Any other exception propagates; one
-    that F raises on the grid does so before any n runs, even if every n
-    would have failed first."""
+    The n run one after another in the calling thread; the pair kernel
+    spreads large calls over threads itself (nodal.max_workers).  F runs
+    once per sweep on the uniform error grid and per n at those nodes and
+    node midpoints that are not bit-equal to a grid point; the others take
+    the value F gave at that grid point.  So F must be pointwise: its value
+    at a point may not depend on the other points of the call.  It need
+    not be thread-safe.  A library error that F raises on the grid is
+    recorded at every n that gets that far.  Any other exception
+    propagates; one that F raises on the grid does so before any n runs,
+    even if every n would have failed first."""
     ns = np.asarray(sorted(int(n) for n in ns))
     if len(ns) == 0 or np.any(np.diff(ns) <= 0):
         raise ValidationError("ns must be a nonempty strictly increasing collection")
@@ -285,14 +290,12 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
     except CircleInterpError as exc:
         f_grid = exc.with_traceback(None)
 
-    def run(n: int):
+    results = []
+    for n in ns:
         try:
-            return _sweep_one(family, r, int(n), F, z_grid, f_grid)
+            results.append(_sweep_one(family, r, int(n), F, z_grid, f_grid))
         except CircleInterpError as exc:
-            return exc
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(max_workers(), len(ns))) as pool:
-        results = list(pool.map(run, ns))
+            results.append(exc)
 
     plans, sup, leb, bh, lh, statuses, cond_grids = [], [], [], [], [], [], []
     for n, res in zip(ns, results):

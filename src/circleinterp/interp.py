@@ -49,9 +49,9 @@ from .nodal import (
     _condition_rows,
     _log_product,
     _nearest_nodes,
-    _pair_blocks,
     _samples,
     _samples_are_nodes,
+    _walk_pairs,
 )
 
 __all__ = [
@@ -161,12 +161,16 @@ def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray) -> 
     phase = _phase_powers(zz, -p)
     nodes = system.nodes
     out = np.empty(len(zz), dtype=complex)
-    for rows, (d, work) in _pair_blocks(len(zz), len(nodes), complex, complex):
+
+    def block(rows, scratch):
+        d, work = scratch
         np.subtract(zz[rows, None], nodes[None, :], out=d)
         log_w = _log_product(d, work)
         inv_d = np.divide(1.0, d, out=d)
         out[rows] = (np.exp(log_w - p * log_abs[rows]) * phase[rows]
                      * np.einsum("ij,j->i", inv_d, wu))
+
+    _walk_pairs(len(zz), len(nodes), (complex, complex), block)
     return out
 
 

@@ -12,7 +12,11 @@ which together bound the Lebesgue function by (sqrt(L_hat)/B_hat) sqrt(n).
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +32,7 @@ __all__ = [
     "estimate_conditions",
     "lebesgue_function",
     "default_grid_size",
+    "max_workers",
 ]
 
 UNIMODULAR_TOL = 1e-12
@@ -35,10 +40,12 @@ DISTINCT_TOL = 1e-10  # chordal; below this barycentric weights lose all digits
 AT_NODE_TOL = 1e-14  # a point this close to a node takes that node's value
 
 # The pair kernel walks evaluation points in blocks of about PAIR_BUDGET
-# point-node pairs: one complex temporary is then 1 MB and stays in L2.  Its
-# matrix-vector products use einsum, not BLAS: sweeps run the kernel on a
-# thread pool, and BLAS threads under it would oversubscribe the cores.
+# point-node pairs: one complex temporary is then 1 MB and stays in L2.  A
+# call of at least PARALLEL_PAIRS pairs spreads its blocks over
+# max_workers() threads.  Its matrix-vector products use einsum, not BLAS,
+# whose own threads would oversubscribe the cores.
 PAIR_BUDGET = 1 << 16
+PARALLEL_PAIRS = 1 << 21
 # log prod_j (z - z_j) takes one complex log per run of 2**FACTOR_LEVELS = 16
 # factors.  For z on the circle and nodes DISTINCT_TOL apart a run product
 # stays between about 1e-150 and 2**16, so PRODUCT_RANGE trips only off the
@@ -103,17 +110,82 @@ def _validate_nodes(nodes: np.ndarray) -> None:
             )
 
 
-def _pair_blocks(m: int, n: int, *dtypes):
-    """Walk m points against n nodes in blocks of about PAIR_BUDGET
-    point-node pairs.  Yields the slice of points and, per dtype, a scratch
-    (rows, n) array.  The scratch arrays are allocated once and reused, so
-    that memory is O(n) per call whatever m is and no block pays for fresh
-    pages."""
+def max_workers() -> int:
+    """CIRCLE_INTERP_THREADS when it is set to an integer, otherwise the
+    number of CPUs this process may run on (its affinity mask where the
+    platform has one, so that a pinned process does not oversubscribe)."""
+    raw = os.environ.get("CIRCLE_INTERP_THREADS", "")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        pass
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
+
+
+# The pair kernel's executor, built on first use.  A forked child forgets
+# the parent's, whose threads it does not have.
+_executor = None
+_executor_lock = threading.Lock()
+
+
+def _pair_executor() -> concurrent.futures.ThreadPoolExecutor:
+    """The shared executor, with the max_workers() threads of its first use."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            _executor = concurrent.futures.ThreadPoolExecutor(
+                max_workers=max_workers(), thread_name_prefix="circleinterp-pairs")
+        return _executor
+
+
+def _forget_executor() -> None:
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _walk_pairs(m: int, n: int, dtypes, block) -> None:
+    """Call block(rows, scratch) for the m points against n nodes in blocks
+    of about PAIR_BUDGET point-node pairs: rows is the slice of points and
+    scratch holds, per dtype, a (rows, n) array.  Each block may write only
+    its own rows of the caller's outputs, so the result does not depend on
+    which thread ran it.
+
+    From PARALLEL_PAIRS pairs on, w = max_workers() workers take the blocks
+    k, k + w, k + 2w, ... for k = 0..w-1: the calling thread the first set,
+    the executor the others, each in a copy of the caller's context (numpy's
+    error state).  The caller allocates one set of scratch arrays per
+    worker, once, so that memory is O(w n) whatever m is and no block pays
+    for fresh pages.  An exception in any block reaches the caller once
+    every worker has stopped.  A block must not call the kernel again: on
+    an executor thread, waiting for the executor could deadlock it."""
     step = max(1, PAIR_BUDGET // max(n, 1))
-    scratch = [np.empty((min(m, step), n), dtype=dtype) for dtype in dtypes]
-    for start in range(0, m, step):
-        rows = slice(start, min(start + step, m))
-        yield rows, [buf[: rows.stop - start] for buf in scratch]
+    starts = range(0, m, step)
+    workers = min(max_workers(), len(starts)) if m * n >= PARALLEL_PAIRS else 1
+    scratch = [[np.empty((min(m, step), n), dtype=dtype) for dtype in dtypes]
+               for _ in range(workers)]
+
+    def walk(k: int) -> None:
+        for start in starts[k::workers]:
+            rows = slice(start, min(start + step, m))
+            block(rows, [buf[: rows.stop - start] for buf in scratch[k]])
+
+    if workers == 1:
+        walk(0)
+        return
+    pool = _pair_executor()
+    futures = [pool.submit(contextvars.copy_context().run, walk, k) for k in range(1, workers)]
+    try:
+        walk(0)
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _log_product(d: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -150,11 +222,15 @@ def _derivs_product(nodes: np.ndarray) -> np.ndarray:
     dodge intermediate under/overflow for large n."""
     n = len(nodes)
     derivs = np.empty(n, dtype=complex)
-    for rows, (d, work) in _pair_blocks(n, n, complex, complex):
+
+    def block(rows, scratch):
+        d, work = scratch
         np.subtract(nodes[rows, None], nodes[None, :], out=d)
         own = np.arange(len(d))
         d[own, own + rows.start] = 1.0
         derivs[rows] = np.exp(_log_product(d, work))
+
+    _walk_pairs(n, n, (complex, complex), block)
     return derivs
 
 
@@ -274,7 +350,9 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
     cond2 = np.empty(len(z))
     log_leb = np.empty(len(z))
     log_cond2 = np.empty(len(z))
-    for rows, (dr, di, q, work) in _pair_blocks(len(z), n, float, float, float, float):
+
+    def block(rows, scratch):
+        dr, di, q, work = scratch
         zc = z[rows]
         np.subtract(zc.real[:, None], nodes.real[None, :], out=dr)
         np.subtract(zc.imag[:, None], nodes.imag[None, :], out=di)
@@ -305,6 +383,8 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
             wprime[hit] = abs_derivs[cols]
             hit, count = np.unique(hit, return_counts=True)
             log_leb[hit] = np.logaddexp(log_leb[hit], np.log(count))
+
+    _walk_pairs(len(z), n, (float,) * 4, block)
     return wprime, cond2, log_leb, log_cond2
 
 

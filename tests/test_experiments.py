@@ -1,4 +1,3 @@
-import collections
 import csv
 import io
 import json
@@ -21,8 +20,9 @@ from circleinterp import (
     sweep_to_json,
 )
 from circleinterp import interp, laurent, nodal
-from circleinterp.experiments import CorpusFunction, max_workers
+from circleinterp.experiments import CorpusFunction
 from circleinterp.interp import interpolate
+from circleinterp.nodal import max_workers
 from conftest import joined_grid_sup_error
 
 
@@ -154,17 +154,38 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_target_runs_once_on_the_shared_grid(self, monkeypatch, threads):
-        """F sees the error grid once per sweep; per n it sees the n nodes
-        and the n node midpoints, and nothing else."""
+        """F sees the error grid once per sweep.  Per n it sees only the
+        nodes that are not bit-equal to a grid point: none of the roots of
+        unity, some of the roots of z^n = -1 and every para-orthogonal
+        node, each at most once."""
         monkeypatch.setenv("CIRCLE_INTERP_THREADS", threads)
         ns, holder = (32, 256, 1024), corpus("holder", 0.6)
-        calls = []
-        spy = CorpusFunction("spy", None, lambda t: calls.append(np.size(t)) or holder(t))
-        family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
-        result = convergence_sweep(family, 0.5, ns, spy)
-        assert result.statuses == ("ok",) * len(ns)
-        assert result.error_grid not in ns
-        assert collections.Counter(calls) == {result.error_grid: 1, **{n: 2 for n in ns}}
+        for tau, kind, seen in ((1.0, "roots-of-unimodular", "none"),
+                                (-1.0, "roots-of-unimodular", "some"),
+                                (1.0, "para-orthogonal", "all")):
+            calls, built = [], []
+
+            class Tagged(NodalFamily):
+                def build(self, n):
+                    built.append(n)
+                    return super().build(n)
+
+            def f_theta(t):
+                calls.append((built[-1] if built else None, np.array(t)))
+                return holder(t)
+
+            family = Tagged(kind=kind, tau=tau, measure=finite_verblunsky([0.5]))
+            result = convergence_sweep(family, 0.5, ns, CorpusFunction("spy", None, f_theta))
+            assert result.statuses == ("ok",) * len(ns)
+            assert built == list(ns)
+            assert [np.size(t) for n, t in calls if n is None] == [result.error_grid]
+            for n in ns:
+                seen_at = np.concatenate([t for m, t in calls if m == n] + [[]])
+                per_node = np.array([np.count_nonzero(seen_at == t)
+                                     for t in family.build(n).thetas])
+                assert per_node.max() <= 1
+                count = per_node.sum()
+                assert {"none": count == 0, "some": 0 < count < n, "all": count == n}[seen]
 
     @pytest.mark.parametrize("family", [
         NodalFamily(kind="roots-of-unimodular", tau=1.0),

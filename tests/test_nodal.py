@@ -1,4 +1,6 @@
+import multiprocessing
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from circleinterp import (
     ParaOrthogonalSpec,
     ValidationError,
     estimate_conditions,
+    eval_interpolant,
+    interpolant_coefficients,
+    interpolate,
     lebesgue_function,
     make_degree_plan,
     make_nodal_system,
@@ -349,3 +354,128 @@ def test_nearest_nodes_match_the_stacked_gather(system):
         got, want = nodal._nearest_nodes(sys, pts), stacked_nearest_nodes(sys, pts)
         assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
 
+
+
+def _jittered_nodes(n, seed=0):
+    """n nodes, each moved by up to 0.3 of a gap from the n-th roots of
+    unity: neither rotation-symmetric nor crowded."""
+    rng = np.random.default_rng(seed)
+    return np.exp(2j * np.pi * (np.arange(n) + 0.3 * rng.random(n)) / n)
+
+
+class TestThreadedKernel:
+    """A pair-kernel call of at least PARALLEL_PAIRS pairs spreads its
+    blocks over max_workers() threads; one below it runs in the caller."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """A list that grows by one at each threaded call."""
+        asked = []
+        executor = nodal._pair_executor
+        monkeypatch.setattr(nodal, "_pair_executor", lambda: asked.append(1) or executor())
+        return asked
+
+    def test_bit_identical_at_any_thread_count(self, monkeypatch):
+        """make_nodal_system, interpolant_coefficients, estimate_conditions
+        and eval_interpolant off the circle at n = 1024 give the same bits
+        on one, two and three threads.  The crossover is lowered so that
+        all four take the threaded path."""
+        monkeypatch.setattr(nodal, "PARALLEL_PAIRS", 1 << 18)
+        asked = self._spy(monkeypatch)
+        n = 1024
+        nodes = _jittered_nodes(n)
+        values = np.cos(3.0 * np.angle(nodes)) + 0.5j
+        z = 1.01 * np.exp(2j * np.pi * (np.arange(4096) + 0.25) / 4096)
+        outputs = []
+        for threads in (1, 2, 3):
+            monkeypatch.setenv("CIRCLE_INTERP_THREADS", str(threads))
+            asked.clear()
+            system = make_nodal_system(nodes)
+            I = interpolate(system, make_degree_plan(n, 0.5), values)
+            outputs.append((system.derivs, interpolant_coefficients(I).coeffs,
+                            estimate_conditions(system), eval_interpolant(I, z)))
+            assert len(asked) == (0 if threads == 1 else 4)
+        for derivs, coeffs, report, evals in outputs[1:]:
+            assert derivs.tobytes() == outputs[0][0].tobytes()
+            assert coeffs.tobytes() == outputs[0][1].tobytes()
+            assert report == outputs[0][2]
+            assert evals.tobytes() == outputs[0][3].tobytes()
+
+    def test_serial_below_the_crossover(self, monkeypatch):
+        """Nothing at n = 256 reaches the executor, the 4096 + 256 point
+        condition grid included; that grid at n = 512 does."""
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", "2")
+        asked = self._spy(monkeypatch)
+        system = make_nodal_system(_jittered_nodes(256))
+        I = interpolate(system, make_degree_plan(256, 0.5), np.cos(system.thetas))
+        interpolant_coefficients(I)
+        eval_interpolant(I, np.exp(2j * np.pi * np.arange(4096) / 4096))
+        eval_interpolant(I, 1.01 * np.exp(2j * np.pi * np.arange(4096) / 4096))
+        assert estimate_conditions(system).grid_size == 4096
+        assert not asked
+        estimate_conditions(make_nodal_system(_jittered_nodes(512)))
+        assert len(asked) == 1
+
+    def test_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
+        """A RuntimeWarning raised as an error in a block on an executor
+        thread reaches the caller, and the executor keeps working."""
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", "2")
+        asked = self._spy(monkeypatch)
+        n = 1024
+        system = make_nodal_system(_jittered_nodes(n))
+        I = interpolate(system, make_degree_plan(n, 0.5), np.cos(system.thetas))
+        z = 1.01 * np.exp(2j * np.pi * (np.arange(4096) + 0.25) / 4096)
+        bad = z.copy()
+        # block 1, which the executor's thread runs: |W(z)| / |z|^p overflows
+        bad[nodal.PAIR_BUDGET // n] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                eval_interpolant(I, bad)
+        got = eval_interpolant(I, z)
+        assert len(asked) == 2
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", "1")
+        assert got.tobytes() == eval_interpolant(I, z).tobytes()
+
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                        reason="numpy keeps its error state per thread before 2.0")
+    def test_workers_keep_the_callers_error_state(self, monkeypatch):
+        """Under the caller's np.errstate(over="ignore") the overflow in a
+        block on an executor thread is ignored there too, as on one thread."""
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", "2")
+        asked = self._spy(monkeypatch)
+        n = 1024
+        system = make_nodal_system(_jittered_nodes(n))
+        I = interpolate(system, make_degree_plan(n, 0.5), np.cos(system.thetas))
+        z = 1.01 * np.exp(2j * np.pi * (np.arange(4096) + 0.25) / 4096)
+        z[nodal.PAIR_BUDGET // n] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = eval_interpolant(I, z)
+        assert len(asked) == 1
+        assert not np.isfinite(got[nodal.PAIR_BUDGET // n])
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_fork_child_builds_its_own_executor(self, monkeypatch):
+        """A child forked after the parent's executor was built runs a
+        threaded kernel call to the parent's result instead of hanging."""
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", "2")
+        asked = self._spy(monkeypatch)
+        system = make_nodal_system(_jittered_nodes(1024))
+        want = estimate_conditions(system)
+        assert len(asked) == 1
+
+        def child():
+            if estimate_conditions(system) != want:
+                raise SystemExit(3)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=10)
+            pytest.fail("the forked child hung in the pair kernel")
+        assert proc.exitcode == 0
