@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke checks of the installed `circle-interp` console script: version,
-# nodes, the exit code of a malformed flag, interp on the FFT path, trig
-# and a sweep that must write its CSV.
+# nodes, the exit code of a malformed flag, interp on the FFT path, trig,
+# a sweep that must write its CSV, and a para-orthogonal sweep read from a
+# measure file, whose node midpoints are not rotation-symmetric.
 #
 #   scripts/ci_console_smoke.sh [OUT_DIR]
 #
@@ -20,3 +21,7 @@ circle-interp interp --n 2048 --corpus holder:0.6
 circle-interp trig --n 128 --variant para --corpus holder:0.6
 circle-interp sweep --ns 256:2048 --corpus holder:0.6 --out "$out_dir/sweep"
 test -s "$out_dir/sweep.csv"
+echo '{"kind": "verblunsky", "alphas": [[0.5, 0]]}' > "$out_dir/alpha-half.json"
+circle-interp sweep --family para-orthogonal --measure "$out_dir/alpha-half.json" \
+    --ns 16:64 --corpus holder:0.6 --out "$out_dir/sweep-para"
+test -s "$out_dir/sweep-para.csv"

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CircleInterpError, ValidationError
-from .interp import _evaluate, _on_coefficients, interpolant_coefficients, interpolate
-from .laurent import DegreePlan, _check_ratio, _uniform_angles, make_degree_plan
-from .nodal import NodalSystem, _node_midpoints, estimate_conditions, roots_of_unimodular
+from .interp import interpolant_coefficients, interpolate
+from .laurent import (DegreePlan, _check_ratio, _fft_on_grid, _uniform_angles, eval_laurent,
+                      make_degree_plan)
+from .nodal import (AT_NODE_TOL, NodalSystem, _node_midpoints, estimate_conditions,
+                    roots_of_unimodular)
 from .opuc import (
     MeasureSpec,
     ParaOrthogonalSpec,
@@ -53,6 +55,8 @@ class CorpusFunction:
     f_theta: callable = field(repr=False)
 
     def __call__(self, theta):
+        if np.iscomplexobj(theta):
+            raise ValidationError(f"{self.label} takes real angles; call on_circle for points z")
         return self.f_theta(np.asarray(theta, dtype=float))
 
     def on_circle(self, z):
@@ -215,15 +219,21 @@ class SweepResult:
     condition_grid: tuple = ()
 
 
-def _target_on(F: CorpusFunction, z: np.ndarray, z_grid: np.ndarray, f_grid) -> np.ndarray:
-    """F at the points z.  A point bit-equal to a point of the uniform
-    grid z_grid takes the value F gave there, f_grid; F runs on the other
-    points only, and not at all when there are none.  When f_grid is the
-    error F raised on the grid, F runs on every point."""
+def _grid_index(z: np.ndarray, M: int) -> np.ndarray:
+    """Per point z, the index of the point of the uniform M-point grid
+    nearest to it in argument."""
+    return np.rint(np.angle(z) * (M / (2.0 * np.pi))).astype(int) % M
+
+
+def _target_on(F: CorpusFunction, z: np.ndarray, k: np.ndarray, z_grid: np.ndarray,
+               f_grid) -> np.ndarray:
+    """F at the points z, with k = _grid_index(z, len(z_grid)).  A point
+    bit-equal to its grid point z_grid[k] takes the value F gave there,
+    f_grid[k]; F runs on the other points only, and not at all when there
+    are none.  When f_grid is the error F raised on the grid, F runs on
+    every point."""
     if isinstance(f_grid, Exception):
         return F.on_circle(z)
-    M = len(z_grid)
-    k = np.rint(np.angle(z) * (M / (2.0 * np.pi))).astype(int) % M
     miss = z_grid[k] != z
     values = np.asarray(f_grid)[k]
     if miss.any():
@@ -240,20 +250,23 @@ def _sweep_one(family: NodalFamily, r: float, n: int, F: CorpusFunction,
     returns as its result rather than raising the one shared instance."""
     system = family.build(n)
     plan = make_degree_plan(n, r)
-    I = interpolate(system, plan, _target_on(F, system.nodes, z_grid, f_grid))
-    # error grid: uniform angles plus node midpoints, where the error peaks.
-    # Both come from one set of coefficients, as two arrays: the uniform
-    # grid takes the FFT, and so do the midpoints of rotation-symmetric nodes
-    off_nodes = _on_coefficients(interpolant_coefficients(I))
+    M = len(z_grid)
+    k = _grid_index(system.nodes, M)
+    I = interpolate(system, plan, _target_on(F, system.nodes, k, z_grid, f_grid))
+    # the error is measured on the uniform grid and at the node midpoints,
+    # from one set of coefficients.  The grid is unrotated: one FFT, no
+    # detection (Horner below two points).  Only grid point k_j can lie
+    # within AT_NODE_TOL of node j, and no midpoint can lie that near a node
+    L = interpolant_coefficients(I)
     if isinstance(f_grid, Exception):
         return f_grid
-
-    def error_on(z, f):
-        return np.max(np.abs(f - _evaluate(system, I.values, z, off_nodes)))
-
+    on_grid = _fft_on_grid(L, M, 0, 0.0) if M >= 2 else eval_laurent(L, z_grid)
+    at = np.abs(z_grid[k] - system.nodes) < AT_NODE_TOL
+    on_grid[k[at]] = I.values[at]
     z_mids = np.exp(1j * _node_midpoints(system))
-    sup_error = float(np.max([error_on(z_grid, f_grid),
-                              error_on(z_mids, _target_on(F, z_mids, z_grid, f_grid))]))
+    f_mids = _target_on(F, z_mids, _grid_index(z_mids, M), z_grid, f_grid)
+    sup_error = float(np.max([np.max(np.abs(f_grid - on_grid)),
+                              np.max(np.abs(f_mids - eval_laurent(L, z_mids)))]))
     report = estimate_conditions(system)
     return plan, sup_error, report
 
@@ -268,7 +281,9 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
     spreads large calls over threads itself (nodal.max_workers).  F runs
     once per sweep on the uniform error grid and per n at those nodes and
     node midpoints that are not bit-equal to a grid point; the others take
-    the value F gave at that grid point.  So F must be pointwise: its value
+    the value F gave at that grid point.  On the roots of z^n = 1 with
+    error_grid / (2n) a power of two every node and midpoint is a grid
+    point, so F runs per n not at all.  So F must be pointwise: its value
     at a point may not depend on the other points of the call.  It need
     not be thread-safe.  A library error that F raises on the grid is
     recorded at every n that gets that far.  Any other exception

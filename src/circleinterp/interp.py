@@ -240,6 +240,8 @@ def interpolant_coefficients(I: CircleInterpolant) -> LaurentPolynomial:
 
 
 def interpolation_error(I: CircleInterpolant, F, grid_size: int = 8192) -> float:
-    """max over a uniform circle grid of |F(z) - L(z)|."""
+    """max over a uniform circle grid of |F(z) - L(z)|.  F takes the points
+    z, through F.on_circle where it has one (a corpus function takes angles)."""
     z = np.exp(1j * _uniform_angles(grid_size))
-    return float(np.max(np.abs(np.asarray(F(z), dtype=complex) - eval_interpolant(I, z))))
+    f = getattr(F, "on_circle", F)(z)
+    return float(np.max(np.abs(np.asarray(f, dtype=complex) - eval_interpolant(I, z))))

@@ -306,7 +306,12 @@ def _samples_are_nodes(system: NodalSystem) -> bool:
 
 
 def _node_midpoints(system: NodalSystem) -> np.ndarray:
-    """The angles midway between adjacent node arguments, increasing."""
+    """The angles midway between adjacent node arguments, increasing.  For
+    rotation-symmetric nodes (_samples_are_nodes) they are arg nodes[0] plus
+    the odd points of the uniform 2n-point grid: on the roots of z^n = 1,
+    points of the uniform M-point grid when M / (2n) is a power of two."""
+    if _samples_are_nodes(system):
+        return np.angle(system.nodes[0]) + _uniform_angles(2 * system.n)[1::2]
     thetas = np.sort(system.thetas)
     mids = 0.5 * (thetas + np.roll(thetas, -1))
     mids[-1] = 0.5 * (thetas[-1] + thetas[0] + 2.0 * np.pi)  # wrap-around gap

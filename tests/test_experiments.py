@@ -19,7 +19,7 @@ from circleinterp import (
     sweep_to_csv,
     sweep_to_json,
 )
-from circleinterp import interp, laurent, nodal
+from circleinterp import experiments, interp, laurent, nodal
 from circleinterp.experiments import CorpusFunction
 from circleinterp.interp import interpolate
 from circleinterp.nodal import max_workers
@@ -50,6 +50,15 @@ class TestCorpus:
         F = corpus("smooth-exp")
         assert F.on_circle(np.exp(0.5j)) == pytest.approx(np.exp(np.cos(0.5)))
         assert F.on_interval(np.cos(0.5)) == pytest.approx(np.exp(np.cos(0.5)))
+
+    def test_call_rejects_complex_points(self):
+        """A call takes angles; a complex point would lose its imaginary
+        part in the cast to float, so it is refused."""
+        F = corpus("holder", 0.6)
+        with pytest.raises(ValidationError, match="on_circle"):
+            F(np.exp(1j * np.linspace(0.0, 1.0, 4)))
+        with pytest.raises(ValidationError, match="on_circle"):
+            F(1j)
 
     def test_invalid(self):
         with pytest.raises(ValidationError):
@@ -110,9 +119,9 @@ class TestSweep:
         assert np.max(np.abs(result.b_hats - result.b_hats[0])) < 0.3
 
     @pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
-    def test_ratio_checked_before_the_pool(self, r):
-        """A ratio outside (0, 1) is invalid input for the whole sweep, not
-        an error recorded at every n."""
+    def test_ratio_checked_before_any_n(self, r):
+        """A ratio outside (0, 1) is invalid input for the whole sweep: it
+        raises before any n is built, not as an error recorded at every n."""
         family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
         with pytest.raises(ValidationError, match="ratio r"):
             convergence_sweep(family, r, [8, 16], corpus("smooth-exp"), error_grid=256)
@@ -154,10 +163,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_target_runs_once_on_the_shared_grid(self, monkeypatch, threads):
-        """F sees the error grid once per sweep.  Per n it sees only the
-        nodes that are not bit-equal to a grid point: none of the roots of
-        unity, some of the roots of z^n = -1 and every para-orthogonal
-        node, each at most once."""
+        """F sees the 8192-point error grid once per sweep.  Per n it sees
+        only the nodes and node midpoints that are not bit-equal to a grid
+        point, each at most once.  On the roots of unity that is nothing:
+        their midpoints are the odd points of the uniform 2n-point grid, and
+        8192 / (2n) is a power of two.  It is some of the roots of
+        z^n = -1 and every para-orthogonal [0.5] node."""
         monkeypatch.setenv("CIRCLE_INTERP_THREADS", threads)
         ns, holder = (32, 256, 1024), corpus("holder", 0.6)
         for tau, kind, seen in ((1.0, "roots-of-unimodular", "none"),
@@ -181,31 +192,58 @@ class TestSweep:
             assert [np.size(t) for n, t in calls if n is None] == [result.error_grid]
             for n in ns:
                 seen_at = np.concatenate([t for m, t in calls if m == n] + [[]])
-                per_node = np.array([np.count_nonzero(seen_at == t)
-                                     for t in family.build(n).thetas])
-                assert per_node.max() <= 1
+                system = family.build(n)
+                mids = np.mod(np.angle(np.exp(1j * nodal._node_midpoints(system))), 2 * np.pi)
+                per_node, per_mid = (np.array([np.count_nonzero(seen_at == t) for t in points])
+                                     for points in (system.thetas, mids))
+                assert per_node.max() <= 1 and per_mid.max() <= 1
                 count = per_node.sum()
-                assert {"none": count == 0, "some": 0 < count < n, "all": count == n}[seen]
+                assert {"none": len(seen_at) == 0, "some": 0 < count < n,
+                        "all": count == n}[seen]
 
     @pytest.mark.parametrize("family", [
         NodalFamily(kind="roots-of-unimodular", tau=1.0),
+        NodalFamily(kind="roots-of-unimodular", tau=-1.0),
+        NodalFamily(kind="roots-of-unimodular", tau=np.exp(0.7j)),
         NodalFamily(kind="para-orthogonal", tau=1.0, measure=finite_verblunsky([0.5])),
-    ], ids=["roots", "para-0.5"])
+    ], ids=["roots", "roots-neg", "roots-0.7", "para-0.5"])
     def test_sup_errors_equal_a_grid_per_n(self, family):
-        """Every sup error is == the one from a uniform grid built and
-        evaluated for that n alone, and from the node midpoints."""
-        ns, r, F, M = (32, 256, 1024), 0.5, corpus("holder", 0.6), 4096
-        result = convergence_sweep(family, r, ns, F, error_grid=M)
-        for n, got in zip(ns, result.sup_errors):
-            system = family.build(n)
-            I = interpolate(system, make_degree_plan(n, r), F.on_circle(system.nodes))
-            off_nodes = interp._on_coefficients(interp.interpolant_coefficients(I))
-            ref = max(
-                float(np.max(np.abs(F.on_circle(z) - interp._evaluate(system, I.values, z,
-                                                                      off_nodes))))
-                for z in (np.exp(1j * laurent._uniform_angles(M)),
-                          np.exp(1j * nodal._node_midpoints(system))))
-            assert got == ref
+        """Every sup error is == the one from the uniform grid and the node
+        midpoints evaluated for that n alone, each point first matched to
+        its nearest node.  A one-point grid takes Horner, the others the
+        FFT; on the roots of unity some or all grid points lie at nodes."""
+        ns, r, F = (32, 256, 1024), 0.5, corpus("holder", 0.6)
+        for M in (1, 2, 3000, 4096):
+            result = convergence_sweep(family, r, ns, F, error_grid=M)
+            for n, got in zip(ns, result.sup_errors):
+                system = family.build(n)
+                I = interpolate(system, make_degree_plan(n, r), F.on_circle(system.nodes))
+                off_nodes = interp._on_coefficients(interp.interpolant_coefficients(I))
+                ref = max(
+                    float(np.max(np.abs(F.on_circle(z) - interp._evaluate(system, I.values, z,
+                                                                          off_nodes))))
+                    for z in (np.exp(1j * laurent._uniform_angles(M)),
+                              np.exp(1j * nodal._node_midpoints(system))))
+                assert got == ref
+
+    def test_grid_points_at_nodes_take_the_node_values(self, monkeypatch):
+        """A grid point at a node takes that node's value, not the FFT's:
+        with NaN in place of the FFT's values there, the sup errors of the
+        roots of unity are unchanged.  The sup error alone cannot show it,
+        as the FFT misses a node's value by rounding only."""
+        family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
+        ns, F = (32, 256), corpus("holder", 0.6)
+        want = convergence_sweep(family, 0.5, ns, F, error_grid=4096).sup_errors
+        fft = experiments._fft_on_grid
+
+        def poisoned(L, M, j0, a):
+            values = fft(L, M, j0, a)
+            values[::M // (L.p + L.q + 1)] = np.nan  # the grid points at the nodes
+            return values
+
+        monkeypatch.setattr(experiments, "_fft_on_grid", poisoned)
+        got = convergence_sweep(family, 0.5, ns, F, error_grid=4096).sup_errors
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_target_failing_on_the_grid(self, monkeypatch, threads):

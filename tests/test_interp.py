@@ -22,6 +22,7 @@ from circleinterp import (
     paraorthogonal_nodes,
     roots_of_unimodular,
     coefficients_from_samples,
+    corpus,
     szego_recurrence,
 )
 from circleinterp import interp, laurent, nodal
@@ -151,6 +152,17 @@ class TestInterpolate:
         F = lambda z: np.exp(np.cos(np.angle(z)))
         I = interpolate(sys, plan, F(sys.nodes))
         assert interpolation_error(I, F, grid_size=4096) < 1e-10
+
+    def test_error_of_a_corpus_function_takes_its_circle_lift(self):
+        """A corpus function takes angles when called, so interpolation_error
+        evaluates it through on_circle: 0.135 for holder:0.6 on 16 roots of
+        unity, not the 0.812 of its call on the real parts of the points."""
+        sys, F = roots_of_unimodular(16, 1.0), corpus("holder", 0.6)
+        I = interpolate(sys, make_degree_plan(16, 0.5), F.on_circle(sys.nodes))
+        z = np.exp(1j * laurent._uniform_angles(256))
+        err = interpolation_error(I, F, grid_size=256)
+        assert err == float(np.max(np.abs(F.on_circle(z) - eval_interpolant(I, z))))
+        assert err == pytest.approx(0.135, abs=1e-3)
 
 
 def _first_form_reference(I, z):
