@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke checks of the installed `circle-interp` console script: version,
 # nodes, the exit code of a malformed flag, interp on the FFT path, trig,
-# a sweep that must write its CSV, and a para-orthogonal sweep read from a
-# measure file, whose node midpoints are not rotation-symmetric.
+# a sweep that must write its CSV, and a para-orthogonal sweep and trig
+# interpolant read from a measure file (the sweep's node midpoints are not
+# rotation-symmetric).
 #
 #   scripts/ci_console_smoke.sh [OUT_DIR]
 #
@@ -25,3 +26,4 @@ echo '{"kind": "verblunsky", "alphas": [[0.5, 0]]}' > "$out_dir/alpha-half.json"
 circle-interp sweep --family para-orthogonal --measure "$out_dir/alpha-half.json" \
     --ns 16:64 --corpus holder:0.6 --out "$out_dir/sweep-para"
 test -s "$out_dir/sweep-para.csv"
+circle-interp trig --n 64 --variant para --measure "$out_dir/alpha-half.json" --corpus holder:0.6

@@ -55,7 +55,6 @@ from .nodal import (
 )
 from .opuc import (
     MeasureSpec,
-    OpucState,
     ParaOrthogonalSpec,
     bernstein_szego,
     finite_verblunsky,

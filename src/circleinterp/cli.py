@@ -31,12 +31,7 @@ from .experiments import (
 from .interp import eval_interpolant, interpolate
 from .laurent import _uniform_angles, make_degree_plan
 from .nodal import estimate_conditions, make_nodal_system
-from .opuc import (
-    lebesgue_measure,
-    load_measure_spec,
-    szego_recurrence,
-    verblunsky_coefficients,
-)
+from .opuc import lebesgue_measure, load_measure_spec, verblunsky_coefficients
 from .transforms import (
     VARIANTS,
     interval_interpolate,
@@ -252,9 +247,8 @@ def cmd_trig(cfg) -> int:
         w = INTERVAL_WEIGHTS[cfg.get("weight", "chebyshev1")]
         tp = trig_interpolate_symmetric(w, n, F)
     else:
-        measure = _measure_from(cfg.get("measure", "lebesgue"))
-        state = szego_recurrence(verblunsky_coefficients(measure, n), n)
-        tp = trig_interpolate_paraorthogonal(state, cfg.get("tau", 1.0 + 0.0j), n, F)
+        alphas = verblunsky_coefficients(_measure_from(cfg.get("measure", "lebesgue")), n)
+        tp = trig_interpolate_paraorthogonal(alphas, cfg.get("tau", 1.0 + 0.0j), n, F)
     grid = cfg.get("grid", 4096)
     theta = _uniform_angles(grid)
     f_vals = F(theta)

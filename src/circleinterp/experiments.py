@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import CircleInterpError, ValidationError
 from .interp import interpolant_coefficients, interpolate
-from .laurent import (DegreePlan, _check_ratio, _fft_on_grid, _uniform_angles, eval_laurent,
-                      make_degree_plan)
+from .laurent import (DegreePlan, _check_count, _check_ratio, _fft_on_grid, _uniform_angles,
+                      eval_laurent, make_degree_plan)
 from .nodal import (AT_NODE_TOL, NodalSystem, _node_midpoints, estimate_conditions,
                     roots_of_unimodular)
 from .opuc import (
@@ -25,7 +25,6 @@ from .opuc import (
     ParaOrthogonalSpec,
     lebesgue_measure,
     paraorthogonal_nodes,
-    szego_recurrence,
     verblunsky_coefficients,
 )
 
@@ -126,8 +125,7 @@ def estimate_modulus(F: CorpusFunction, deltas, grid_size: int = 2**14) -> Modul
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     if np.any(deltas <= 0):
         raise ValidationError("deltas must be positive")
-    if grid_size < 1024:
-        raise ValidationError(f"grid_size must be >= 1024, got {grid_size}")
+    grid_size = _check_count("grid_size", grid_size, 1024)
     theta = _uniform_angles(grid_size)
     vals = np.asarray(F(theta), dtype=float)
 
@@ -170,7 +168,7 @@ def near_best_error(F: CorpusFunction, plan: DegreePlan, grid_size: int = 8192) 
     The taper is flat across the whole window, so members of the window are
     reproduced exactly; the decay region keeps the operator norm bounded.
     """
-    M = grid_size
+    M = _check_count("grid_size", grid_size, 1)
     while M < 4 * (max(plan.p, plan.q) + 2):
         M *= 2
     theta = _uniform_angles(M)
@@ -192,8 +190,8 @@ class NodalFamily:
         if self.kind == "roots-of-unimodular":
             return roots_of_unimodular(n, self.tau)
         if self.kind == "para-orthogonal":
-            state = szego_recurrence(verblunsky_coefficients(self.measure, n), n)
-            return paraorthogonal_nodes(state, ParaOrthogonalSpec(n=n, tau=self.tau))
+            return paraorthogonal_nodes(verblunsky_coefficients(self.measure, n),
+                                        ParaOrthogonalSpec(n=n, tau=self.tau))
         raise ValidationError(f"unknown family kind {self.kind!r}")
 
     @property
@@ -289,11 +287,10 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
     recorded at every n that gets that far.  Any other exception
     propagates; one that F raises on the grid does so before any n runs,
     even if every n would have failed first."""
-    ns = np.asarray(sorted(int(n) for n in ns))
+    ns = np.asarray(sorted(_check_count("each n in ns", n, 1) for n in ns))
     if len(ns) == 0 or np.any(np.diff(ns) <= 0):
         raise ValidationError("ns must be a nonempty strictly increasing collection")
-    if error_grid < 1:
-        raise ValidationError(f"error_grid must be >= 1, got {error_grid}")
+    error_grid = _check_count("error_grid", error_grid, 1)
     _check_ratio(r)
     # the error grid is the same for every n.  A library error F raises on
     # it is returned by _sweep_one at each n, at the step that needs the

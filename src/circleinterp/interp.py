@@ -38,6 +38,7 @@ from .errors import ConditioningError, ValidationError
 from .laurent import (
     DegreePlan,
     LaurentPolynomial,
+    _check_count,
     _uniform_angles,
     coefficients_from_samples,
     eval_laurent,
@@ -242,6 +243,6 @@ def interpolant_coefficients(I: CircleInterpolant) -> LaurentPolynomial:
 def interpolation_error(I: CircleInterpolant, F, grid_size: int = 8192) -> float:
     """max over a uniform circle grid of |F(z) - L(z)|.  F takes the points
     z, through F.on_circle where it has one (a corpus function takes angles)."""
-    z = np.exp(1j * _uniform_angles(grid_size))
+    z = np.exp(1j * _uniform_angles(_check_count("grid_size", grid_size, 1)))
     f = getattr(F, "on_circle", F)(z)
     return float(np.max(np.abs(np.asarray(f, dtype=complex) - eval_interpolant(I, z))))

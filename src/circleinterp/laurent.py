@@ -15,6 +15,7 @@ unrotated grid for the whole library.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,8 @@ class DegreePlan:
     q: int
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValidationError(f"window exponents must be nonnegative: p={self.p}, q={self.q}")
+        object.__setattr__(self, "p", _check_count("p", self.p, 0))
+        object.__setattr__(self, "q", _check_count("q", self.q, 0))
 
     @property
     def n(self) -> int:
@@ -55,6 +56,19 @@ class DegreePlan:
     @property
     def s(self) -> int:
         return min(self.p, self.q)
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """value as a Python int, when it is a Python or numpy integer of at
+    least minimum; ValidationError otherwise, also for an integral float."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if k < minimum:
+        bound = "nonnegative" if minimum == 0 else f">= {minimum}"
+        raise ValidationError(f"{name} must be {bound}, got {k}")
+    return k
 
 
 def _check_ratio(r: float) -> None:
@@ -68,8 +82,7 @@ def make_degree_plan(n: int, r: float) -> DegreePlan:
     Requires n >= 2 and 0 < r < 1.  The floor rounding is deterministic and
     monotone in n, and |p/(n-1) - r| <= 1/(n-1).
     """
-    if n < 2:
-        raise ValidationError(f"need n >= 2 nodes for a degree plan, got {n}")
+    n = _check_count("the node count of a degree plan", n, 2)
     _check_ratio(r)
     p = math.floor(r * (n - 1))
     return DegreePlan(p=p, q=n - 1 - p)
@@ -87,8 +100,8 @@ class LaurentPolynomial:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValidationError(f"window exponents must be nonnegative: p={self.p}, q={self.q}")
+        object.__setattr__(self, "p", _check_count("p", self.p, 0))
+        object.__setattr__(self, "q", _check_count("q", self.q, 0))
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or len(c) != self.p + self.q + 1:
             raise ValidationError(

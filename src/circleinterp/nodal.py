@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .laurent import DegreePlan, _uniform_angles
+from .laurent import DegreePlan, _check_count, _uniform_angles
 
 __all__ = [
     "NodalSystem",
@@ -258,8 +258,7 @@ def roots_of_unimodular(n: int, tau: complex) -> NodalSystem:
     W_n(z) = z^n - tau, so the derivatives take the closed form
     W_n'(z_j) = n z_j^{n-1} = n tau / z_j.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    n = _check_count("n", n, 1)
     tau = complex(tau)
     if abs(abs(tau) - 1.0) > UNIMODULAR_TOL:
         raise ValidationError(f"|tau| must equal 1 within {UNIMODULAR_TOL}, got |tau|={abs(tau)}")
@@ -411,8 +410,7 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
     n = system.n
     if grid_size is None:
         grid_size = default_grid_size(n)
-    if grid_size < 4:
-        raise ValidationError(f"grid_size must be >= 4, got {grid_size}")
+    grid_size = _check_count("grid_size", grid_size, 4)
     if grid_size % n == 0 and _samples_are_nodes(system):
         period = _uniform_angles(grid_size)[: grid_size // n]
         z = np.append(np.exp(1j * period), system.nodes[0] * np.exp(1j * np.pi / n))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,10 +27,10 @@ from .errors import (
     RootFindingError,
     ValidationError,
 )
-from .nodal import DISTINCT_TOL, NodalSystem, make_nodal_system
+from .laurent import _check_count
+from .nodal import DISTINCT_TOL, UNIMODULAR_TOL, NodalSystem, make_nodal_system
 
 __all__ = [
-    "OpucState",
     "MeasureSpec",
     "ParaOrthogonalSpec",
     "lebesgue_measure",
@@ -82,18 +82,6 @@ _ORDER_RUN = 3
 _ORDER_SPREAD = 0.1
 _MIN_ORDER = 0.5
 _MISS_FACTOR = 2.0
-
-
-@dataclass(frozen=True)
-class OpucState:
-    """Verblunsky coefficients alpha_0..alpha_{N-1}, fixing the monic OPUC
-    through degree N.  The node solver works from ``alphas`` alone."""
-
-    alphas: np.ndarray = field(repr=False)
-
-    @property
-    def degree(self) -> int:
-        return len(self.alphas)
 
 
 @dataclass(frozen=True)
@@ -166,18 +154,19 @@ def load_measure_spec(path) -> MeasureSpec:
         raise ValidationError(f"measure file {path}: {exc}") from exc
 
 
-def szego_recurrence(alphas: Sequence[complex], N: int) -> OpucState:
-    """Validate alpha_0..alpha_{N-1} and wrap them as the OPUC state of degree N."""
+def szego_recurrence(alphas: Sequence[complex], N: int) -> np.ndarray:
+    """alpha_0..alpha_{N-1}, which fix the monic OPUC through degree N, as
+    a complex copy, after checking that there are N of them and that each
+    has |alpha_k| < 1."""
     alphas = np.asarray([complex(a) for a in alphas], dtype=complex)
-    if N < 0:
-        raise ValidationError(f"N must be nonnegative, got {N}")
+    N = _check_count("N", N, 0)
     if len(alphas) < N:
         raise ValidationError(f"need {N} Verblunsky coefficients, got {len(alphas)}")
     bad = np.nonzero(np.abs(alphas[:N]) >= 1.0)[0]
     if len(bad):
         k = int(bad[0])
         raise ValidationError(f"|alpha_{k}| must be < 1, got {abs(alphas[k])}")
-    return OpucState(alphas=alphas[:N].copy())
+    return alphas[:N].copy()
 
 
 def _weight_values(w, theta: np.ndarray) -> np.ndarray:
@@ -304,8 +293,7 @@ def moments_to_verblunsky(spec: MeasureSpec, N: int) -> np.ndarray:
 
     where <f, g> = int f conj(g) dnu and <z^a, z^b> = m_{a-b}.
     """
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
+    N = _check_count("N", N, 1)
     m = trigonometric_moments(spec, N)
     mass = m[0].real
     if mass <= 0:
@@ -339,8 +327,7 @@ def moments_to_verblunsky(spec: MeasureSpec, N: int) -> np.ndarray:
 
 def verblunsky_coefficients(spec: MeasureSpec, N: int) -> np.ndarray:
     """First N Verblunsky coefficients of any supported measure family."""
-    if N < 0:
-        raise ValidationError(f"N must be nonnegative, got {N}")
+    N = _check_count("N", N, 0)
     if spec.kind == "lebesgue":
         return np.zeros(N, dtype=complex)
     if spec.kind == "finite-verblunsky":
@@ -361,10 +348,10 @@ class ParaOrthogonalSpec:
     tau: complex
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"degree must be >= 1, got {self.n}")
-        if abs(abs(complex(self.tau)) - 1.0) > 1e-12:
-            raise ValidationError(f"|tau| must equal 1 within 1e-12, got {abs(self.tau)}")
+        object.__setattr__(self, "n", _check_count("degree", self.n, 1))
+        if abs(abs(complex(self.tau)) - 1.0) > UNIMODULAR_TOL:
+            raise ValidationError(
+                f"|tau| must equal 1 within {UNIMODULAR_TOL}, got {abs(self.tau)}")
 
 
 class _Group(NamedTuple):
@@ -545,8 +532,11 @@ def _count_brackets(steps: list, n: int, c: float):
         q = np.insert(q, at, w + (phi - c) / _TWO_PI)
 
 
-def paraorthogonal_nodes(state: OpucState, spec: ParaOrthogonalSpec) -> NodalSystem:
-    """Zeros of omega_n(z, tau) = phi_n + tau phi_n* as a nodal system.
+def paraorthogonal_nodes(alphas: Sequence[complex], spec: ParaOrthogonalSpec) -> NodalSystem:
+    """Zeros of omega_n(z, tau) = phi_n + tau phi_n* as a nodal system, for
+    the Verblunsky coefficients alphas, of which the first n are used.  They
+    are checked by ``szego_recurrence`` first, so ValidationError names
+    fewer than n coefficients or one with |alpha_k| >= 1.
 
     The zeros are the solutions of b_n(e^{i theta}) = -tau, that is
     psi_n(theta) = arg(-tau) + 2 pi j for n consecutive integers j (see
@@ -559,9 +549,7 @@ def paraorthogonal_nodes(state: OpucState, spec: ParaOrthogonalSpec) -> NodalSys
     1e-10 raise DegeneracyError (from ``make_nodal_system``).
     """
     n = spec.n
-    if state.degree < n:
-        raise ValidationError(f"state holds degrees up to {state.degree}, need {n}")
-    steps = _phase_steps(state.alphas[:n])
+    steps = _phase_steps(szego_recurrence(alphas, n))
     c = float(np.angle(-complex(spec.tau)))
 
     # zero j lies where q crosses j, for j = floor(q[0]) + 1 .. floor(q[0]) + n

@@ -23,16 +23,9 @@ import numpy as np
 
 from .errors import SymmetryError, ValidationError
 from .interp import interpolant_coefficients, interpolate
-from .laurent import DegreePlan, LaurentPolynomial, eval_laurent
+from .laurent import DegreePlan, LaurentPolynomial, _check_count, eval_laurent
 from .nodal import NodalSystem
-from .opuc import (
-    MeasureSpec,
-    OpucState,
-    ParaOrthogonalSpec,
-    paraorthogonal_nodes,
-    szego_recurrence,
-    verblunsky_coefficients,
-)
+from .opuc import MeasureSpec, ParaOrthogonalSpec, paraorthogonal_nodes, verblunsky_coefficients
 
 __all__ = [
     "IntervalNodalSystem",
@@ -133,26 +126,20 @@ def _classify_zeros(nodes: np.ndarray):
     return upper, lower, real
 
 
-def interval_nodes_from_measure(w, n: int, variant: str = "mu1",
-                                state: OpucState | None = None) -> IntervalNodalSystem:
+def interval_nodes_from_measure(w, n: int, variant: str = "mu1") -> IntervalNodalSystem:
     """Interval nodal system with n interior nodes from the weight w(x).
 
-    Builds the OPUC state of the transformed measure (unless one is passed
-    in), takes the para-orthogonal zeros of the variant's degree/rotation,
-    and projects the upper-half-circle zeros to their real parts.
+    Takes the Verblunsky coefficients of the transformed measure, the
+    para-orthogonal zeros of the variant's degree/rotation, and projects
+    the upper-half-circle zeros to their real parts.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if n < 1:
-        raise ValidationError(f"need n >= 1 interior nodes, got {n}")
+    n = _check_count("the interior node count n", n, 1)
     degree_of, tau, want_minus, want_plus = _VARIANT_TABLE[variant]
     m = degree_of(n)
-    if state is None:
-        nu = szego_transform_weight(w)
-        state = szego_recurrence(verblunsky_coefficients(nu, m), m)
-    elif state.degree < m:
-        raise ValidationError(f"supplied state holds degrees up to {state.degree}, need {m}")
-    system = paraorthogonal_nodes(state, ParaOrthogonalSpec(n=m, tau=tau))
+    alphas = verblunsky_coefficients(szego_transform_weight(w), m)
+    system = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=m, tau=tau))
     upper, lower, real = _classify_zeros(system.nodes)
     if len(upper) != len(lower):
         raise SymmetryError("zeros are not conjugate-symmetric: half-plane counts differ")
@@ -239,11 +226,12 @@ def trig_interpolate_symmetric(w, n: int, f) -> TrigPolynomial:
     return _trig_coeffs(interpolant_coefficients(I), n)
 
 
-def trig_interpolate_paraorthogonal(state: OpucState, tau: complex, n: int, f) -> TrigPolynomial:
+def trig_interpolate_paraorthogonal(alphas, tau: complex, n: int, f) -> TrigPolynomial:
     """Trig polynomial of degree <= floor(n/2) matching f at the angles of the
-    n para-orthogonal zeros; the window is (n/2, n/2-1) for even n and
-    ((n-1)/2, (n-1)/2) for odd n."""
-    system = paraorthogonal_nodes(state, ParaOrthogonalSpec(n=n, tau=tau))
+    n para-orthogonal zeros of the Verblunsky coefficients alphas (the first
+    n are used); the window is (n/2, n/2-1) for even n and ((n-1)/2, (n-1)/2)
+    for odd n."""
+    system = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=n, tau=tau))
     values = np.asarray(f(system.thetas), dtype=float)
     I = interpolate(system, _interval_plan(n), values.astype(complex))
     return _trig_coeffs(interpolant_coefficients(I), n // 2)

@@ -44,7 +44,7 @@ def report(name: str, ok: bool, detail: str = ""):
     assert ok, f"{name}: {detail}"
 
 
-def bernstein_state(n: int):
+def bernstein_alphas(n: int):
     return szego_recurrence(verblunsky_coefficients(finite_verblunsky([0.5]), n), n)
 
 
@@ -53,7 +53,7 @@ def test_01_delta_property():
     worst = 0.0
     systems = [roots_of_unimodular(n, 1.0) for n in (8, 64, 256)]
     systems += [
-        paraorthogonal_nodes(bernstein_state(n), ParaOrthogonalSpec(n=n, tau=1.0))
+        paraorthogonal_nodes(bernstein_alphas(n), ParaOrthogonalSpec(n=n, tau=1.0))
         for n in (8, 64)
     ]
     for sys in systems:
@@ -95,17 +95,17 @@ def test_03_paraorthogonal_zeros():
     details = []
     for n in (4, 16, 128):
         for tau in (1.0, -1.0, np.exp(0.3j)):
-            state = szego_recurrence(np.zeros(n), n)
-            sys = paraorthogonal_nodes(state, ParaOrthogonalSpec(n=n, tau=tau))
+            alphas = szego_recurrence(np.zeros(n), n)
+            sys = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=n, tau=tau))
             dev = float(np.max(np.abs(sys.nodes**n + tau)))
             ok &= dev <= 1e-12
             details.append(f"lebesgue n={n} dev {dev:.1e}")
-    sys1 = paraorthogonal_nodes(bernstein_state(1), ParaOrthogonalSpec(n=1, tau=1.0))
+    sys1 = paraorthogonal_nodes(bernstein_alphas(1), ParaOrthogonalSpec(n=1, tau=1.0))
     ok &= abs(sys1.nodes[0] + 1.0) <= 1e-14
-    state = szego_recurrence(
+    alphas = szego_recurrence(
         verblunsky_coefficients(finite_verblunsky([0.5, -0.3j]), 512), 512
     )
-    sys512 = paraorthogonal_nodes(state, ParaOrthogonalSpec(n=512, tau=1.0))
+    sys512 = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=512, tau=1.0))
     off = float(np.max(np.abs(np.abs(sys512.nodes) - 1.0)))
     gaps = np.abs(np.diff(np.concatenate([sys512.nodes, sys512.nodes[:1]])))
     ok &= off <= 1e-10 and float(np.min(gaps)) > 1e-8
@@ -123,7 +123,7 @@ def test_04_condition_constants():
         ok &= abs(rep.b_hat - 1.0) <= 1e-9
     systems = [roots_of_unimodular(n, -1.0) for n in (16, 100, 512)]
     systems.append(
-        paraorthogonal_nodes(bernstein_state(128), ParaOrthogonalSpec(n=128, tau=1.0))
+        paraorthogonal_nodes(bernstein_alphas(128), ParaOrthogonalSpec(n=128, tau=1.0))
     )
     for sys in systems:
         rep = estimate_conditions(sys)
@@ -206,8 +206,8 @@ def test_08_trig_interpolation():
     ok &= tp.a.dtype == float and tp.b.dtype == float
     # imaginary residue bound is enforced inside the coefficient extraction;
     # verify explicitly against the complex circle interpolant
-    state = szego_recurrence(np.zeros(9), 9)
-    tp9 = trig_interpolate_paraorthogonal(state, -1.0, 9, F)
+    alphas = szego_recurrence(np.zeros(9), 9)
+    tp9 = trig_interpolate_paraorthogonal(alphas, -1.0, 9, F)
     nodes9 = np.sort(np.mod(2 * np.pi * np.arange(9) / 9, 2 * np.pi))
     ok &= float(np.max(np.abs(tp9(nodes9) - F(nodes9)))) <= 1e-11
     # cos theta reproduced exactly for n >= 2

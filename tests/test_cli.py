@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from circleinterp import ValidationError
+from circleinterp import ValidationError, corpus, trig_interpolate_paraorthogonal
 from circleinterp.cli import _dense_csv, _load_nodes_file, _parse_ns, _parse_tau, _parser, main
+from circleinterp.laurent import _uniform_angles
 
 
 class TestParsers:
@@ -141,6 +142,24 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["degree"] == 4
+
+    def test_trig_para_with_measure_file(self, tmp_path):
+        """The CLI takes the file's Verblunsky coefficients to the same
+        interpolant as the library call on those coefficients."""
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps({"kind": "verblunsky", "alphas": [[0.5, 0.0], [0.0, 0.3]]}))
+        out, dense = tmp_path / "trig.json", tmp_path / "trig.csv"
+        code = main(["trig", "--n", "16", "--variant", "para", "--measure", str(m),
+                     "--tau=-1", "--corpus", "holder:0.6", "--grid", "512",
+                     "--out", str(out), "--dense", str(dense)])
+        assert code == 0
+        F = corpus("holder", 0.6)
+        alphas = np.array([0.5, 0.3j] + [0.0] * 14)
+        tp = trig_interpolate_paraorthogonal(alphas, -1.0, 16, F)
+        theta = _uniform_angles(512)
+        assert dense.read_text() == _dense_csv(theta, F(theta), tp(theta),
+                                               "theta,f,interpolant,error")
+        assert json.loads(out.read_text())["degree"] == tp.degree == 8
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

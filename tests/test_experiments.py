@@ -108,6 +108,12 @@ class TestNearBest:
         e = near_best_error(F, plan)
         assert 0 < e < 0.1
 
+    @pytest.mark.parametrize("grid", [0, -8])
+    def test_rejects_empty_grid(self, grid):
+        """Doubling a grid of no points never reaches the window's size."""
+        with pytest.raises(ValidationError, match="grid_size"):
+            near_best_error(corpus("smooth-exp"), make_degree_plan(8, 0.5), grid_size=grid)
+
 
 class TestSweep:
     def test_roots_of_unity_sweep(self):

@@ -6,12 +6,26 @@ from hypothesis import strategies as st
 from circleinterp import (
     DegreePlan,
     LaurentPolynomial,
+    NodalFamily,
+    ParaOrthogonalSpec,
     ValidationError,
     coefficients_from_samples,
+    convergence_sweep,
+    corpus,
+    estimate_conditions,
     eval_laurent,
+    interpolate,
+    interpolation_error,
+    interval_nodes_from_measure,
+    lebesgue_measure,
     make_degree_plan,
+    near_best_error,
+    roots_of_unimodular,
+    szego_recurrence,
+    verblunsky_coefficients,
 )
 from circleinterp import laurent
+from conftest import chebyshev1_weight
 
 
 class TestDegreePlan:
@@ -246,3 +260,33 @@ class TestCoefficientRecovery:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             coefficients_from_samples([1.0, 2.0], p=5)
+
+
+ROOTS = NodalFamily(kind="roots-of-unimodular")
+
+
+@pytest.mark.parametrize("count,bad", [
+    (lambda v: roots_of_unimodular(v, 1.0), 2.5),
+    (lambda v: make_degree_plan(v, 0.5), 2.5),
+    (lambda v: DegreePlan(p=v, q=1), 2.5),
+    (lambda v: convergence_sweep(ROOTS, 0.5, [v], corpus("smooth-exp"), error_grid=256), 16.5),
+    (lambda v: convergence_sweep(ROOTS, 0.5, [8], corpus("smooth-exp"), error_grid=v), 256.5),
+    (lambda v: ParaOrthogonalSpec(n=v, tau=1.0), 2.5),
+    (lambda v: estimate_conditions(roots_of_unimodular(8, 1.0), grid_size=v), 100.5),
+    (lambda v: interpolation_error(interpolate(roots_of_unimodular(4, 1.0), make_degree_plan(4, 0.5),
+                                               np.ones(4)), np.cos, grid_size=v), 100.5),
+    (lambda v: near_best_error(corpus("smooth-exp"), make_degree_plan(4, 0.5), grid_size=v), 100.5),
+    (lambda v: interval_nodes_from_measure(chebyshev1_weight, v), 2.5),
+    (lambda v: szego_recurrence([0.5] * 8, v), 2.5),
+    (lambda v: verblunsky_coefficients(lebesgue_measure(), v), 2.5),
+], ids=["roots", "plan", "plan-window", "sweep-ns", "sweep-grid", "para-spec", "conditions-grid",
+        "error-grid", "near-best-grid", "interval", "szego", "verblunsky"])
+def test_counts_must_be_integers(count, bad):
+    """A non-integral count is rejected, not truncated or used as a float:
+    roots_of_unimodular(2.5, 1) gave 3 nodes whose derivatives assumed
+    n = 2.5.  Python and numpy integers pass."""
+    with pytest.raises(ValidationError, match="must be an integer"):
+        count(bad)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        count(float(int(bad)))
+    count(np.int64(8))

@@ -161,6 +161,13 @@ def sparse(n):
     return alphas
 
 
+# the six families of the para-nodes benchmark workload
+PARA_NODES_FAMILIES = {
+    "half": [0.5], "mixed3": [0.9, -0.5j, 0.3 + 0.3j], "near-one": [0.99],
+    "alt16": alternating(16),
+    "random8": list(0.8 * np.exp(2j * np.pi * np.random.default_rng(2).random(8))),
+    "alt-inf": alternating(256),
+}
 FAMILIES = {"alternating": alternating, "random-0.95": random_095, "decaying": decaying,
             "constant-0.5": lambda n: [0.5] * n, "arcsin-2.99": arcsin_turn(2.99),
             "arcsin-3.01": arcsin_turn(3.01), "near-one": near_one, "sparse": sparse}
@@ -342,27 +349,42 @@ class TestParaOrthogonal:
 
     def test_lebesgue_zeros_are_roots_of_minus_tau(self):
         for n, tau in [(4, 1.0), (7, -1.0), (5, np.exp(0.4j))]:
-            state = szego_recurrence(np.zeros(n), n)
-            sys = paraorthogonal_nodes(state, ParaOrthogonalSpec(n=n, tau=tau))
+            alphas = szego_recurrence(np.zeros(n), n)
+            sys = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=n, tau=tau))
             assert np.max(np.abs(sys.nodes**n + tau)) < 1e-12
 
     def test_single_alpha_degree_one(self):
         # omega_1(z, 1) = (z - 1/2) + (1 - z/2) = (z/2)(1) ... solve: z = -1
-        state = szego_recurrence([0.5], 1)
-        sys = paraorthogonal_nodes(state, ParaOrthogonalSpec(n=1, tau=1.0))
+        alphas = szego_recurrence([0.5], 1)
+        sys = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=1, tau=1.0))
         assert abs(sys.nodes[0] + 1.0) < 1e-14
 
     def test_zeros_unimodular_and_sorted(self):
-        state = szego_recurrence([0.5] + [0.0] * 63, 64)
-        sys = paraorthogonal_nodes(state, ParaOrthogonalSpec(n=64, tau=1.0))
+        alphas = szego_recurrence([0.5] + [0.0] * 63, 64)
+        sys = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=64, tau=1.0))
         assert np.max(np.abs(np.abs(sys.nodes) - 1.0)) < 1e-12
         assert np.all(np.diff(sys.thetas) > 0)
 
+    @pytest.mark.parametrize("alphas", [np.array([1.0, 0.2]), np.array([0.2])],
+                             ids=["unimodular", "too-short"])
+    def test_solver_checks_raw_coefficients(self, alphas):
+        with pytest.raises(ValidationError):
+            paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=2, tau=1.0))
+
+    @pytest.mark.parametrize("family", PARA_NODES_FAMILIES)
+    def test_raw_coefficients_give_the_checked_nodes(self, family):
+        n = 256
+        alphas = verblunsky_coefficients(finite_verblunsky(PARA_NODES_FAMILIES[family]), n)
+        spec = ParaOrthogonalSpec(n=n, tau=1.0)
+        direct = paraorthogonal_nodes(alphas, spec).nodes
+        checked = paraorthogonal_nodes(szego_recurrence(alphas, n), spec).nodes
+        assert np.all(direct == checked)
+
     def test_zeros_are_true_zeros(self):
-        state = szego_recurrence([0.3, -0.2, 0.1], 3)
+        alphas = szego_recurrence([0.3, -0.2, 0.1], 3)
         spec = ParaOrthogonalSpec(n=3, tau=-1.0)
-        omega = paraorthogonal_coefficients(state.alphas, 3, spec.tau)
-        sys = paraorthogonal_nodes(state, spec)
+        omega = paraorthogonal_coefficients(alphas, 3, spec.tau)
+        sys = paraorthogonal_nodes(alphas, spec)
         vals = np.polynomial.polynomial.polyval(sys.nodes, omega)
         assert np.max(np.abs(vals)) < 1e-12
 
@@ -498,8 +520,7 @@ class TestParaOrthogonal:
                   -0.4588299495647806 + 0.8502736026683261j,
                   -0.42577208479693146 - 0.8672994026400965j]
         spec = ParaOrthogonalSpec(n=3, tau=-0.36591702480526844 + 0.9306474794236863j)
-        state = szego_recurrence(alphas, 3)
-        sys = paraorthogonal_nodes(state, spec)
+        sys = paraorthogonal_nodes(szego_recurrence(alphas, 3), spec)
         omega = paraorthogonal_coefficients(alphas, 3, spec.tau)
         roots = np.sort(np.mod(np.angle(np.roots(omega[::-1])), 2 * np.pi))
         assert np.max(angle_distance(np.sort(sys.thetas), roots)) <= 1e-13
@@ -507,19 +528,19 @@ class TestParaOrthogonal:
     @pytest.mark.parametrize("alpha", [0.5, 0.7])
     def test_colliding_zeros_raise_degeneracy(self, alpha):
         # constant alphas: the exact zeros collide within ~1e-15
-        state = szego_recurrence([alpha] * 64, 64)
+        alphas = szego_recurrence([alpha] * 64, 64)
         with pytest.raises(DegeneracyError):
-            paraorthogonal_nodes(state, ParaOrthogonalSpec(n=64, tau=1.0))
+            paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=64, tau=1.0))
 
     def test_non_convergence_raises_root_finding(self, monkeypatch):
         monkeypatch.setattr(opuc, "_NEWTON_MAX_STEPS", 1)
-        state = szego_recurrence(alternating(64), 64)
+        alphas = szego_recurrence(alternating(64), 64)
         with pytest.raises(RootFindingError, match="did not converge"):
-            paraorthogonal_nodes(state, ParaOrthogonalSpec(n=64, tau=1.0))
+            paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=64, tau=1.0))
 
     def test_alternating_family_large_n(self):
-        state = szego_recurrence(alternating(512), 512)
-        sys = paraorthogonal_nodes(state, ParaOrthogonalSpec(n=512, tau=1.0))
+        alphas = szego_recurrence(alternating(512), 512)
+        sys = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=512, tau=1.0))
         assert sys.n == 512
         assert np.all(np.diff(sys.thetas) > 1e-10)
 

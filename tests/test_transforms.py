@@ -176,14 +176,6 @@ class TestIntervalNodes:
         with pytest.raises(ValidationError):
             interval_nodes_from_measure(chebyshev1_weight, 3, "mu5")
 
-    def test_precomputed_state_reuse(self):
-        nu = szego_transform_weight(chebyshev1_weight)
-        state = szego_recurrence(verblunsky_coefficients(nu, 12), 12)
-        sys = interval_nodes_from_measure(chebyshev1_weight, 5, "mu1", state=state)
-        assert np.max(np.abs(sys.xs - np.sort(cheb_closed_form("mu1", 5)))) < 1e-11
-        with pytest.raises(ValidationError):
-            interval_nodes_from_measure(chebyshev1_weight, 9, "mu1", state=state)
-
     def test_csv_export(self):
         sys = interval_nodes_from_measure(chebyshev1_weight, 2, "mu2")
         text = interval_nodes_csv(sys)
@@ -289,10 +281,10 @@ class TestTrig:
         assert np.max(np.abs(tp(tg) - np.cos(tg))) < 1e-12
 
     def test_para_variant_conditions(self):
-        state = szego_recurrence(np.zeros(9), 9)
+        alphas = szego_recurrence(np.zeros(9), 9)
         F = lambda t: 1.0 / (2.0 + np.cos(t))
         for n in (8, 9):
-            tp = trig_interpolate_paraorthogonal(state, 1.0, n, F)
+            tp = trig_interpolate_paraorthogonal(alphas, 1.0, n, F)
             assert tp.degree == n // 2
             # nodes are the n-th roots of -1 here
             theta = np.sort(np.mod(np.angle(np.exp(1j * (np.pi + 2 * np.pi * np.arange(n)) / n)), 2 * np.pi))
