@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Smoke checks of the installed `circle-interp` console script: version,
-# nodes, the exit code of a malformed flag, interp on the FFT path, trig,
+# nodes, the exit code of a malformed flag, interp on the FFT path with its
+# dense CSV, interval with its dense and node CSVs, trig in both variants,
 # a sweep that must write its CSV, and a para-orthogonal sweep and trig
 # interpolant read from a measure file (the sweep's node midpoints are not
 # rotation-symmetric).
 #
 #   scripts/ci_console_smoke.sh [OUT_DIR]
 #
-# OUT_DIR holds the sweep output; it defaults to $RUNNER_TEMP, else a fresh
+# OUT_DIR holds the file outputs; it defaults to $RUNNER_TEMP, else a fresh
 # temporary directory.
 set -euo pipefail
 
@@ -18,7 +19,13 @@ circle-interp nodes --n 4
 rc=0
 circle-interp interval --n 8 --weight foo --corpus smooth-exp || rc=$?
 test "$rc" -eq 1
-circle-interp interp --n 2048 --corpus holder:0.6
+circle-interp interp --n 2048 --corpus holder:0.6 --dense "$out_dir/interp.csv"
+test -s "$out_dir/interp.csv"
+circle-interp interval --n 8 --variant mu2 --corpus smooth-exp \
+    --dense "$out_dir/interval.csv" --nodes-out "$out_dir/interval-nodes.csv"
+test -s "$out_dir/interval.csv"
+test -s "$out_dir/interval-nodes.csv"
+circle-interp trig --n 32 --corpus lipschitz
 circle-interp trig --n 128 --variant para --corpus holder:0.6
 circle-interp sweep --ns 256:2048 --corpus holder:0.6 --out "$out_dir/sweep"
 test -s "$out_dir/sweep.csv"

@@ -29,7 +29,7 @@ from .experiments import (
     sweep_to_json,
 )
 from .interp import eval_interpolant, interpolate
-from .laurent import _uniform_angles, make_degree_plan
+from .laurent import _check_count, _uniform_angles, make_degree_plan
 from .nodal import estimate_conditions, make_nodal_system
 from .opuc import lebesgue_measure, load_measure_spec, verblunsky_coefficients
 from .transforms import (
@@ -186,30 +186,24 @@ def _dense_csv(xs, f_vals, approx, header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_fit(cfg, head: dict, F, xs, f_vals, approx, header: str):
+    """Write the report of a fit on the grid xs, the command's own head
+    fields first, and with --dense the CSV of approx.real against f."""
+    payload = {**head, "corpus": F.label, "sup_error": float(np.max(np.abs(f_vals - approx))),
+               "grid_size": len(xs), "metadata": _metadata(cfg)}
+    _emit_report(payload, cfg.get("out"))
+    if cfg.get("dense"):
+        _emit(_dense_csv(xs, f_vals, np.real(approx), header), cfg["dense"])
+
+
 def cmd_interp(cfg) -> int:
     system = _build_system(cfg)
     F = parse_corpus(cfg["corpus"])
     plan = make_degree_plan(system.n, cfg.get("r", 0.5))
     I = interpolate(system, plan, F.on_circle(system.nodes))
-    grid = cfg.get("grid", 8192)
-    theta = _uniform_angles(grid)
-    z = np.exp(1j * theta)
-    approx = eval_interpolant(I, z)
-    f_vals = F(theta)
-    errs = np.abs(f_vals - approx)
-    payload = {
-        "n": system.n,
-        "p": plan.p,
-        "q": plan.q,
-        "s": plan.s,
-        "corpus": F.label,
-        "sup_error": float(np.max(errs)),
-        "grid_size": grid,
-        "metadata": _metadata(cfg),
-    }
-    _emit_report(payload, cfg.get("out"))
-    if cfg.get("dense"):
-        _emit(_dense_csv(theta, f_vals, approx.real, "theta,f,interpolant,error"), cfg["dense"])
+    theta = _uniform_angles(cfg.get("grid", 8192))
+    _emit_fit(cfg, {"n": system.n, "p": plan.p, "q": plan.q, "s": plan.s}, F, theta,
+              F(theta), eval_interpolant(I, np.exp(1j * theta)), "theta,f,interpolant,error")
     return 0
 
 
@@ -218,22 +212,13 @@ def cmd_interval(cfg) -> int:
     F = parse_corpus(cfg["corpus"])
     sys_iv = interval_nodes_from_measure(w, cfg["n"], cfg.get("variant", "mu1"))
     poly = interval_interpolate(sys_iv, F.on_interval)
-    grid = cfg.get("grid", 2001)
-    xg = np.linspace(-1.0, 1.0, grid)
-    f_vals = F.on_interval(xg)
-    approx = poly(xg)
-    payload = {
+    xg = np.linspace(-1.0, 1.0, cfg.get("grid", 2001))
+    head = {
         "n_interior": len(sys_iv.xs),
         "variant": sys_iv.variant,
         "endpoints": {"minus_one": sys_iv.has_minus_one, "plus_one": sys_iv.has_plus_one},
-        "corpus": F.label,
-        "sup_error": float(np.max(np.abs(f_vals - approx))),
-        "grid_size": grid,
-        "metadata": _metadata(cfg),
     }
-    _emit_report(payload, cfg.get("out"))
-    if cfg.get("dense"):
-        _emit(_dense_csv(xg, f_vals, approx, "x,f,interpolant,error"), cfg["dense"])
+    _emit_fit(cfg, head, F, xg, F.on_interval(xg), poly(xg), "x,f,interpolant,error")
     if cfg.get("nodes_out"):
         _emit(interval_nodes_csv(sys_iv), cfg["nodes_out"])
     return 0
@@ -249,22 +234,9 @@ def cmd_trig(cfg) -> int:
     else:
         alphas = verblunsky_coefficients(_measure_from(cfg.get("measure", "lebesgue")), n)
         tp = trig_interpolate_paraorthogonal(alphas, cfg.get("tau", 1.0 + 0.0j), n, F)
-    grid = cfg.get("grid", 4096)
-    theta = _uniform_angles(grid)
-    f_vals = F(theta)
-    approx = tp(theta)
-    payload = {
-        "n": n,
-        "variant": variant,
-        "degree": tp.degree,
-        "corpus": F.label,
-        "sup_error": float(np.max(np.abs(f_vals - approx))),
-        "grid_size": grid,
-        "metadata": _metadata(cfg),
-    }
-    _emit_report(payload, cfg.get("out"))
-    if cfg.get("dense"):
-        _emit(_dense_csv(theta, f_vals, approx, "theta,f,interpolant,error"), cfg["dense"])
+    theta = _uniform_angles(cfg.get("grid", 4096))
+    _emit_fit(cfg, {"n": n, "variant": variant, "degree": tp.degree}, F, theta, F(theta),
+              tp(theta), "theta,f,interpolant,error")
     return 0
 
 
@@ -382,12 +354,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _positive_int(key: str, val):
-    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-        raise ValidationError(f"{key} must be an integer >= 1, got {val!r}")
-    return val
-
-
 def _check_values(command: str, cfg: dict):
     """Check the type and range of every known option, whether it came
     from a flag or from the config file, and parse tau and ns in place."""
@@ -404,9 +370,9 @@ def _check_values(command: str, cfg: dict):
             ns = _parse_ns(val) if isinstance(val, str) else val
             if not isinstance(ns, list):
                 raise ValidationError(f"ns must be 'a:b', a comma list or a JSON list, got {val!r}")
-            cfg[key] = [_positive_int("each n in ns", n) for n in ns]
+            cfg[key] = [_check_count("each n in ns", n, 1) for n in ns]
         elif kind is int:
-            _positive_int(key, val)
+            _check_count(key, val, 1)
         elif kind is float and (isinstance(val, bool) or not isinstance(val, (int, float))):
             raise ValidationError(f"{key} must be a number, got {val!r}")
         elif kind is str and not isinstance(val, str):

@@ -203,18 +203,38 @@ class NodalFamily:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """What each n of a sweep produced: its plan, sup error, condition
+    report and status, "ok" or the error message.  Where an n failed its
+    plan and report are None and its sup error is NaN."""
+
     family: str
     r: float
     corpus_name: str
     ns: np.ndarray = field(repr=False)
     plans: tuple = field(repr=False)
     sup_errors: np.ndarray = field(repr=False)
-    lebesgue_maxima: np.ndarray = field(repr=False)
-    b_hats: np.ndarray = field(repr=False)
-    l_hats: np.ndarray = field(repr=False)
+    reports: tuple = field(repr=False)
     statuses: tuple = ()
     error_grid: int = 8192
-    condition_grid: tuple = ()
+
+    def _per_n(self, name: str, missing=float("nan")) -> list:
+        return [missing if rep is None else getattr(rep, name) for rep in self.reports]
+
+    @property
+    def lebesgue_maxima(self) -> np.ndarray:
+        return np.array(self._per_n("lebesgue_max"))
+
+    @property
+    def b_hats(self) -> np.ndarray:
+        return np.array(self._per_n("b_hat"))
+
+    @property
+    def l_hats(self) -> np.ndarray:
+        return np.array(self._per_n("l_hat"))
+
+    @property
+    def condition_grid(self) -> tuple:
+        return tuple(self._per_n("grid_size", 0))
 
 
 def _grid_index(z: np.ndarray, M: int) -> np.ndarray:
@@ -302,59 +322,46 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
     except CircleInterpError as exc:
         f_grid = exc.with_traceback(None)
 
-    results = []
+    rows = []
     for n in ns:
         try:
-            results.append(_sweep_one(family, r, int(n), F, z_grid, f_grid))
+            res = _sweep_one(family, r, int(n), F, z_grid, f_grid)
         except CircleInterpError as exc:
-            results.append(exc)
+            res = exc
+        failed = isinstance(res, Exception)
+        rows.append((None, float("nan"), None, f"error: {res}") if failed else (*res, "ok"))
+    plans, sup_errors, reports, statuses = zip(*rows)
+    return SweepResult(family=family.label, r=r, corpus_name=F.label, ns=ns, plans=plans,
+                       sup_errors=np.array(sup_errors), reports=reports, statuses=statuses,
+                       error_grid=error_grid)
 
-    plans, sup, leb, bh, lh, statuses, cond_grids = [], [], [], [], [], [], []
-    for n, res in zip(ns, results):
-        if isinstance(res, Exception):
-            plans.append(None)
-            sup.append(float("nan"))
-            leb.append(float("nan"))
-            bh.append(float("nan"))
-            lh.append(float("nan"))
-            cond_grids.append(0)
-            statuses.append(f"error: {res}")
-        else:
-            plan, sup_error, report = res
-            plans.append(plan)
-            sup.append(sup_error)
-            leb.append(report.lebesgue_max)
-            bh.append(report.b_hat)
-            lh.append(report.l_hat)
-            cond_grids.append(report.grid_size)
-            statuses.append("ok")
-    return SweepResult(
-        family=family.label,
-        r=r,
-        corpus_name=F.label,
-        ns=ns,
-        plans=tuple(plans),
-        sup_errors=np.array(sup),
-        lebesgue_maxima=np.array(leb),
-        b_hats=np.array(bh),
-        l_hats=np.array(lh),
-        statuses=tuple(statuses),
-        error_grid=error_grid,
-        condition_grid=tuple(cond_grids),
-    )
+
+def _rows(result: SweepResult):
+    """Per n, the columns of the sweep's CSV and JSON in order: None for
+    the plan of a failed n, NaN for its numbers."""
+    columns = zip(result.ns, result.plans, result.sup_errors, result.lebesgue_maxima,
+                  result.b_hats, result.l_hats, result.statuses)
+    for n, plan, sup_error, leb_max, b_hat, l_hat, status in columns:
+        yield {
+            "n": int(n),
+            "p": plan.p if plan else None,
+            "q": plan.q if plan else None,
+            "s": plan.s if plan else None,
+            "sup_error": float(sup_error),
+            "lebesgue_max": float(leb_max),
+            "B_hat": float(b_hat),
+            "L_hat": float(l_hat),
+            "status": status,
+        }
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    lines = ["n,p,q,s,sup_error,lebesgue_max,B_hat,L_hat,status"]
-    for i, n in enumerate(result.ns):
-        plan = result.plans[i]
-        p, q, s = (plan.p, plan.q, plan.s) if plan is not None else ("", "", "")
-        status = result.statuses[i].replace('"', '""')
-        lines.append(
-            f"{n},{p},{q},{s},{float(result.sup_errors[i])!r},"
-            f"{float(result.lebesgue_maxima[i])!r},"
-            f"{float(result.b_hats[i])!r},{float(result.l_hats[i])!r},\"{status}\""
-        )
+    rows = list(_rows(result))
+    lines = [",".join(rows[0])]
+    for row in rows:
+        *values, status = row.values()
+        cells = ["" if v is None else repr(v) for v in values]
+        lines.append(",".join(cells) + ',"' + status.replace('"', '""') + '"')
     return "\n".join(lines) + "\n"
 
 
@@ -374,20 +381,8 @@ def sweep_to_json(result: SweepResult, metadata: dict | None = None) -> str:
         "corpus": result.corpus_name,
         "error_grid": result.error_grid,
         "condition_grids": list(result.condition_grid),
-        "rows": [
-            {
-                "n": int(n),
-                "p": result.plans[i].p if result.plans[i] else None,
-                "q": result.plans[i].q if result.plans[i] else None,
-                "s": result.plans[i].s if result.plans[i] else None,
-                "sup_error": _json_number(result.sup_errors[i]),
-                "lebesgue_max": _json_number(result.lebesgue_maxima[i]),
-                "B_hat": _json_number(result.b_hats[i]),
-                "L_hat": _json_number(result.l_hats[i]),
-                "status": result.statuses[i],
-            }
-            for i, n in enumerate(result.ns)
-        ],
+        "rows": [{k: _json_number(v) if isinstance(v, float) else v for k, v in row.items()}
+                 for row in _rows(result)],
     }
     if metadata:
         payload["metadata"] = metadata

@@ -138,7 +138,8 @@ def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: com
     other, without the conditioning gate of interpolate()."""
     if plan.n != system.n:
         raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
-    if not (0 <= j < system.n):
+    j = _check_count("node index", j, 0)
+    if j >= system.n:
         raise ValidationError(f"node index must be in [0, {system.n}), got {j}")
     z = complex(z)
     if z == 0:

@@ -15,6 +15,7 @@ unrotated grid for the whole library.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -60,8 +61,11 @@ class DegreePlan:
 
 def _check_count(name: str, value, minimum: int) -> int:
     """value as a Python int, when it is a Python or numpy integer of at
-    least minimum; ValidationError otherwise, also for an integral float."""
+    least minimum; ValidationError otherwise, also for a bool or an
+    integral float."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         k = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
@@ -72,8 +76,8 @@ def _check_count(name: str, value, minimum: int) -> int:
 
 
 def _check_ratio(r: float) -> None:
-    if not (0.0 < r < 1.0):
-        raise ValidationError(f"ratio r must lie in (0, 1), got {r}")
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not (0.0 < r < 1.0):
+        raise ValidationError(f"ratio r must be a number in (0, 1), got {r!r}")
 
 
 def make_degree_plan(n: int, r: float) -> DegreePlan:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextvars
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -252,6 +253,17 @@ def make_nodal_system(nodes, source: str = "user-supplied") -> NodalSystem:
     return NodalSystem(nodes=nodes, derivs=derivs, source=source)
 
 
+def _check_unimodular(tau) -> complex:
+    """tau as a Python complex, when it is a number with |tau| = 1 within
+    UNIMODULAR_TOL; ValidationError otherwise, also for a bool."""
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Number):
+        raise ValidationError(f"tau must be a number, got {tau!r}")
+    tau = complex(tau)
+    if abs(abs(tau) - 1.0) > UNIMODULAR_TOL:
+        raise ValidationError(f"|tau| must equal 1 within {UNIMODULAR_TOL}, got |tau|={abs(tau)}")
+    return tau
+
+
 def roots_of_unimodular(n: int, tau: complex) -> NodalSystem:
     """Nodal system of the n roots of z^n = tau with |tau| = 1.
 
@@ -259,9 +271,7 @@ def roots_of_unimodular(n: int, tau: complex) -> NodalSystem:
     W_n'(z_j) = n z_j^{n-1} = n tau / z_j.
     """
     n = _check_count("n", n, 1)
-    tau = complex(tau)
-    if abs(abs(tau) - 1.0) > UNIMODULAR_TOL:
-        raise ValidationError(f"|tau| must equal 1 within {UNIMODULAR_TOL}, got |tau|={abs(tau)}")
+    tau = _check_unimodular(tau)
     theta0 = np.angle(tau) / n
     nodes = np.exp(1j * (theta0 + _uniform_angles(n)))
     derivs = n * tau / nodes
@@ -433,12 +443,16 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
 
 
 def lebesgue_function(system: NodalSystem, plan: DegreePlan, z: complex) -> float:
-    """sum_j |l_{j,n-1}(z)| for |z| = 1; exactly 1 at a node.
+    """sum_j |l_{j,n-1}(z)| for z != 0; exactly 1 at a node.
 
-    The z_j^p / z^p factors are unimodular on the circle, so only the
-    magnitudes |W(z)| / (|W'(z_j)| |z - z_j|) enter.
+    The z_j^p factors are unimodular, so only the magnitudes
+    |W(z)| / (|z|^p |W'(z_j)| |z - z_j|) enter; |z|^p is 1 on the circle.
     """
     if plan.n != system.n:
         raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
+    z = complex(z)
+    if z == 0:
+        raise ValidationError("fundamental polynomials are undefined at z = 0")
+    log_leb = _condition_rows(np.array([z]), system)[2][0] - plan.p * math.log(abs(z))
     with np.errstate(over="ignore"):
-        return float(np.exp(_condition_rows(np.array([complex(z)]), system)[2][0]))
+        return float(np.exp(log_leb))

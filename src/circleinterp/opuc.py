@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -28,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .laurent import _check_count
-from .nodal import DISTINCT_TOL, UNIMODULAR_TOL, NodalSystem, make_nodal_system
+from .nodal import DISTINCT_TOL, NodalSystem, _check_unimodular, make_nodal_system
 
 __all__ = [
     "MeasureSpec",
@@ -90,8 +91,9 @@ class MeasureSpec:
     quadrature-computable nonnegative weight function of theta (an interval
     weight is the Szego transform of a weight on [-1, 1])."""
 
-    # "lebesgue" | "finite-verblunsky" | "quadrature-weight" | "interval-weight";
-    # an interval weight is a quadrature weight with w(2 pi - theta) = w(theta)
+    # "finite-verblunsky" | "quadrature-weight" | "interval-weight"; Lebesgue
+    # measure is the finite Verblunsky sequence with no alphas.  An interval
+    # weight is a quadrature weight with w(2 pi - theta) = w(theta)
     kind: str
     alphas: tuple = ()
     weight: Callable[[np.ndarray], np.ndarray] | None = None
@@ -99,15 +101,13 @@ class MeasureSpec:
 
 
 def lebesgue_measure() -> MeasureSpec:
-    return MeasureSpec(kind="lebesgue", label="lebesgue")
+    return MeasureSpec(kind="finite-verblunsky", label="lebesgue")
 
 
 def finite_verblunsky(alphas: Sequence[complex]) -> MeasureSpec:
-    alphas = tuple(complex(a) for a in alphas)
-    for k, a in enumerate(alphas):
-        if abs(a) >= 1.0:
-            raise ValidationError(f"|alpha_{k}| must be < 1, got {abs(a)}")
-    return MeasureSpec(kind="finite-verblunsky", alphas=alphas, label="verblunsky")
+    # without a length, szego_recurrence names what alphas is instead
+    checked = szego_recurrence(alphas, len(alphas) if hasattr(alphas, "__len__") else 0)
+    return MeasureSpec(kind="finite-verblunsky", alphas=tuple(checked.tolist()), label="verblunsky")
 
 
 def quadrature_weight(w: Callable, label: str = "quadrature") -> MeasureSpec:
@@ -156,17 +156,24 @@ def load_measure_spec(path) -> MeasureSpec:
 
 def szego_recurrence(alphas: Sequence[complex], N: int) -> np.ndarray:
     """alpha_0..alpha_{N-1}, which fix the monic OPUC through degree N, as
-    a complex copy, after checking that there are N of them and that each
-    has |alpha_k| < 1."""
-    alphas = np.asarray([complex(a) for a in alphas], dtype=complex)
+    a complex copy, after checking that alphas is a 1-D sequence of
+    numbers, that there are N of them and that each has |alpha_k| < 1."""
+    try:
+        a = np.asarray(alphas)
+    except ValueError:  # a ragged nesting
+        a = None
+    if a is None or a.ndim != 1 or a.dtype.kind not in "iufc":
+        raise ValidationError(f"Verblunsky coefficients must be a 1-D sequence of numbers, "
+                              f"got {reprlib.repr(alphas)}")
     N = _check_count("N", N, 0)
-    if len(alphas) < N:
-        raise ValidationError(f"need {N} Verblunsky coefficients, got {len(alphas)}")
-    bad = np.nonzero(np.abs(alphas[:N]) >= 1.0)[0]
+    if len(a) < N:
+        raise ValidationError(f"need {N} Verblunsky coefficients, got {len(a)}")
+    a = a[:N].astype(complex)
+    bad = np.nonzero(np.abs(a) >= 1.0)[0]
     if len(bad):
         k = int(bad[0])
-        raise ValidationError(f"|alpha_{k}| must be < 1, got {abs(alphas[k])}")
-    return alphas[:N].copy()
+        raise ValidationError(f"|alpha_{k}| must be < 1, got {abs(a[k])}")
+    return a
 
 
 def _weight_values(w, theta: np.ndarray) -> np.ndarray:
@@ -328,8 +335,6 @@ def moments_to_verblunsky(spec: MeasureSpec, N: int) -> np.ndarray:
 def verblunsky_coefficients(spec: MeasureSpec, N: int) -> np.ndarray:
     """First N Verblunsky coefficients of any supported measure family."""
     N = _check_count("N", N, 0)
-    if spec.kind == "lebesgue":
-        return np.zeros(N, dtype=complex)
     if spec.kind == "finite-verblunsky":
         out = np.zeros(N, dtype=complex)
         head = min(N, len(spec.alphas))
@@ -349,9 +354,7 @@ class ParaOrthogonalSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_count("degree", self.n, 1))
-        if abs(abs(complex(self.tau)) - 1.0) > UNIMODULAR_TOL:
-            raise ValidationError(
-                f"|tau| must equal 1 within {UNIMODULAR_TOL}, got {abs(self.tau)}")
+        object.__setattr__(self, "tau", _check_unimodular(self.tau))
 
 
 class _Group(NamedTuple):
@@ -550,7 +553,7 @@ def paraorthogonal_nodes(alphas: Sequence[complex], spec: ParaOrthogonalSpec) ->
     """
     n = spec.n
     steps = _phase_steps(szego_recurrence(alphas, n))
-    c = float(np.angle(-complex(spec.tau)))
+    c = float(np.angle(-spec.tau))
 
     # zero j lies where q crosses j, for j = floor(q[0]) + 1 .. floor(q[0]) + n
     grid, q = _count_brackets(steps, n, c)

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from circleinterp import ValidationError, corpus, trig_interpolate_paraorthogonal
-from circleinterp.cli import _dense_csv, _load_nodes_file, _parse_ns, _parse_tau, _parser, main
+from circleinterp import (ParaOrthogonalSpec, ValidationError, corpus, eval_interpolant,
+                          interpolate, interval_interpolate, interval_nodes_from_measure,
+                          make_degree_plan, paraorthogonal_nodes, trig_interpolate_paraorthogonal,
+                          trig_interpolate_symmetric)
+from circleinterp.cli import (INTERVAL_WEIGHTS, _dense_csv, _load_nodes_file, _parse_ns,
+                              _parse_tau, _parser, main)
 from circleinterp.laurent import _uniform_angles
 
 
@@ -143,6 +147,60 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert payload["degree"] == 4
 
+    def test_trig_symmetric_default(self, tmp_path):
+        """Without --variant, trig takes the symmetric construction on the
+        Chebyshev-1 weight."""
+        out, dense = tmp_path / "trig.json", tmp_path / "trig.csv"
+        code = main(["trig", "--n", "32", "--corpus", "lipschitz", "--grid", "1024",
+                     "--out", str(out), "--dense", str(dense)])
+        assert code == 0
+        F = corpus("lipschitz")
+        tp = trig_interpolate_symmetric(INTERVAL_WEIGHTS["chebyshev1"], 32, F)
+        theta = _uniform_angles(1024)
+        assert dense.read_text() == _dense_csv(theta, F(theta), tp(theta),
+                                               "theta,f,interpolant,error")
+        payload = json.loads(out.read_text())
+        assert payload["variant"] == "symmetric" and payload["degree"] == tp.degree
+        assert payload["sup_error"] == float(np.max(np.abs(F(theta) - tp(theta))))
+
+    def test_interp_dense(self, tmp_path):
+        """The dense CSV holds the real part of the library interpolant on
+        the uniform grid; the report's sup_error is its complex distance."""
+        out, dense = tmp_path / "interp.json", tmp_path / "interp.csv"
+        code = main(["interp", "--n", "32", "--corpus", "holder:0.6", "--r", "0.25",
+                     "--grid", "512", "--out", str(out), "--dense", str(dense)])
+        assert code == 0
+        F = corpus("holder", 0.6)
+        system = paraorthogonal_nodes(np.zeros(32), ParaOrthogonalSpec(n=32, tau=1.0))
+        I = interpolate(system, make_degree_plan(32, 0.25), F.on_circle(system.nodes))
+        theta = _uniform_angles(512)
+        approx = eval_interpolant(I, np.exp(1j * theta))
+        assert dense.read_text() == _dense_csv(theta, F(theta), approx.real,
+                                               "theta,f,interpolant,error")
+        payload = json.loads(out.read_text())
+        assert (payload["p"], payload["q"], payload["s"]) == (7, 24, 7)
+        assert payload["sup_error"] == float(np.max(np.abs(F(theta) - approx)))
+        assert payload["grid_size"] == 512
+
+    def test_interval_dense(self, tmp_path):
+        """The dense CSV is the library interpolant on the uniform x grid,
+        and the report's sup_error is the CSV's largest error."""
+        out, dense = tmp_path / "iv.json", tmp_path / "iv.csv"
+        code = main(["interval", "--n", "8", "--variant", "mu3", "--weight", "chebyshev2",
+                     "--corpus", "smooth-exp", "--grid", "301",
+                     "--out", str(out), "--dense", str(dense)])
+        assert code == 0
+        F = corpus("smooth-exp")
+        sys_iv = interval_nodes_from_measure(INTERVAL_WEIGHTS["chebyshev2"], 8, "mu3")
+        xg = np.linspace(-1.0, 1.0, 301)
+        text = dense.read_text()
+        assert text == _dense_csv(xg, F.on_interval(xg), interval_interpolate(sys_iv, F.on_interval)(xg),
+                                  "x,f,interpolant,error")
+        errors = [float(line.split(",")[3]) for line in text.strip().splitlines()[1:]]
+        payload = json.loads(out.read_text())
+        assert payload["sup_error"] == max(errors)
+        assert payload["n_interior"] == len(sys_iv.xs) and payload["grid_size"] == 301
+
     def test_trig_para_with_measure_file(self, tmp_path):
         """The CLI takes the file's Verblunsky coefficients to the same
         interpolant as the library call on those coefficients."""
@@ -196,6 +254,7 @@ class TestCommands:
         (["interp", "--n", "8", "--corpus", "holder:abc"], None, None),
         (["nodes", "--config", "{path}"], "c.json", '{"n": "4"}'),
         (["nodes", "--config", "{path}"], "c.json", '{"n": 4.5}'),
+        (["nodes", "--config", "{path}"], "c.json", '{"n": true}'),
         (["interp", "--n", "8", "--corpus", "smooth-exp", "--config", "{path}"],
          "c.json", '{"r": "x"}'),
         (["interp", "--n", "8", "--corpus", "smooth-exp", "--config", "{path}"],
@@ -216,7 +275,8 @@ class TestCommands:
             "nodes-file", "nodes-pair", "config", "config-list",
             "interp-grid-neg", "interval-grid-neg", "trig-grid-neg",
             "interp-grid-0", "interval-grid-0", "trig-grid-0", "sweep-grid-0", "sweep-grid-neg",
-            "nodes-n-neg", "corpus-param", "config-n-str", "config-n-float", "config-r-str",
+            "nodes-n-neg", "corpus-param", "config-n-str", "config-n-float", "config-n-bool",
+            "config-r-str",
             "config-grid-str", "config-weight", "config-ns-list", "config-tau-list",
             "flag-weight", "flag-n-str", "flag-variant", "flag-format", "flag-r-str",
             "sweep-r-0", "sweep-r-1", "sweep-r-2"])
@@ -250,12 +310,23 @@ class TestCommands:
         assert outs[5] == outs[0] and len(outs[0].split()) == 4
         assert _parser() is _parser()
 
-    def test_numerical_error_exit_2(self, tmp_path, capsys):
+    def test_unimodular_alpha_exit_1(self, tmp_path, capsys):
         # verblunsky alpha on the unit circle is outside the admissible class
         m = tmp_path / "bad.json"
         m.write_text(json.dumps({"kind": "verblunsky", "alphas": [[1.0, 0.0]]}))
         code = main(["nodes", "--n", "4", "--measure", str(m)])
         assert code == 1  # rejected at validation time
+
+    def test_numerical_error_exit_2(self, tmp_path, capsys):
+        """alpha_k = 0.7 (-1)^k gives valid nodes at n = 64 whose Lebesgue
+        function passes 1/sqrt(eps): interpolate raises ConditioningError."""
+        m = tmp_path / "alt.json"
+        alphas = [[0.7 * (-1) ** k, 0.0] for k in range(300)]
+        m.write_text(json.dumps({"kind": "verblunsky", "alphas": alphas}))
+        code = main(["interp", "--n", "64", "--measure", str(m), "--corpus", "smooth-exp"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1
 
     def test_sweep_determinism(self, tmp_path):
         args = ["sweep", "--family", "roots-of-unity", "--ns", "8,16,32",

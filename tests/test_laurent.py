@@ -14,6 +14,8 @@ from circleinterp import (
     corpus,
     estimate_conditions,
     eval_laurent,
+    finite_verblunsky,
+    fundamental_polynomial,
     interpolate,
     interpolation_error,
     interval_nodes_from_measure,
@@ -290,3 +292,29 @@ def test_counts_must_be_integers(count, bad):
     with pytest.raises(ValidationError, match="must be an integer"):
         count(float(int(bad)))
     count(np.int64(8))
+
+
+ROOTS4 = roots_of_unimodular(4, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fundamental_polynomial(ROOTS4, make_degree_plan(4, 0.5), 1.5, 0.3j),
+    lambda: ParaOrthogonalSpec(n=4, tau="x"),
+    lambda: ParaOrthogonalSpec(n=4, tau=None),
+    lambda: ParaOrthogonalSpec(n=4, tau=True),
+    lambda: roots_of_unimodular(4, "x"),
+    lambda: roots_of_unimodular(True, 1.0),
+    lambda: szego_recurrence([[0.1, 0.2]], 1),
+    lambda: szego_recurrence([0.1, [0.2]], 2),
+    lambda: finite_verblunsky(["x"]),
+    lambda: finite_verblunsky(0.5),
+    lambda: make_degree_plan(4, "x"),
+    lambda: DegreePlan(p=True, q=1),
+], ids=["node-index", "tau-str", "tau-none", "tau-bool", "roots-tau-str", "roots-n-bool",
+        "szego-nested", "szego-ragged", "verblunsky-str", "verblunsky-scalar", "ratio-str",
+        "plan-bool"])
+def test_malformed_scalars_raise_validation_error(call):
+    """A value of the wrong type is bad input: ValidationError names it,
+    where numpy or Python raised IndexError, ValueError or TypeError."""
+    with pytest.raises(ValidationError):
+        call()

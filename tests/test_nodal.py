@@ -13,6 +13,7 @@ from circleinterp import (
     ValidationError,
     estimate_conditions,
     eval_interpolant,
+    fundamental_polynomial,
     interpolant_coefficients,
     interpolate,
     lebesgue_function,
@@ -105,6 +106,21 @@ class TestConditionEstimates:
             lib = lebesgue_function(sys, plan, z)
             brute = brute_force_lebesgue(sys.nodes, z)
             assert lib == pytest.approx(brute, rel=1e-9)
+
+    @pytest.mark.parametrize("z", [2.0, 0.5, np.exp(0.3j)])
+    def test_lebesgue_off_circle_matches_fundamental_sum(self, z):
+        """Off the circle the z^-p factor of every l_j counts: the Lebesgue
+        function is the brute-force sum of |l_j(z)|."""
+        sys = roots_of_unimodular(8, 1.0)
+        plan = make_degree_plan(8, 0.5)
+        assert plan.p == 3
+        brute = sum(abs(fundamental_polynomial(sys, plan, j, z)) for j in range(8))
+        assert lebesgue_function(sys, plan, z) == pytest.approx(brute, rel=1e-12)
+
+    def test_lebesgue_at_origin_rejected(self):
+        sys = roots_of_unimodular(8, 1.0)
+        with pytest.raises(ValidationError, match="z = 0"):
+            lebesgue_function(sys, make_degree_plan(8, 0.5), 0.0)
 
     def test_lebesgue_is_one_at_nodes(self):
         sys = roots_of_unimodular(10, 1.0)

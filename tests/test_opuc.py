@@ -329,7 +329,8 @@ class TestVerblunskyRecovery:
             moments_to_verblunsky(bernstein_szego([1.0]), 0)
 
     @pytest.mark.parametrize("spec", [lebesgue_measure(), finite_verblunsky([0.5]),
-                                      bernstein_szego([1.0])], ids=lambda s: s.kind)
+                                      bernstein_szego([1.0])],
+                             ids=["lebesgue", "finite-verblunsky", "quadrature-weight"])
     def test_negative_count(self, spec):
         with pytest.raises(ValidationError, match="nonnegative"):
             verblunsky_coefficients(spec, -3)
@@ -579,7 +580,9 @@ class TestMeasureSpecIO:
     def test_load_lebesgue_and_unknown(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"kind": "lebesgue"}))
-        assert load_measure_spec(path).kind == "lebesgue"
+        spec = load_measure_spec(path)
+        assert spec == lebesgue_measure()
+        assert (spec.kind, spec.alphas, spec.label) == ("finite-verblunsky", (), "lebesgue")
         path.write_text(json.dumps({"kind": "gaussian"}))
         with pytest.raises(ValidationError):
             load_measure_spec(path)
