@@ -177,23 +177,25 @@ def cmd_check(cfg) -> int:
 
 
 def _dense_csv(xs, f_vals, approx, header: str) -> str:
+    """The CSV of f, Re approx and |f - approx| on the grid xs; for a complex
+    approx the error is the complex distance, as in the report's sup_error."""
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as for Python floats
+        error = np.abs(f_vals - approx)
     # Python floats from one tolist() per column: float() per numpy scalar
     # costs more than the formatting
-    cols = (np.asarray(c, dtype=float).tolist() for c in (xs, f_vals, approx))
-    lines = [header]
-    for x, fv, av in zip(*cols):
-        lines.append(f"{x!r},{fv!r},{av!r},{abs(fv - av)!r}")
-    return "\n".join(lines) + "\n"
+    cols = (np.asarray(c, dtype=float).tolist() for c in (xs, f_vals, np.real(approx), error))
+    rows = [f"{x!r},{fv!r},{av!r},{err!r}" for x, fv, av, err in zip(*cols)]
+    return "\n".join([header, *rows]) + "\n"
 
 
 def _emit_fit(cfg, head: dict, F, xs, f_vals, approx, header: str):
     """Write the report of a fit on the grid xs, the command's own head
-    fields first, and with --dense the CSV of approx.real against f."""
+    fields first, and with --dense its CSV (see _dense_csv)."""
     payload = {**head, "corpus": F.label, "sup_error": float(np.max(np.abs(f_vals - approx))),
                "grid_size": len(xs), "metadata": _metadata(cfg)}
     _emit_report(payload, cfg.get("out"))
     if cfg.get("dense"):
-        _emit(_dense_csv(xs, f_vals, np.real(approx), header), cfg["dense"])
+        _emit(_dense_csv(xs, f_vals, approx, header), cfg["dense"])
 
 
 def cmd_interp(cfg) -> int:

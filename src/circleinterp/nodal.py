@@ -13,11 +13,9 @@ which together bound the Lebesgue function by (sqrt(L_hat)/B_hat) sqrt(n).
 from __future__ import annotations
 
 import concurrent.futures
-import contextvars
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,31 +123,6 @@ def max_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-# The pair kernel's executor, built on first use.  A forked child forgets
-# the parent's, whose threads it does not have.
-_executor = None
-_executor_lock = threading.Lock()
-
-
-def _pair_executor() -> concurrent.futures.ThreadPoolExecutor:
-    """The shared executor, with the max_workers() threads of its first use."""
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=max_workers(), thread_name_prefix="circleinterp-pairs")
-        return _executor
-
-
-def _forget_executor() -> None:
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_executor)
-
-
 def _walk_pairs(m: int, n: int, dtypes, block) -> None:
     """Call block(rows, scratch) for the m points against n nodes in blocks
     of about PAIR_BUDGET point-node pairs: rows is the slice of points and
@@ -159,12 +132,12 @@ def _walk_pairs(m: int, n: int, dtypes, block) -> None:
 
     From PARALLEL_PAIRS pairs on, w = max_workers() workers take the blocks
     k, k + w, k + 2w, ... for k = 0..w-1: the calling thread the first set,
-    the executor the others, each in a copy of the caller's context (numpy's
-    error state).  The caller allocates one set of scratch arrays per
-    worker, once, so that memory is O(w n) whatever m is and no block pays
-    for fresh pages.  An exception in any block reaches the caller once
-    every worker has stopped.  A block must not call the kernel again: on
-    an executor thread, waiting for the executor could deadlock it."""
+    w - 1 threads started for this call the others, under the caller's
+    numpy error state (np.geterr, np.geterrcall): a new thread would start
+    from numpy's defaults.  The caller allocates one set of scratch arrays
+    per worker, once, so that memory is O(w n) whatever m is and no block
+    pays for fresh pages.  An exception in any block reaches the caller
+    once every worker has stopped, and no thread outlives the call."""
     step = max(1, PAIR_BUDGET // max(n, 1))
     starts = range(0, m, step)
     workers = min(max_workers(), len(starts)) if m * n >= PARALLEL_PAIRS else 1
@@ -177,14 +150,12 @@ def _walk_pairs(m: int, n: int, dtypes, block) -> None:
             block(rows, [buf[: rows.stop - start] for buf in scratch[k]])
 
     if workers == 1:
+        return walk(0)
+    state = {"call": np.geterrcall(), **np.geterr()}
+    with concurrent.futures.ThreadPoolExecutor(
+            workers - 1, thread_name_prefix="circleinterp-pairs") as pool:
+        futures = [pool.submit(np.errstate(**state)(walk), k) for k in range(1, workers)]
         walk(0)
-        return
-    pool = _pair_executor()
-    futures = [pool.submit(contextvars.copy_context().run, walk, k) for k in range(1, workers)]
-    try:
-        walk(0)
-    finally:
-        concurrent.futures.wait(futures)
     for future in futures:
         future.result()
 

@@ -165,7 +165,8 @@ class TestCommands:
 
     def test_interp_dense(self, tmp_path):
         """The dense CSV holds the real part of the library interpolant on
-        the uniform grid; the report's sup_error is its complex distance."""
+        the uniform grid and, as its error, the complex distance |f - L| of
+        the report's sup_error."""
         out, dense = tmp_path / "interp.json", tmp_path / "interp.csv"
         code = main(["interp", "--n", "32", "--corpus", "holder:0.6", "--r", "0.25",
                      "--grid", "512", "--out", str(out), "--dense", str(dense)])
@@ -175,12 +176,24 @@ class TestCommands:
         I = interpolate(system, make_degree_plan(32, 0.25), F.on_circle(system.nodes))
         theta = _uniform_angles(512)
         approx = eval_interpolant(I, np.exp(1j * theta))
-        assert dense.read_text() == _dense_csv(theta, F(theta), approx.real,
+        assert dense.read_text() == _dense_csv(theta, F(theta), approx,
                                                "theta,f,interpolant,error")
         payload = json.loads(out.read_text())
         assert (payload["p"], payload["q"], payload["s"]) == (7, 24, 7)
         assert payload["sup_error"] == float(np.max(np.abs(F(theta) - approx)))
         assert payload["grid_size"] == 512
+
+    def test_interp_dense_error_is_the_reports(self, tmp_path):
+        """The largest error in the interp CSV is the report's sup_error,
+        also where the interpolant is far from real (a step at r = 0.1)."""
+        out, dense = tmp_path / "interp.json", tmp_path / "interp.csv"
+        code = main(["interp", "--n", "33", "--corpus", "step-smooth", "--r", "0.1",
+                     "--grid", "1000", "--out", str(out), "--dense", str(dense)])
+        assert code == 0
+        rows = [line.split(",") for line in dense.read_text().strip().splitlines()[1:]]
+        f, interpolant, error = (np.array([float(r[k]) for r in rows]) for k in (1, 2, 3))
+        assert json.loads(out.read_text())["sup_error"] == error.max()
+        assert np.max(np.abs(f - interpolant)) < error.max()
 
     def test_interval_dense(self, tmp_path):
         """The dense CSV is the library interpolant on the uniform x grid,

@@ -1,4 +1,6 @@
+import concurrent.futures
 import multiprocessing
+import threading
 import tracemalloc
 import warnings
 
@@ -385,10 +387,16 @@ class TestThreadedKernel:
 
     @staticmethod
     def _spy(monkeypatch):
-        """A list that grows by one at each threaded call."""
+        """A list that grows by one at each threaded call, which starts one
+        thread pool."""
         asked = []
-        executor = nodal._pair_executor
-        monkeypatch.setattr(nodal, "_pair_executor", lambda: asked.append(1) or executor())
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                asked.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(nodal.concurrent.futures, "ThreadPoolExecutor", Counted)
         return asked
 
     def test_bit_identical_at_any_thread_count(self, monkeypatch):
@@ -418,7 +426,7 @@ class TestThreadedKernel:
             assert evals.tobytes() == outputs[0][3].tobytes()
 
     def test_serial_below_the_crossover(self, monkeypatch):
-        """Nothing at n = 256 reaches the executor, the 4096 + 256 point
+        """Nothing at n = 256 starts a thread, the 4096 + 256 point
         condition grid included; that grid at n = 512 does."""
         monkeypatch.setenv("CIRCLE_INTERP_THREADS", "2")
         asked = self._spy(monkeypatch)
@@ -433,8 +441,8 @@ class TestThreadedKernel:
         assert len(asked) == 1
 
     def test_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
-        """A RuntimeWarning raised as an error in a block on an executor
-        thread reaches the caller, and the executor keeps working."""
+        """A RuntimeWarning raised as an error in a block on a worker
+        thread reaches the caller, and the next threaded call works."""
         monkeypatch.setenv("CIRCLE_INTERP_THREADS", "2")
         asked = self._spy(monkeypatch)
         n = 1024
@@ -442,7 +450,7 @@ class TestThreadedKernel:
         I = interpolate(system, make_degree_plan(n, 0.5), np.cos(system.thetas))
         z = 1.01 * np.exp(2j * np.pi * (np.arange(4096) + 0.25) / 4096)
         bad = z.copy()
-        # block 1, which the executor's thread runs: |W(z)| / |z|^p overflows
+        # block 1, which the worker thread runs: |W(z)| / |z|^p overflows
         bad[nodal.PAIR_BUDGET // n] = 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -453,11 +461,9 @@ class TestThreadedKernel:
         monkeypatch.setenv("CIRCLE_INTERP_THREADS", "1")
         assert got.tobytes() == eval_interpolant(I, z).tobytes()
 
-    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
-                        reason="numpy keeps its error state per thread before 2.0")
     def test_workers_keep_the_callers_error_state(self, monkeypatch):
         """Under the caller's np.errstate(over="ignore") the overflow in a
-        block on an executor thread is ignored there too, as on one thread."""
+        block on a worker thread is ignored there too, as on one thread."""
         monkeypatch.setenv("CIRCLE_INTERP_THREADS", "2")
         asked = self._spy(monkeypatch)
         n = 1024
@@ -472,11 +478,49 @@ class TestThreadedKernel:
         assert len(asked) == 1
         assert not np.isfinite(got[nodal.PAIR_BUDGET // n])
 
+    def test_no_kernel_thread_outlives_its_call(self, monkeypatch):
+        """A threaded call has joined the threads it started when it returns."""
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", "2")
+        asked = self._spy(monkeypatch)
+        estimate_conditions(make_nodal_system(_jittered_nodes(512)))
+        assert len(asked) == 1
+        assert not [t for t in threading.enumerate() if t.name.startswith("circleinterp-pairs")]
+
+    def test_concurrent_callers_get_the_serial_bits(self, monkeypatch):
+        """Two threads of the caller's own, each making threaded calls at the
+        same time, get the bits of one thread."""
+        n = 1024
+        z = 1.01 * np.exp(2j * np.pi * (np.arange(4096) + 0.25) / 4096)
+
+        def run(seed):
+            system = make_nodal_system(_jittered_nodes(n, seed))
+            I = interpolate(system, make_degree_plan(n, 0.5), np.cos(system.thetas))
+            return estimate_conditions(system), eval_interpolant(I, z).tobytes()
+
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", "1")
+        want = [run(seed) for seed in (0, 1)]
+        monkeypatch.setenv("CIRCLE_INTERP_THREADS", "2")
+        asked = self._spy(monkeypatch)
+        start = threading.Barrier(2)
+        got = [None, None]
+
+        def run_together(seed):
+            start.wait()
+            got[seed] = run(seed)
+
+        callers = [threading.Thread(target=run_together, args=(seed,)) for seed in (0, 1)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join()
+        assert len(asked) == 4
+        assert got == want
+
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
-    def test_fork_child_builds_its_own_executor(self, monkeypatch):
-        """A child forked after the parent's executor was built runs a
-        threaded kernel call to the parent's result instead of hanging."""
+    def test_forked_child_completes_a_threaded_call(self, monkeypatch):
+        """A child forked after a threaded call in the parent runs a threaded
+        call of its own to the parent's result instead of hanging."""
         monkeypatch.setenv("CIRCLE_INTERP_THREADS", "2")
         asked = self._spy(monkeypatch)
         system = make_nodal_system(_jittered_nodes(1024))
