@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Smoke checks of the installed `circle-interp` console script: version,
-# nodes, the exit code of a malformed flag, interp on the FFT path with its
-# dense CSV, interval with its dense and node CSVs, trig in both variants,
-# a sweep that must write its CSV, and a para-orthogonal sweep and trig
-# interpolant read from a measure file (the sweep's node midpoints are not
-# rotation-symmetric).
+# nodes, the exit codes of a malformed flag and of a NaN node, interp on
+# the FFT path with its dense CSV, interval with its dense and node CSVs,
+# trig in both variants, a sweep that must write its CSV, and a
+# para-orthogonal sweep and trig interpolant read from a measure file (the
+# sweep's node midpoints are not rotation-symmetric).
 #
 #   scripts/ci_console_smoke.sh [OUT_DIR]
 #
@@ -18,6 +18,10 @@ circle-interp --version
 circle-interp nodes --n 4
 rc=0
 circle-interp interval --n 8 --weight foo --corpus smooth-exp || rc=$?
+test "$rc" -eq 1
+printf '0.0\nnan\n1.0\n' > "$out_dir/nan-nodes.txt"
+rc=0
+circle-interp check --nodes "$out_dir/nan-nodes.txt" || rc=$?
 test "$rc" -eq 1
 circle-interp interp --n 2048 --corpus holder:0.6 --dense "$out_dir/interp.csv"
 test -s "$out_dir/interp.csv"

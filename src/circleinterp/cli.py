@@ -83,10 +83,12 @@ def _load_nodes_file(path) -> np.ndarray:
             stripped = fh.read().strip()
         if stripped.startswith("["):
             return np.array([complex(re, im) for re, im in json.loads(stripped)])
-        thetas = [float(line) for line in stripped.splitlines() if line.strip()]
+        thetas = np.array([float(line) for line in stripped.splitlines() if line.strip()])
     except (OSError, ValueError, TypeError) as exc:
         raise ValidationError(f"nodes file {path}: {exc}") from exc
-    return np.exp(1j * np.asarray(thetas))
+    if not np.all(np.isfinite(thetas)):
+        raise ValidationError(f"nodes file {path}: every angle must be finite")
+    return np.exp(1j * thetas)
 
 
 def _measure_from(raw: str):

@@ -78,6 +78,8 @@ def corpus(name: str, param: float | None = None) -> CorpusFunction:
     lipschitz:     triangle wave pi - |theta - pi|, Lipschitz constant 1;
     boundary-half: holder with beta = 1/2 exactly (hypothesis NOT satisfied).
     """
+    if param is not None and name in ("smooth-exp", "lipschitz", "boundary-half"):
+        raise ValidationError(f"{name} takes no parameter, got {param}")
     if name == "holder":
         if param is None or not (0.0 < param <= 1.0):
             raise ValidationError(f"holder needs beta in (0, 1], got {param}")
@@ -87,6 +89,8 @@ def corpus(name: str, param: float | None = None) -> CorpusFunction:
         return CorpusFunction(name, None, lambda t: np.exp(np.cos(t)))
     if name == "step-smooth":
         k = 10.0 if param is None else float(param)
+        if not math.isfinite(k):
+            raise ValidationError(f"step-smooth needs a finite steepness k, got {param}")
         return CorpusFunction(name, k, lambda t: 1.0 / (1.0 + np.exp(-k * np.cos(t))))
     if name == "lipschitz":
         return CorpusFunction(name, None, lambda t: np.pi - np.abs(np.mod(t, 2 * np.pi) - np.pi))
@@ -122,9 +126,11 @@ def estimate_modulus(F: CorpusFunction, deltas, grid_size: int = 2**14) -> Modul
     The estimate is a cumulative maximum over window widths, hence
     automatically nondecreasing in delta.
     """
-    deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
-    if np.any(deltas <= 0):
-        raise ValidationError("deltas must be positive")
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1 or len(deltas) == 0 or not np.all(np.isfinite(deltas) & (deltas > 0)):
+        raise ValidationError(f"deltas must be a nonempty list of finite positive numbers, "
+                              f"got {deltas}")
+    deltas = np.sort(deltas)[::-1]
     grid_size = _check_count("grid_size", grid_size, 1024)
     theta = _uniform_angles(grid_size)
     vals = np.asarray(F(theta), dtype=float)

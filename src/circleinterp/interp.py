@@ -22,9 +22,10 @@ rotated trigonometric interpolant and the samples are the node values
 themselves (Henrici 1979); otherwise the kernel computes the samples that
 are not nodes, which pays off once there are more points than nodes.
 
-A point within AT_NODE_TOL = 1e-14 of a node takes that node's value.  No
-wider band is needed: the first form is backward stable at any distance
-from a node (Higham 2004).
+Every evaluation goes through _evaluate.  A point within AT_NODE_TOL =
+1e-14 of a node takes that node's value; the first form is backward stable
+at any distance from a node (Higham 2004), so no wider band is needed.
+A fundamental polynomial is the interpolant of a unit vector.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def interpolate(system: NodalSystem, plan: DegreePlan, values) -> CircleInterpol
     values = np.asarray(values, dtype=complex)
     if plan.n != system.n:
         raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
-    if len(values) != system.n:
-        raise ValidationError(f"got {len(values)} values for {system.n} nodes")
+    if values.shape != (system.n,):
+        raise ValidationError(f"need values of shape ({system.n},), got {values.shape}")
     log_leb = _log_lebesgue_at_widest_gap(system)
     if log_leb > math.log(MAX_LEBESGUE):
         raise ConditioningError(
@@ -146,13 +147,8 @@ def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: com
         raise ValidationError("fundamental polynomials are undefined at z = 0")
     unit = np.zeros(system.n, dtype=complex)
     unit[j] = 1.0
-
-    def kernel(zz, off):
-        # the other values are zero, so only the j-th weight enters the kernel
-        wu = unit * (_phase_powers(system.nodes[j], plan.p) / system.derivs[j])
-        return _first_form(system, plan.p, wu, zz[off])
-
-    return complex(_evaluate(system, unit, np.array([z]), kernel)[0])
+    weights = _phase_powers(system.nodes, plan.p) / system.derivs
+    return eval_interpolant(CircleInterpolant(system, plan, unit, weights), z)
 
 
 def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray) -> np.ndarray:
@@ -176,53 +172,41 @@ def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray) -> 
     return out
 
 
-def _evaluate(system: NodalSystem, values: np.ndarray, zz: np.ndarray, off_nodes) -> np.ndarray:
-    """The values at the points zz.  A point within AT_NODE_TOL of a node
-    takes that node's value exactly; off_nodes(zz, off) gives the values at
-    the other points zz[off], and is called only if there are any."""
-    nearest, dist = _nearest_nodes(system, zz)
+def _evaluate(I: CircleInterpolant, zz: np.ndarray,
+              L: LaurentPolynomial | None = None) -> np.ndarray:
+    """I at the points zz; a point within AT_NODE_TOL of a node takes that
+    node's value.  The others take eval_laurent(L, zz) when L is given, on
+    all of zz so that a uniform grid keeps its FFT and no value depends on
+    which other points are nodes, and the first-form kernel otherwise."""
+    nearest, dist = _nearest_nodes(I.system, zz)
     at = dist < AT_NODE_TOL
     out = np.empty(len(zz), dtype=complex)
     if not at.all():
-        out[~at] = off_nodes(zz, ~at)
-    out[at] = values[nearest[at]]
+        out[~at] = (eval_laurent(L, zz)[~at] if L is not None
+                    else _first_form(I.system, I.plan.p, I.weights * I.values, zz[~at]))
+    out[at] = I.values[nearest[at]]
     return out
 
 
-def _kernel(I: CircleInterpolant):
-    """off_nodes for _evaluate: the first-form pair kernel of I."""
-    return lambda zz, off: _first_form(I.system, I.plan.p, I.weights * I.values, zz[off])
-
-
-def _on_coefficients(L: LaurentPolynomial):
-    """off_nodes for _evaluate: L on every point, not on the subset off
-    the nodes, so that a uniform grid keeps its FFT and no value depends on
-    which other points are nodes."""
-    return lambda zz, off: eval_laurent(L, zz)[off]
-
-
 def eval_interpolant(I: CircleInterpolant, z):
-    """Evaluate the interpolant at z != 0 (scalar or array).
+    """Evaluate the interpolant at z != 0 (scalar or array of any shape).
 
-    For at least HORNER_MIN_POINTS points, all on the unit circle,
-    eval_laurent runs on interpolant_coefficients(I), by one FFT on a
-    rotated uniform grid and by Horner elsewhere, when they are cheaper
-    than the pair kernel on every point: when every sample
-    z_0 e^{2 pi i j/n} is a node, so that they cost one FFT, or when there
-    are more points than nodes.  Otherwise the first-form pair kernel runs
-    on the points.  A point
-    within AT_NODE_TOL of a node returns that node's value either way."""
+    For at least HORNER_MIN_POINTS points, all on the unit circle, when
+    every sample z_0 e^{2 pi i j/n} is a node (the coefficients then cost
+    one FFT) or there are more points than nodes, eval_laurent runs on
+    interpolant_coefficients(I): one FFT on a rotated uniform grid, Horner
+    elsewhere.  Otherwise the first-form pair kernel runs on the points."""
     zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz)
+    shape = zz.shape
+    zz = zz.ravel()
     if np.any(zz == 0):
         raise ValidationError("the interpolant is undefined at z = 0")
-    off_nodes = _kernel(I)
+    L = None
     if len(zz) >= HORNER_MIN_POINTS and np.all(np.abs(np.abs(zz) - 1.0) <= UNIMODULAR_TOL):
         if len(zz) > I.n or _samples_are_nodes(I.system):
-            off_nodes = _on_coefficients(interpolant_coefficients(I))
-    out = _evaluate(I.system, I.values, zz, off_nodes)
-    return complex(out[0]) if scalar else out
+            L = interpolant_coefficients(I)
+    out = _evaluate(I, zz, L)
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def interpolant_coefficients(I: CircleInterpolant) -> LaurentPolynomial:
@@ -235,7 +219,7 @@ def interpolant_coefficients(I: CircleInterpolant) -> LaurentPolynomial:
     a node and the cost is the FFT alone.  Rounding of the weights perturbs
     L by a Laurent polynomial in the same window, which the n samples
     recover exactly, so the coefficients are as accurate as the samples."""
-    samples = _evaluate(I.system, I.values, _samples(I.system), _kernel(I))
+    samples = _evaluate(I, _samples(I.system))
     L = coefficients_from_samples(samples, I.plan.p)
     rotate = _phase_powers(I.system.nodes[0], -L.exponents)
     return LaurentPolynomial(p=L.p, q=L.q, coeffs=L.coeffs * rotate)

@@ -89,10 +89,11 @@ class NodalConditionReport:
 
 
 def _validate_nodes(nodes: np.ndarray) -> None:
-    if len(nodes) < 1:
-        raise ValidationError("a nodal system needs at least one node")
+    if nodes.ndim != 1 or len(nodes) < 1:
+        raise ValidationError(f"nodes must be a nonempty 1-D array, got shape {nodes.shape}")
     off = np.abs(np.abs(nodes) - 1.0)
-    if np.max(off) > UNIMODULAR_TOL:
+    # written as "not <=" so that a NaN node fails
+    if not np.max(off) <= UNIMODULAR_TOL:
         j = int(np.argmax(off))
         raise ValidationError(
             f"node {j} is not unimodular: ||z|-1| = {off[j]:.3e} > {UNIMODULAR_TOL}"
@@ -230,7 +231,7 @@ def _check_unimodular(tau) -> complex:
     if isinstance(tau, bool) or not isinstance(tau, numbers.Number):
         raise ValidationError(f"tau must be a number, got {tau!r}")
     tau = complex(tau)
-    if abs(abs(tau) - 1.0) > UNIMODULAR_TOL:
+    if not abs(abs(tau) - 1.0) <= UNIMODULAR_TOL:  # a NaN tau fails too
         raise ValidationError(f"|tau| must equal 1 within {UNIMODULAR_TOL}, got |tau|={abs(tau)}")
     return tau
 

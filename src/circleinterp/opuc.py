@@ -169,7 +169,7 @@ def szego_recurrence(alphas: Sequence[complex], N: int) -> np.ndarray:
     if len(a) < N:
         raise ValidationError(f"need {N} Verblunsky coefficients, got {len(a)}")
     a = a[:N].astype(complex)
-    bad = np.nonzero(np.abs(a) >= 1.0)[0]
+    bad = np.nonzero(~(np.abs(a) < 1.0))[0]  # a NaN alpha fails too
     if len(bad):
         k = int(bad[0])
         raise ValidationError(f"|alpha_{k}| must be < 1, got {abs(a[k])}")

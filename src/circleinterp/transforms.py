@@ -160,17 +160,15 @@ def interval_nodes_from_measure(w, n: int, variant: str = "mu1") -> IntervalNoda
     return IntervalNodalSystem(xs=xs, circle_system=system, variant=variant)
 
 
-def _folded(L: LaurentPolynomial, K: int):
-    """c_k and c_{-k} for k = 0..K, zero outside L's window; needs K >= p, q."""
+def _folded_fit(system: NodalSystem, values):
+    """c_k and c_{-k}, k = 0..K, of the interpolant of values at the m
+    nodes in the window (K, m-1-K), K = ceil((m-1)/2): 2n nodes take
+    (n, n-1), 2n+2 nodes (n+1, n) and 2n+1 nodes (n, n)."""
+    K = math.ceil((system.n - 1) / 2)
+    L = interpolant_coefficients(interpolate(system, DegreePlan(p=K, q=system.n - 1 - K), values))
     c = np.zeros(2 * K + 1, dtype=complex)
-    c[K - L.p:K + L.q + 1] = L.coeffs
+    c[:len(L.coeffs)] = L.coeffs
     return c[K:], c[K::-1]
-
-
-def _interval_plan(m: int) -> DegreePlan:
-    # 2n nodes -> (p, q) = (n, n-1); 2n+2 -> (n+1, n); 2n+1 -> (n, n)
-    p = math.ceil((m - 1) / 2)
-    return DegreePlan(p=p, q=m - 1 - p)
 
 
 def interval_interpolate(sys: IntervalNodalSystem, f):
@@ -185,9 +183,7 @@ def interval_interpolate(sys: IntervalNodalSystem, f):
     """
     system = sys.circle_system
     values = np.asarray(f(np.clip(system.nodes.real, -1.0, 1.0)), dtype=complex)
-    plan = _interval_plan(system.n)
-    I = interpolate(system, plan, values)
-    pos, neg = _folded(interpolant_coefficients(I), max(plan.p, plan.q))
+    pos, neg = _folded_fit(system, values)
     d = 0.5 * (pos + neg)
     scale = max(float(np.max(np.abs(values))), 1.0)
     if np.max(np.abs(d.imag)) > 1e-9 * scale:
@@ -206,10 +202,10 @@ def trig_nodes_symmetric(w, n: int) -> np.ndarray:
     return np.sort(sys.circle_system.thetas)
 
 
-def _trig_coeffs(L, degree: int) -> TrigPolynomial:
-    """Real part identity: a_0 = Re c_0, a_k = Re(c_k + c_{-k}),
-    b_k = -Im(c_k - c_{-k})."""
-    pos, neg = _folded(L, degree)
+def _trig_fit(system: NodalSystem, f) -> TrigPolynomial:
+    """The real part of the circle interpolant of f at the node angles:
+    a_0 = Re c_0, a_k = Re(c_k + c_{-k}), b_k = -Im(c_k - c_{-k})."""
+    pos, neg = _folded_fit(system, np.asarray(f(system.thetas), dtype=float))
     a = (pos + neg).real
     a[0] = pos[0].real
     return TrigPolynomial(a=a, b=-(pos - neg)[1:].imag)
@@ -217,13 +213,9 @@ def _trig_coeffs(L, degree: int) -> TrigPolynomial:
 
 def trig_interpolate_symmetric(w, n: int, f) -> TrigPolynomial:
     """Trig polynomial of degree <= n matching f at the 2n symmetric angles
-    derived from the mu1 interval nodes of the weight w."""
-    sys = interval_nodes_from_measure(w, n, "mu1")
-    system = sys.circle_system
-    # the circle system's nodes are exactly e^{i theta_j} for the 2n angles
-    values = np.asarray(f(system.thetas), dtype=float)
-    I = interpolate(system, _interval_plan(2 * n), values.astype(complex))
-    return _trig_coeffs(interpolant_coefficients(I), n)
+    derived from the mu1 interval nodes of the weight w; the circle
+    system's nodes are exactly e^{i theta_j} for those angles."""
+    return _trig_fit(interval_nodes_from_measure(w, n, "mu1").circle_system, f)
 
 
 def trig_interpolate_paraorthogonal(alphas, tau: complex, n: int, f) -> TrigPolynomial:
@@ -231,10 +223,7 @@ def trig_interpolate_paraorthogonal(alphas, tau: complex, n: int, f) -> TrigPoly
     n para-orthogonal zeros of the Verblunsky coefficients alphas (the first
     n are used); the window is (n/2, n/2-1) for even n and ((n-1)/2, (n-1)/2)
     for odd n."""
-    system = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=n, tau=tau))
-    values = np.asarray(f(system.thetas), dtype=float)
-    I = interpolate(system, _interval_plan(n), values.astype(complex))
-    return _trig_coeffs(interpolant_coefficients(I), n // 2)
+    return _trig_fit(paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=n, tau=tau)), f)
 
 
 def interval_nodes_csv(sys: IntervalNodalSystem) -> str:

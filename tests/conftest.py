@@ -142,11 +142,11 @@ def levinson_reference(m, N):
 def joined_grid_sup_error(I, F, error_grid):
     """sup |F - L| as convergence_sweep took it with the uniform grid and
     the node midpoints joined into one array: the interpolant's
-    coefficients evaluated there by Horner, and a point within 1e-14 of a
-    node given that node's value."""
-    from circleinterp import interp, laurent, nodal
+    coefficients evaluated there by Horner (the joined grid is not uniform,
+    so eval_laurent takes no FFT), and a point within 1e-14 of a node given
+    that node's value."""
+    from circleinterp import interp, nodal
 
     z = nodal._grid_points(I.system, error_grid)
-    L = interp.interpolant_coefficients(I)
-    approx = interp._evaluate(I.system, I.values, z, lambda zz, off: laurent._horner(L, zz)[off])
+    approx = interp._evaluate(I, z, interp.interpolant_coefficients(I))
     return float(np.max(np.abs(F.on_circle(z) - approx)))

@@ -284,6 +284,13 @@ class TestCommands:
         (["sweep", "--ns", "8", "--corpus", "smooth-exp", "--r", "0"], None, None),
         (["sweep", "--ns", "8", "--corpus", "smooth-exp", "--r", "1"], None, None),
         (["sweep", "--ns", "8", "--corpus", "smooth-exp", "--r", "2.0"], None, None),
+        (["nodes", "--n", "4", "--tau", "nan"], None, None),
+        (["nodes", "--n", "4", "--measure", "{path}"], "m.json",
+         '{"kind": "verblunsky", "alphas": [[NaN, 0]]}'),
+        (["check", "--nodes", "{path}"], "nodes.txt", "0.0\nnan\n1.0\n"),
+        (["interp", "--nodes", "{path}", "--corpus", "smooth-exp"], "nodes.txt",
+         "0.0\n1.0\ninf\n"),
+        (["check", "--nodes", "{path}"], "nodes.json", "[[1, 0], [NaN, 0]]"),
     ], ids=["tau", "ns", "measure-file", "measure-list", "measure-pair",
             "nodes-file", "nodes-pair", "config", "config-list",
             "interp-grid-neg", "interval-grid-neg", "trig-grid-neg",
@@ -292,7 +299,8 @@ class TestCommands:
             "config-r-str",
             "config-grid-str", "config-weight", "config-ns-list", "config-tau-list",
             "flag-weight", "flag-n-str", "flag-variant", "flag-format", "flag-r-str",
-            "sweep-r-0", "sweep-r-1", "sweep-r-2"])
+            "sweep-r-0", "sweep-r-1", "sweep-r-2", "tau-nan", "measure-nan",
+            "nodes-file-nan", "interp-nodes-inf", "nodes-pair-nan"])
     def test_malformed_input_exit_1(self, tmp_path, capsys, argv, name, text):
         """Malformed flags and files end in one line on stderr, not a traceback."""
         path = tmp_path / (name or "unused")
@@ -398,3 +406,14 @@ class TestCommands:
         rows = json.loads((tmp_path / "s.json").read_text())["rows"]
         assert [row["status"] == "ok" for row in rows] == [True, True, True, False]
         assert len(out.read_text().strip().splitlines()) == 5
+
+    def test_sweep_nan_tau_fails_every_n(self, tmp_path, capsys):
+        """A NaN tau is refused per n like any other invalid tau, not
+        written as an "ok" row of NaN values."""
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--ns", "8,16", "--tau", "nan,0", "--corpus", "lipschitz",
+                     "--grid", "64", "--out", str(out)])
+        assert code == 2
+        assert "|tau| must equal 1" in capsys.readouterr().err
+        rows = json.loads((tmp_path / "s.json").read_text())["rows"]
+        assert [row["status"].startswith("error: ") for row in rows] == [True, True]

@@ -65,6 +65,12 @@ class TestCorpus:
             corpus("holder", 1.5)
         with pytest.raises(ValidationError):
             corpus("gaussian-bump")
+        # a parameter for a function that takes none, or a non-finite one,
+        # is refused rather than dropped or relabelled
+        for spec in ("lipschitz:0.3", "smooth-exp:5", "boundary-half:0.9", "boundary-half:0.5",
+                     "step-smooth:nan", "step-smooth:inf", "holder:nan"):
+            with pytest.raises(ValidationError):
+                parse_corpus(spec)
 
 
 class TestModulus:
@@ -81,12 +87,15 @@ class TestModulus:
         # deltas stored decreasing, estimates must be nonincreasing with them
         assert np.all(np.diff(profile.lambda_hat) <= 1e-15)
 
-    def test_validation(self):
+    def test_validation(self, capfd):
         F = corpus("smooth-exp")
-        with pytest.raises(ValidationError):
-            estimate_modulus(F, [0.1, -0.2])
+        for deltas in ([0.1, -0.2], [], [np.nan], [0.1, np.inf], 0.1, [[0.1]]):
+            with pytest.raises(ValidationError, match="deltas"):
+                estimate_modulus(F, deltas)
         with pytest.raises(ValidationError):
             estimate_modulus(F, [0.1], grid_size=100)
+        # nothing reaches LAPACK, which prints to stderr on an inf delta
+        assert capfd.readouterr().err == ""
 
 
 class TestNearBest:
@@ -224,12 +233,10 @@ class TestSweep:
             for n, got in zip(ns, result.sup_errors):
                 system = family.build(n)
                 I = interpolate(system, make_degree_plan(n, r), F.on_circle(system.nodes))
-                off_nodes = interp._on_coefficients(interp.interpolant_coefficients(I))
-                ref = max(
-                    float(np.max(np.abs(F.on_circle(z) - interp._evaluate(system, I.values, z,
-                                                                          off_nodes))))
-                    for z in (np.exp(1j * laurent._uniform_angles(M)),
-                              np.exp(1j * nodal._node_midpoints(system))))
+                L = interp.interpolant_coefficients(I)
+                ref = max(float(np.max(np.abs(F.on_circle(z) - interp._evaluate(I, z, L))))
+                          for z in (np.exp(1j * laurent._uniform_angles(M)),
+                                    np.exp(1j * nodal._node_midpoints(system))))
                 assert got == ref
 
     def test_grid_points_at_nodes_take_the_node_values(self, monkeypatch):

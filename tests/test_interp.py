@@ -126,6 +126,25 @@ class TestInterpolate:
         with pytest.raises(ValidationError):
             interpolate(sys, make_degree_plan(4, 0.5), np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 2), (1, 4), ()])
+    def test_values_must_be_one_per_node(self, shape):
+        sys = roots_of_unimodular(4, 1.0)
+        with pytest.raises(ValidationError, match="shape"):
+            interpolate(sys, make_degree_plan(4, 0.5), np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(4, 50), (25, 8), (2, 3), (1, 1)])
+    def test_points_of_any_shape(self, shape):
+        """An array of points gives values of its shape, equal to those of
+        the points one by one; at least 64 points on the circle take the
+        coefficients, fewer the kernel."""
+        sys = roots_of_unimodular(16, np.exp(0.3j))
+        I = interpolate(sys, make_degree_plan(16, 0.5), np.cos(3 * sys.thetas))
+        z = np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, shape))
+        got = eval_interpolant(I, z)
+        assert got.shape == shape
+        np.testing.assert_allclose(got.ravel(), [I(w) for w in z.ravel()], rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(got.ravel(), eval_interpolant(I, z.ravel()))
+
     def test_rejects_origin(self):
         sys = roots_of_unimodular(4, 1.0)
         I = interpolate(sys, make_degree_plan(4, 0.5), np.ones(4))

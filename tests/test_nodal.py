@@ -43,6 +43,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             make_nodal_system([])
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), complex(1.0, np.nan)])
+    def test_rejects_nan_node(self, bad):
+        with pytest.raises(ValidationError, match="not unimodular"):
+            make_nodal_system([1.0, 1j, bad])
+
+    def test_rejects_nodes_not_one_dimensional(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            make_nodal_system(np.exp(2j * np.pi * np.arange(8) / 8).reshape(2, 4))
+
+    @pytest.mark.parametrize("tau", [np.nan, complex(np.nan, 0.0), complex(1.0, np.nan)])
+    def test_rejects_nan_tau(self, tau):
+        with pytest.raises(ValidationError, match="tau"):
+            roots_of_unimodular(4, tau)
+        with pytest.raises(ValidationError, match="tau"):
+            paraorthogonal_nodes(np.zeros(4), ParaOrthogonalSpec(n=4, tau=tau))
+
     def test_accepts_roots_of_unity(self):
         sys = make_nodal_system(np.exp(2j * np.pi * np.arange(7) / 7))
         assert sys.n == 7

@@ -210,6 +210,11 @@ class TestSzegoRecurrence:
         with pytest.raises(ValidationError):
             szego_recurrence([1.0], 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), complex(0.0, np.nan)])
+    def test_rejects_nan_alpha(self, bad):
+        with pytest.raises(ValidationError, match="alpha_1"):
+            szego_recurrence([0.5, bad], 2)
+
     def test_rejects_short_sequence(self):
         with pytest.raises(ValidationError):
             szego_recurrence([0.1], 3)

@@ -290,6 +290,19 @@ class TestTrig:
             theta = np.sort(np.mod(np.angle(np.exp(1j * (np.pi + 2 * np.pi * np.arange(n)) / n)), 2 * np.pi))
             assert np.max(np.abs(tp(theta) - F(theta))) < 1e-11
 
+    @pytest.mark.parametrize("weight", ["chebyshev1", "chebyshev3"])
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_symmetric_is_paraorthogonal_on_the_weights_alphas(self, weight, n):
+        """The symmetric transfer is the para-orthogonal one on the
+        Verblunsky coefficients of the Szego-transformed weight, with
+        tau = 1 and 2n nodes, bit for bit."""
+        w, F = INTERVAL_WEIGHTS[weight], lambda t: np.exp(np.sin(t)) + 0.3 * np.cos(2 * t)
+        alphas = verblunsky_coefficients(szego_transform_weight(w), 2 * n)
+        sym = trig_interpolate_symmetric(w, n, F)
+        para = trig_interpolate_paraorthogonal(alphas, 1.0, 2 * n, F)
+        np.testing.assert_array_equal(sym.a, para.a)
+        np.testing.assert_array_equal(sym.b, para.b)
+
     def test_coefficients_are_real(self):
         tp = trig_interpolate_symmetric(chebyshev1_weight, 5, lambda t: np.sin(3 * t))
         assert tp.a.dtype == float and tp.b.dtype == float
