@@ -48,7 +48,6 @@ from .nodal import (
     NodalConditionReport,
     NodalSystem,
     estimate_conditions,
-    lebesgue_function,
     make_nodal_system,
     max_workers,
     roots_of_unimodular,

@@ -122,7 +122,6 @@ def _metadata(cfg: dict) -> dict:
         "version": __version__,
         "config_hash": _config_hash(hashed),
         "config": clean,
-        "seed": cfg.get("seed"),
     }
 
 
@@ -359,8 +358,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_values(command: str, cfg: dict):
-    """Check the type and range of every known option, whether it came
-    from a flag or from the config file, and parse tau and ns in place."""
+    """Check the type and range of every option, whether it came from a
+    flag or from the config file, and parse tau and ns in place.  A key
+    that names no option is refused; one of another subcommand is not, so
+    that one config file can serve several subcommands."""
+    for key in cfg:
+        if key not in OPTIONS:
+            raise ValidationError(f"unknown config key {key!r}; known: {sorted(OPTIONS)}")
     for key, (kind, _) in OPTIONS.items():
         if key not in cfg:
             continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,8 @@ def corpus(name: str, param: float | None = None) -> CorpusFunction:
     lipschitz:     triangle wave pi - |theta - pi|, Lipschitz constant 1;
     boundary-half: holder with beta = 1/2 exactly (hypothesis NOT satisfied).
     """
+    if param is not None and (isinstance(param, bool) or not isinstance(param, numbers.Real)):
+        raise ValidationError(f"a corpus parameter must be a real number, got {param!r}")
     if param is not None and name in ("smooth-exp", "lipschitz", "boundary-half"):
         raise ValidationError(f"{name} takes no parameter, got {param}")
     if name == "holder":

@@ -30,6 +30,7 @@ A fundamental polynomial is the interpolant of a unit vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -97,14 +98,29 @@ def _phase_powers(z, p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CircleInterpolant:
+    """The interpolant in the window of plan with the values u_j at the
+    nodes of system; its weights follow from these and are formed on first use."""
+
     system: NodalSystem
     plan: DegreePlan
     values: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)  # z_j^p / W_n'(z_j)
+
+    def __post_init__(self):
+        if self.plan.n != self.system.n:
+            raise ValidationError(f"plan is for n={self.plan.n} but system has n={self.system.n}")
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != (self.system.n,):
+            raise ValidationError(f"need values of shape ({self.system.n},), got {values.shape}")
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
         return self.system.n
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """w_j = z_j^p / W_n'(z_j), formed the first time a point off the nodes needs them."""
+        return _phase_powers(self.system.nodes, self.plan.p) / self.system.derivs
 
     def __call__(self, z):
         return eval_interpolant(self, z)
@@ -116,11 +132,7 @@ def interpolate(system: NodalSystem, plan: DegreePlan, values) -> CircleInterpol
     Raises ConditioningError when the Lebesgue function, sampled at the
     midpoint of the widest node gap, exceeds MAX_LEBESGUE.
     """
-    values = np.asarray(values, dtype=complex)
-    if plan.n != system.n:
-        raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
-    if values.shape != (system.n,):
-        raise ValidationError(f"need values of shape ({system.n},), got {values.shape}")
+    I = CircleInterpolant(system, plan, values)
     log_leb = _log_lebesgue_at_widest_gap(system)
     if log_leb > math.log(MAX_LEBESGUE):
         raise ConditioningError(
@@ -128,8 +140,7 @@ def interpolate(system: NodalSystem, plan: DegreePlan, values) -> CircleInterpol
             f"node gap, above 1/sqrt(eps) = {MAX_LEBESGUE:.1e}: the interpolant "
             "would lose at least half its digits"
         )
-    weights = _phase_powers(system.nodes, plan.p) / system.derivs
-    return CircleInterpolant(system=system, plan=plan, values=values, weights=weights)
+    return I
 
 
 def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: complex) -> complex:
@@ -137,18 +148,12 @@ def fundamental_polynomial(system: NodalSystem, plan: DegreePlan, j: int, z: com
 
     This is the interpolant of the j-th unit vector, evaluated like any
     other, without the conditioning gate of interpolate()."""
-    if plan.n != system.n:
-        raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
     j = _check_count("node index", j, 0)
     if j >= system.n:
         raise ValidationError(f"node index must be in [0, {system.n}), got {j}")
-    z = complex(z)
-    if z == 0:
-        raise ValidationError("fundamental polynomials are undefined at z = 0")
     unit = np.zeros(system.n, dtype=complex)
     unit[j] = 1.0
-    weights = _phase_powers(system.nodes, plan.p) / system.derivs
-    return eval_interpolant(CircleInterpolant(system, plan, unit, weights), z)
+    return eval_interpolant(CircleInterpolant(system, plan, unit), z)
 
 
 def _first_form(system: NodalSystem, p: int, wu: np.ndarray, zz: np.ndarray) -> np.ndarray:
@@ -189,7 +194,7 @@ def _evaluate(I: CircleInterpolant, zz: np.ndarray,
 
 
 def eval_interpolant(I: CircleInterpolant, z):
-    """Evaluate the interpolant at z != 0 (scalar or array of any shape).
+    """Evaluate the interpolant at finite z != 0 (scalar or array of any shape).
 
     For at least HORNER_MIN_POINTS points, all on the unit circle, when
     every sample z_0 e^{2 pi i j/n} is a node (the coefficients then cost
@@ -201,6 +206,9 @@ def eval_interpolant(I: CircleInterpolant, z):
     zz = zz.ravel()
     if np.any(zz == 0):
         raise ValidationError("the interpolant is undefined at z = 0")
+    finite = np.isfinite(zz)
+    if not finite.all():
+        raise ValidationError(f"the interpolant needs finite points, got {zz[~finite][0]}")
     L = None
     if len(zz) >= HORNER_MIN_POINTS and np.all(np.abs(np.abs(zz) - 1.0) <= UNIMODULAR_TOL):
         if len(zz) > I.n or _samples_are_nodes(I.system):

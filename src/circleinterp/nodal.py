@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .laurent import DegreePlan, _check_count, _uniform_angles
+from .laurent import _check_count, _uniform_angles
 
 __all__ = [
     "NodalSystem",
@@ -29,8 +29,6 @@ __all__ = [
     "make_nodal_system",
     "roots_of_unimodular",
     "estimate_conditions",
-    "lebesgue_function",
-    "default_grid_size",
     "max_workers",
 ]
 
@@ -250,10 +248,6 @@ def roots_of_unimodular(n: int, tau: complex) -> NodalSystem:
     return NodalSystem(nodes=nodes, derivs=derivs, source="roots-of-unimodular")
 
 
-def default_grid_size(n: int) -> int:
-    return max(4096, 16 * n)
-
-
 def _nearest_nodes(system: NodalSystem, z: np.ndarray):
     """Index of the node nearest to each z and the distance to it.  For any
     z != 0 the nearest node in distance is the nearest in argument, so a
@@ -377,9 +371,9 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
 def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> NodalConditionReport:
     """Estimate the sufficiency-condition constants on a circle grid.
 
-    The grid is uniform plus node-argument midpoints.  At a node, within
-    AT_NODE_TOL, the j-th summand of condition (ii) is replaced by its limit
-    |W'(z_j)|^2 / n^2.
+    The grid is grid_size uniform points, max(4096, 16 n) by default, plus
+    node-argument midpoints.  At a node, within AT_NODE_TOL, the j-th summand
+    of condition (ii) is replaced by its limit |W'(z_j)|^2 / n^2.
 
     When every sample z_0 e^{2 pi i j/n}, z_0 = nodes[0], is a node (see
     _samples_are_nodes) and n divides grid_size, the rows run on one
@@ -391,7 +385,7 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
     """
     n = system.n
     if grid_size is None:
-        grid_size = default_grid_size(n)
+        grid_size = max(4096, 16 * n)
     grid_size = _check_count("grid_size", grid_size, 4)
     if grid_size % n == 0 and _samples_are_nodes(system):
         period = _uniform_angles(grid_size)[: grid_size // n]
@@ -412,19 +406,3 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
         log10_l_hat=float(log_cond2.max()) / math.log(10.0),
         log10_lebesgue_max=max(float(log_leb.max()), 0.0) / math.log(10.0),
     )
-
-
-def lebesgue_function(system: NodalSystem, plan: DegreePlan, z: complex) -> float:
-    """sum_j |l_{j,n-1}(z)| for z != 0; exactly 1 at a node.
-
-    The z_j^p factors are unimodular, so only the magnitudes
-    |W(z)| / (|z|^p |W'(z_j)| |z - z_j|) enter; |z|^p is 1 on the circle.
-    """
-    if plan.n != system.n:
-        raise ValidationError(f"plan is for n={plan.n} but system has n={system.n}")
-    z = complex(z)
-    if z == 0:
-        raise ValidationError("fundamental polynomials are undefined at z = 0")
-    log_leb = _condition_rows(np.array([z]), system)[2][0] - plan.p * math.log(abs(z))
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_leb))

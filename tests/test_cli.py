@@ -240,6 +240,17 @@ class TestCommands:
         assert code == 0
         assert json.loads(out.read_text())["n"] == 16
 
+    def test_config_keys_shared_across_subcommands(self, tmp_path, capsys):
+        """One config file serves several subcommands: a key of another
+        subcommand is accepted, a key of none is refused by name."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 8, "corpus": "smooth-exp", "grid": 64, "variant": "mu2"}))
+        for command in ("check", "interp", "interval"):
+            assert main([command, "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps({"n": 8, "grdi": 5}))
+        assert main(["check", "--config", str(cfg)]) == 1
+        assert "'grdi'" in capsys.readouterr().err
+
     def test_missing_required_flag_exit_1(self, capsys):
         assert main(["interp", "--n", "8"]) == 1
         assert "validation error" in capsys.readouterr().err
@@ -276,6 +287,7 @@ class TestCommands:
          "c.json", '{"weight": "legendre"}'),
         (["sweep", "--corpus", "smooth-exp", "--config", "{path}"], "c.json", '{"ns": [8, "x"]}'),
         (["nodes", "--n", "4", "--config", "{path}"], "c.json", '{"tau": [1, 0]}'),
+        (["check", "--config", "{path}"], "c.json", '{"n": 8, "grdi": 5}'),
         (["interval", "--n", "4", "--corpus", "smooth-exp", "--weight", "foo"], None, None),
         (["interval", "--n", "abc", "--corpus", "smooth-exp"], None, None),
         (["trig", "--n", "4", "--corpus", "smooth-exp", "--variant", "foo"], None, None),
@@ -298,6 +310,7 @@ class TestCommands:
             "nodes-n-neg", "corpus-param", "config-n-str", "config-n-float", "config-n-bool",
             "config-r-str",
             "config-grid-str", "config-weight", "config-ns-list", "config-tau-list",
+            "config-unknown-key",
             "flag-weight", "flag-n-str", "flag-variant", "flag-format", "flag-r-str",
             "sweep-r-0", "sweep-r-1", "sweep-r-2", "tau-nan", "measure-nan",
             "nodes-file-nan", "interp-nodes-inf", "nodes-pair-nan"])

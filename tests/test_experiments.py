@@ -72,6 +72,14 @@ class TestCorpus:
             with pytest.raises(ValidationError):
                 parse_corpus(spec)
 
+    @pytest.mark.parametrize("name,param", [
+        ("holder", "0.6"), ("holder", True), ("step-smooth", 1j), ("step-smooth", "x"),
+        ("step-smooth", False), ("holder", [0.6]),
+    ], ids=["holder-str", "holder-bool", "step-complex", "step-str", "step-bool", "holder-list"])
+    def test_parameter_must_be_a_real_number(self, name, param):
+        with pytest.raises(ValidationError, match="real number"):
+            corpus(name, param)
+
 
 class TestModulus:
     @pytest.mark.parametrize("beta", [0.6, 0.8, 1.0])

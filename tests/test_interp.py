@@ -121,10 +121,12 @@ class TestInterpolate:
 
     def test_mismatched_sizes(self):
         sys = roots_of_unimodular(4, 1.0)
-        with pytest.raises(ValidationError):
-            interpolate(sys, make_degree_plan(5, 0.5), np.zeros(5))
-        with pytest.raises(ValidationError):
-            interpolate(sys, make_degree_plan(4, 0.5), np.zeros(3))
+        for build in (interpolate, CircleInterpolant):
+            with pytest.raises(ValidationError, match="plan is for n=5"):
+                build(sys, make_degree_plan(5, 0.5), np.zeros(5))
+            with pytest.raises(ValidationError, match="shape"):
+                build(sys, make_degree_plan(4, 0.5), np.zeros(3))
+            assert build(sys, make_degree_plan(4, 0.5), [1, 2, 3, 4]).values.dtype == complex
 
     @pytest.mark.parametrize("shape", [(4, 1), (4, 2), (1, 4), ()])
     def test_values_must_be_one_per_node(self, shape):
@@ -150,6 +152,32 @@ class TestInterpolate:
         I = interpolate(sys, make_degree_plan(4, 0.5), np.ones(4))
         with pytest.raises(ValidationError):
             eval_interpolant(I, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("z", [np.array([np.nan, 1j]), np.nan, np.array([np.inf]),
+                                   complex(1.0, -np.inf)],
+                             ids=["nan-array", "nan", "inf", "inf-imag"])
+    def test_rejects_non_finite_points(self, z):
+        sys = roots_of_unimodular(4, 1.0)
+        plan = make_degree_plan(4, 0.5)
+        I = interpolate(sys, plan, np.ones(4))
+        with pytest.raises(ValidationError, match="finite"):
+            eval_interpolant(I, z)
+        if np.ndim(z) == 0:
+            with pytest.raises(ValidationError, match="finite"):
+                fundamental_polynomial(sys, plan, 0, z)
+
+    def test_weights_are_formed_only_off_the_nodes(self):
+        """The weights z_j^p / W_n'(z_j) are derived from the nodes and the
+        window, the first time a point off the nodes needs them."""
+        sys = roots_of_unimodular(16, np.exp(0.3j))
+        plan = make_degree_plan(16, 0.4)
+        I = interpolate(sys, plan, np.cos(3 * sys.thetas))
+        I(sys.nodes)
+        interpolant_coefficients(I)  # every sample is a node
+        assert "weights" not in I.__dict__
+        I(np.exp(0.1j))
+        np.testing.assert_array_equal(I.__dict__["weights"],
+                                      interp._phase_powers(sys.nodes, plan.p) / sys.derivs)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 64), st.floats(0.1, 0.9), st.integers(0, 2**32 - 1))
@@ -266,8 +294,7 @@ class TestFirstForm:
         values = np.cos(3.0 * theta) + 0.5j * np.sin(theta)
         # the Lebesgue constant is far above the interpolate() gate, so
         # the interpolant is assembled directly
-        I = CircleInterpolant(system=sys, plan=plan, values=values,
-                              weights=np.exp(1j * plan.p * sys.thetas) / sys.derivs)
+        I = CircleInterpolant(system=sys, plan=plan, values=values)
         t = np.concatenate([theta[1] + 1.2e-10 * (np.arange(16) + 0.5),
                             2.0 * np.pi * (np.arange(16) + 0.3) / 16])
         z = np.concatenate([np.exp(1j * t), 1e20 * np.exp(1j * t[::3])])
