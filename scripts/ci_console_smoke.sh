@@ -4,7 +4,8 @@
 # the FFT path with its dense CSV, interval with its dense and node CSVs,
 # trig in both variants, a sweep that must write its CSV, and a
 # para-orthogonal sweep and trig interpolant read from a measure file (the
-# sweep's node midpoints are not rotation-symmetric).
+# sweep's node midpoints are not rotation-symmetric), the same nodes from a
+# Bernstein-Szego file, and the exit code of an h with a zero on the circle.
 #
 #   scripts/ci_console_smoke.sh [OUT_DIR]
 #
@@ -34,6 +35,16 @@ circle-interp trig --n 128 --variant para --corpus holder:0.6
 circle-interp sweep --ns 256:2048 --corpus holder:0.6 --out "$out_dir/sweep"
 test -s "$out_dir/sweep.csv"
 echo '{"kind": "verblunsky", "alphas": [[0.5, 0]]}' > "$out_dir/alpha-half.json"
+# h = 1 - z/2 is the same measure as alpha = [0.5], read off h exactly
+echo '{"kind": "bernstein-szego", "h_coeffs": [[1, 0], [-0.5, 0]]}' > "$out_dir/bs-half.json"
+circle-interp nodes --n 64 --measure "$out_dir/alpha-half.json" > "$out_dir/nodes-alpha.txt"
+circle-interp nodes --n 64 --measure "$out_dir/bs-half.json" > "$out_dir/nodes-bs.txt"
+cmp "$out_dir/nodes-alpha.txt" "$out_dir/nodes-bs.txt"
+# h = 1 - z has a zero on the circle: refused as invalid input
+echo '{"kind": "bernstein-szego", "h_coeffs": [[1, 0], [-1, 0]]}' > "$out_dir/bs-circle.json"
+rc=0
+circle-interp check --n 64 --measure "$out_dir/bs-circle.json" || rc=$?
+test "$rc" -eq 1
 circle-interp sweep --family para-orthogonal --measure "$out_dir/alpha-half.json" \
     --ns 16:64 --corpus holder:0.6 --out "$out_dir/sweep-para"
 test -s "$out_dir/sweep-para.csv"

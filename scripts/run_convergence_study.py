@@ -19,9 +19,9 @@ import numpy as np
 
 from circleinterp import (
     NodalFamily,
+    bernstein_szego,
     convergence_sweep,
     estimate_modulus,
-    finite_verblunsky,
     parse_corpus,
     sweep_to_csv,
     sweep_to_json,
@@ -50,7 +50,7 @@ def main():
     families = {
         "roots-of-unity": NodalFamily(kind="roots-of-unimodular", tau=1.0),
         "bernstein-szego": NodalFamily(
-            kind="para-orthogonal", tau=1.0, measure=finite_verblunsky([0.5])
+            kind="para-orthogonal", tau=1.0, measure=bernstein_szego([1.0, -0.5])
         ),
     }
     targets = ["holder:0.6", "holder:0.8", "lipschitz", "smooth-exp", "boundary-half"]

@@ -378,7 +378,7 @@ def _check_values(command: str, cfg: dict):
             ns = _parse_ns(val) if isinstance(val, str) else val
             if not isinstance(ns, list):
                 raise ValidationError(f"ns must be 'a:b', a comma list or a JSON list, got {val!r}")
-            cfg[key] = [_check_count("each n in ns", n, 1) for n in ns]
+            cfg[key] = [_check_count("each n in ns", n, 2) for n in ns]
         elif kind is int:
             _check_count(key, val, 1)
         elif kind is float and (isinstance(val, bool) or not isinstance(val, (int, float))):

@@ -114,7 +114,7 @@ def parse_corpus(spec: str) -> CorpusFunction:
     return corpus(spec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModulusProfile:
     """Estimated modulus of continuity lambda(F, delta) on a chordal scale."""
 
@@ -210,7 +210,7 @@ class NodalFamily:
         return f"para-orthogonal({self.measure.label}, tau={self.tau})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """What each n of a sweep produced: its plan, sup error, condition
     report and status, "ok" or the error message.  Where an n failed its
@@ -316,7 +316,7 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
     recorded at every n that gets that far.  Any other exception
     propagates; one that F raises on the grid does so before any n runs,
     even if every n would have failed first."""
-    ns = np.asarray(sorted(_check_count("each n in ns", n, 1) for n in ns))
+    ns = np.asarray(sorted(_check_count("each n in ns", n, 2) for n in ns))
     if len(ns) == 0 or np.any(np.diff(ns) <= 0):
         raise ValidationError("ns must be a nonempty strictly increasing collection")
     error_grid = _check_count("error_grid", error_grid, 1)

@@ -96,7 +96,7 @@ def _phase_powers(z, p) -> np.ndarray:
     return _QUARTER_TURNS[(p * k) % 4] * np.exp(1j * p * reduced)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleInterpolant:
     """The interpolant in the window of plan with the values u_j at the
     nodes of system; its weights follow from these and are formed on first use."""

@@ -92,7 +92,7 @@ def make_degree_plan(n: int, r: float) -> DegreePlan:
     return DegreePlan(p=p, q=n - 1 - p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaurentPolynomial:
     """Element of span{z^k : -p <= k <= q}.
 

@@ -51,7 +51,7 @@ FACTOR_LEVELS = 4
 PRODUCT_RANGE = (1e-250, 1e250)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodalSystem:
     """Distinct unimodular nodes z_j with cached derivatives W_n'(z_j)."""
 

@@ -87,14 +87,12 @@ _MISS_FACTOR = 2.0
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A measure on [0, 2*pi): Lebesgue, a finite Verblunsky sequence, or a
-    quadrature-computable nonnegative weight function of theta (an interval
-    weight is the Szego transform of a weight on [-1, 1])."""
+    """A measure on [0, 2*pi): a finite Verblunsky sequence (Lebesgue measure
+    has none, a Bernstein-Szego weight m), or a quadrature-computable
+    nonnegative weight function of theta (an interval weight is the Szego
+    transform of a weight on [-1, 1], with w(2 pi - theta) = w(theta))."""
 
-    # "finite-verblunsky" | "quadrature-weight" | "interval-weight"; Lebesgue
-    # measure is the finite Verblunsky sequence with no alphas.  An interval
-    # weight is a quadrature weight with w(2 pi - theta) = w(theta)
-    kind: str
+    kind: str  # "finite-verblunsky" | "quadrature-weight" | "interval-weight"
     alphas: tuple = ()
     weight: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
@@ -115,20 +113,23 @@ def quadrature_weight(w: Callable, label: str = "quadrature") -> MeasureSpec:
 
 
 def bernstein_szego(h_coeffs: Sequence[complex]) -> MeasureSpec:
-    """Weight proportional to 1/|h(e^{i theta})|^2 for a polynomial h
-    (ascending coefficients) nonvanishing on the closed disk."""
+    """The weight 1/|h(e^{i theta})|^2 of a polynomial h (ascending
+    coefficients) of degree m, as its m nonzero Verblunsky coefficients, read
+    off phi_m* = h / h(0) by the inverse Szego (Schur-Cohn) recursion:
+    alpha_k = -conj(phi_{k+1}(0)), phi_k* = (phi_{k+1}* + alpha_k phi_{k+1}) / (1 - |alpha_k|^2).
+    An h with a zero in the closed disk (some |alpha_k| >= 1), not finite,
+    zero or with h(0) = 0 raises ValidationError."""
     h = np.asarray(list(h_coeffs), dtype=complex)
-    if len(h) == 0 or np.all(h == 0):
-        raise ValidationError("h must be a nonzero polynomial")
-
-    def w(theta):
-        z = np.exp(1j * np.asarray(theta))
-        hv = np.zeros_like(z)
-        for c in h[::-1]:
-            hv = hv * z + c
-        return 1.0 / np.abs(hv) ** 2
-
-    return MeasureSpec(kind="quadrature-weight", weight=w, label="bernstein-szego")
+    if h.ndim != 1 or not np.all(np.isfinite(h)) or not np.any(h) or h[0] == 0:
+        raise ValidationError(f"h must be finite, nonzero and h(0) != 0, got {reprlib.repr(h_coeffs)}")
+    star = np.trim_zeros(h / h[0], "b")
+    alphas = np.zeros(len(star) - 1, dtype=complex)
+    for k in reversed(range(len(alphas))):
+        a = alphas[k] = -star[-1]
+        if not abs(a) < 1.0:
+            raise ValidationError(f"h has a zero in the closed unit disk (|alpha_{k}| = {abs(a)})")
+        star = ((star + a * np.conj(star[::-1])) / (1.0 - abs(a) ** 2))[:-1]
+    return MeasureSpec(kind="finite-verblunsky", alphas=tuple(alphas.tolist()), label="bernstein-szego")
 
 
 def load_measure_spec(path) -> MeasureSpec:
@@ -336,10 +337,8 @@ def verblunsky_coefficients(spec: MeasureSpec, N: int) -> np.ndarray:
     """First N Verblunsky coefficients of any supported measure family."""
     N = _check_count("N", N, 0)
     if spec.kind == "finite-verblunsky":
-        out = np.zeros(N, dtype=complex)
-        head = min(N, len(spec.alphas))
-        out[:head] = spec.alphas[:head]
-        return out
+        head = np.array(spec.alphas[:N], dtype=complex)
+        return np.pad(head, (0, N - len(head)))  # exact zeros past the last alpha
     if spec.kind in _QUADRATURE_KINDS:
         return moments_to_verblunsky(spec, N)
     raise ValidationError(f"unknown measure kind {spec.kind!r}")

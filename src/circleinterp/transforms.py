@@ -50,7 +50,7 @@ VARIANTS = tuple(_VARIANT_TABLE)
 _ENDPOINT_IM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalNodalSystem:
     """Interior interval nodes plus the conjugate-closed circle system they
     came from; endpoints +-1 enter only through the variant's flags."""
@@ -79,7 +79,7 @@ class IntervalNodalSystem:
         return np.concatenate(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrigPolynomial:
     """a_0 + sum_k (a_k cos k theta + b_k sin k theta), all real."""
 

@@ -46,6 +46,21 @@ def plain_trigonometric_moments(spec, N, tol=1e-12):
     raise QuadratureError(f"no convergence below {tol} with up to {opuc.MAX_QUADRATURE_POINTS} points")
 
 
+def bernstein_szego_weight(h):
+    """The weight 1/|h(e^{i theta})|^2 of ascending coefficients h, by
+    Horner: the quadrature oracle for opuc.bernstein_szego."""
+    h = np.asarray(h, dtype=complex)
+
+    def w(theta):
+        z = np.exp(1j * np.asarray(theta))
+        hv = np.zeros_like(z)
+        for c in h[::-1]:
+            hv = hv * z + c
+        return 1.0 / np.abs(hv) ** 2
+
+    return w
+
+
 def brute_force_lebesgue(nodes, z):
     """Direct-summation oracle for sum_j |l_j(z)|: explicit products, no
     shared code with the library's log-space path."""

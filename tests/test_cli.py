@@ -29,6 +29,16 @@ class TestParsers:
             _parse_ns(raw)
         assert main(["sweep", f"--ns={raw}", "--corpus", "smooth-exp"]) == 1
 
+    def test_sweep_over_n_one_exits_1_before_any_n_runs(self, tmp_path, capsys, monkeypatch):
+        from circleinterp import experiments
+
+        monkeypatch.setattr(experiments, "_sweep_one", lambda *a: pytest.fail("an n ran"))
+        assert main(["sweep", "--ns", "1:64", "--corpus", "holder:0.6"]) == 1
+        assert "each n in ns must be >= 2" in capsys.readouterr().err
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"ns": [1, 2]}))
+        assert main(["sweep", "--config", str(path), "--corpus", "holder:0.6"]) == 1
+
     def test_nodes_file_json(self, tmp_path):
         path = tmp_path / "nodes.json"
         path.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
@@ -78,6 +88,23 @@ class TestCommands:
         expected = [np.pi / 4 * (2 * k + 1) for k in range(4)]
         # zeros of z^4 + 1
         assert np.allclose(np.sort(thetas), np.sort([np.angle(np.exp(1j * t)) % (2 * np.pi) for t in expected]))
+
+    def test_bernstein_szego_file_matches_its_alphas(self, tmp_path, capsys):
+        """h = 1 - z/2 gives alpha = [0.5] exactly: the same nodes and
+        condition report, byte for byte, as the verblunsky file."""
+        files = {"verblunsky": {"kind": "verblunsky", "alphas": [[0.5, 0]]},
+                 "bernstein-szego": {"kind": "bernstein-szego", "h_coeffs": [[1, 0], [-0.5, 0]]}}
+        outputs = {}
+        for name, spec in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(spec))
+            assert main(["nodes", "--n", "257", "--measure", str(path)]) == 0
+            nodes = capsys.readouterr().out
+            assert main(["check", "--n", "64", "--measure", str(path)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            report.pop("metadata")
+            outputs[name] = (nodes, json.dumps(report))
+        assert outputs["verblunsky"] == outputs["bernstein-szego"]
 
     def test_nodes_json_round_trip(self, tmp_path):
         out = tmp_path / "nodes.json"
@@ -303,6 +330,16 @@ class TestCommands:
         (["interp", "--nodes", "{path}", "--corpus", "smooth-exp"], "nodes.txt",
          "0.0\n1.0\ninf\n"),
         (["check", "--nodes", "{path}"], "nodes.json", "[[1, 0], [NaN, 0]]"),
+        (["check", "--n", "8", "--measure", "{path}"], "m.json",
+         '{"kind": "bernstein-szego", "h_coeffs": [[1, 0], [-1, 0]]}'),
+        (["check", "--n", "8", "--measure", "{path}"], "m.json",
+         '{"kind": "bernstein-szego", "h_coeffs": [[1, 0], [-2, 0]]}'),
+        (["nodes", "--n", "8", "--measure", "{path}"], "m.json",
+         '{"kind": "bernstein-szego", "h_coeffs": [[1, 0], [NaN, 0]]}'),
+        (["nodes", "--n", "8", "--measure", "{path}"], "m.json",
+         '{"kind": "bernstein-szego", "h_coeffs": [[0, 0], [1, 0]]}'),
+        (["nodes", "--n", "8", "--measure", "{path}"], "m.json",
+         '{"kind": "bernstein-szego", "h_coeffs": []}'),
     ], ids=["tau", "ns", "measure-file", "measure-list", "measure-pair",
             "nodes-file", "nodes-pair", "config", "config-list",
             "interp-grid-neg", "interval-grid-neg", "trig-grid-neg",
@@ -313,7 +350,8 @@ class TestCommands:
             "config-unknown-key",
             "flag-weight", "flag-n-str", "flag-variant", "flag-format", "flag-r-str",
             "sweep-r-0", "sweep-r-1", "sweep-r-2", "tau-nan", "measure-nan",
-            "nodes-file-nan", "interp-nodes-inf", "nodes-pair-nan"])
+            "nodes-file-nan", "interp-nodes-inf", "nodes-pair-nan",
+            "bs-zero-on-circle", "bs-zero-inside", "bs-nan", "bs-h0-zero", "bs-empty"])
     def test_malformed_input_exit_1(self, tmp_path, capsys, argv, name, text):
         """Malformed flags and files end in one line on stderr, not a traceback."""
         path = tmp_path / (name or "unused")

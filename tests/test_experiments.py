@@ -406,6 +406,14 @@ class TestSweep:
         with pytest.raises(ValidationError):
             convergence_sweep(family, 0.5, [], corpus("smooth-exp"))
 
+    @pytest.mark.parametrize("ns", [[1], [1, 8, 64], np.arange(1, 5)])
+    def test_rejects_n_below_two_before_any_n_runs(self, ns, monkeypatch):
+        """make_degree_plan needs n >= 2, so n = 1 could only fail."""
+        monkeypatch.setattr(experiments, "_sweep_one", lambda *a: pytest.fail("an n ran"))
+        family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
+        with pytest.raises(ValidationError, match="each n in ns must be >= 2"):
+            convergence_sweep(family, 0.5, ns, corpus("holder", 0.6))
+
     @pytest.mark.parametrize("grid", [0, -5])
     def test_rejects_nonpositive_error_grid(self, grid):
         """A grid of no uniform points would measure the error at the node

@@ -25,6 +25,7 @@ from circleinterp import (
 )
 from circleinterp import opuc
 from conftest import (
+    bernstein_szego_weight,
     levinson_reference,
     opuc_coefficients,
     paraorthogonal_coefficients,
@@ -292,7 +293,7 @@ class TestQuadratureDecline:
 class TestVerblunskyRecovery:
     def test_bernstein_szego_recovers_alphas(self):
         # w ~ 1/|1 - z/2|^2 has alpha = (1/2, 0, 0, ...)
-        spec = bernstein_szego([1.0, -0.5])
+        spec = quadrature_weight(bernstein_szego_weight([1.0, -0.5]))
         alphas = moments_to_verblunsky(spec, 6)
         assert alphas[0] == pytest.approx(0.5, abs=1e-10)
         assert np.max(np.abs(alphas[1:])) < 1e-10
@@ -300,7 +301,7 @@ class TestVerblunskyRecovery:
     def test_complex_bernstein_szego(self):
         # w ~ 1/|1 - alpha_0 z|^2 recovers alpha = (alpha_0, 0, ...)
         a = 0.3 - 0.2j
-        spec = bernstein_szego([1.0, -a])
+        spec = quadrature_weight(bernstein_szego_weight([1.0, -a]))
         alphas = moments_to_verblunsky(spec, 4)
         assert alphas[0] == pytest.approx(a, abs=1e-10)
         assert np.max(np.abs(alphas[1:])) < 1e-10
@@ -331,10 +332,10 @@ class TestVerblunskyRecovery:
 
     def test_invalid_count(self):
         with pytest.raises(ValidationError):
-            moments_to_verblunsky(bernstein_szego([1.0]), 0)
+            moments_to_verblunsky(quadrature_weight(bernstein_szego_weight([1.0])), 0)
 
     @pytest.mark.parametrize("spec", [lebesgue_measure(), finite_verblunsky([0.5]),
-                                      bernstein_szego([1.0])],
+                                      quadrature_weight(bernstein_szego_weight([1.0]))],
                              ids=["lebesgue", "finite-verblunsky", "quadrature-weight"])
     def test_negative_count(self, spec):
         with pytest.raises(ValidationError, match="nonnegative"):
@@ -346,6 +347,52 @@ class TestVerblunskyRecovery:
         spec = quadrature_weight(lambda t: np.exp(50.0 * np.cos(t)))
         alphas = moments_to_verblunsky(spec, 2)
         assert 0.97 < abs(alphas[0]) < 1.0
+
+
+def seeded_h(m, seed):
+    """Ascending coefficients of c prod_j (z - zeta_j), m seeded zeros at
+    radius 1.1 to 3.1 and a seeded complex factor c."""
+    rng = np.random.default_rng(seed)
+    zeros = rng.uniform(1.1, 3.1, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+    c = complex(*rng.normal(size=2))
+    return c * np.poly(zeros)[::-1]
+
+
+class TestBernsteinSzego:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_zero_tail_and_forward_recursion(self, m):
+        h = seeded_h(m, 2400 + m)
+        spec = bernstein_szego(h)
+        assert (spec.kind, spec.label, len(spec.alphas)) == ("finite-verblunsky", "bernstein-szego", m)
+        alphas = verblunsky_coefficients(spec, 4 * m)
+        assert np.all(alphas[m:] == 0)
+        _, stars = opuc_coefficients(alphas[:m])
+        assert np.max(np.abs(stars[m] - h / h[0])) < 1e-13
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_quadrature_oracle(self, m):
+        h = seeded_h(m, 2400 + m)
+        oracle = moments_to_verblunsky(quadrature_weight(bernstein_szego_weight(h)), m + 2)
+        got = verblunsky_coefficients(bernstein_szego(h), m + 2)
+        assert np.max(np.abs(got - oracle)) < 1e-12
+
+    def test_one_zero_is_finite_verblunsky(self):
+        assert bernstein_szego([1.0, -0.5]).alphas == finite_verblunsky([0.5]).alphas
+        assert bernstein_szego([2.0, 0.0, 0.0]).alphas == ()
+        with pytest.raises(ValidationError, match="quadrature-weight"):
+            moments_to_verblunsky(bernstein_szego([1.0, -0.5]), 4)
+
+    @pytest.mark.parametrize("h", [[], [0.0, 0.0], [1.0, np.nan], [1.0, np.inf], [0.0, 1.0],
+                                   [1.0, -1.0], [1.0, -2.0], [1.0, 0.0, 1.0]],
+                             ids=["empty", "zero", "nan", "inf", "h0-zero", "on-circle",
+                                  "inside", "pair-on-circle"])
+    def test_refuses_at_once(self, h, monkeypatch):
+        def spy(*args, **kwargs):
+            pytest.fail("trigonometric_moments was called")
+
+        monkeypatch.setattr(opuc, "trigonometric_moments", spy)
+        with pytest.raises(ValidationError):
+            verblunsky_coefficients(bernstein_szego(h), 8)
 
 
 class TestParaOrthogonal:

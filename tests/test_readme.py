@@ -1,0 +1,14 @@
+"""The README's Python examples run as written."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
