@@ -59,11 +59,9 @@ from .opuc import (
     finite_verblunsky,
     lebesgue_measure,
     load_measure_spec,
-    moments_to_verblunsky,
     paraorthogonal_nodes,
     quadrature_weight,
     szego_recurrence,
-    trigonometric_moments,
     verblunsky_coefficients,
 )
 from .transforms import (

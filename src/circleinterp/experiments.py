@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import CircleInterpError, ValidationError
 from .interp import interpolant_coefficients, interpolate
-from .laurent import (DegreePlan, _check_count, _check_ratio, _fft_on_grid, _uniform_angles,
-                      eval_laurent, make_degree_plan)
+from .laurent import (DegreePlan, _check_count, _check_ratio, _fft_on_grid, _real_values,
+                      _uniform_angles, eval_laurent, make_degree_plan)
 from .nodal import (AT_NODE_TOL, NodalSystem, _node_midpoints, estimate_conditions,
                     roots_of_unimodular)
 from .opuc import (
@@ -94,7 +94,10 @@ def corpus(name: str, param: float | None = None) -> CorpusFunction:
         k = 10.0 if param is None else float(param)
         if not math.isfinite(k):
             raise ValidationError(f"step-smooth needs a finite steepness k, got {param}")
-        return CorpusFunction(name, k, lambda t: 1.0 / (1.0 + np.exp(-k * np.cos(t))))
+        def step(t):
+            with np.errstate(over="ignore"):  # exp(+inf) where the ramp is 0 for large k
+                return 1.0 / (1.0 + np.exp(-k * np.cos(t)))
+        return CorpusFunction(name, k, step)
     if name == "lipschitz":
         return CorpusFunction(name, None, lambda t: np.pi - np.abs(np.mod(t, 2 * np.pi) - np.pi))
     if name == "boundary-half":
@@ -136,7 +139,7 @@ def estimate_modulus(F: CorpusFunction, deltas, grid_size: int = 2**14) -> Modul
     deltas = np.sort(deltas)[::-1]
     grid_size = _check_count("grid_size", grid_size, 1024)
     theta = _uniform_angles(grid_size)
-    vals = np.asarray(F(theta), dtype=float)
+    vals = _real_values(F.label, F(theta), theta.shape)
 
     def window(delta: float) -> int:
         # chord between grid points i and i+s is 2 sin(pi s / M)
@@ -195,13 +198,15 @@ class NodalFamily:
     tau: complex = 1.0
     measure: MeasureSpec = field(default_factory=lebesgue_measure)
 
+    def __post_init__(self):
+        if self.kind not in ("roots-of-unimodular", "para-orthogonal"):
+            raise ValidationError(f"unknown family kind {self.kind!r}")
+
     def build(self, n: int) -> NodalSystem:
         if self.kind == "roots-of-unimodular":
             return roots_of_unimodular(n, self.tau)
-        if self.kind == "para-orthogonal":
-            return paraorthogonal_nodes(verblunsky_coefficients(self.measure, n),
-                                        ParaOrthogonalSpec(n=n, tau=self.tau))
-        raise ValidationError(f"unknown family kind {self.kind!r}")
+        return paraorthogonal_nodes(verblunsky_coefficients(self.measure, n),
+                                    ParaOrthogonalSpec(n=n, tau=self.tau))
 
     @property
     def label(self) -> str:
@@ -317,8 +322,8 @@ def convergence_sweep(family: NodalFamily, r: float, ns, F: CorpusFunction,
     propagates; one that F raises on the grid does so before any n runs,
     even if every n would have failed first."""
     ns = np.asarray(sorted(_check_count("each n in ns", n, 2) for n in ns))
-    if len(ns) == 0 or np.any(np.diff(ns) <= 0):
-        raise ValidationError("ns must be a nonempty strictly increasing collection")
+    if len(ns) == 0 or np.any(np.diff(ns) == 0):
+        raise ValidationError(f"ns must be nonempty, no n repeated (they run sorted), got {ns.tolist()}")
     error_grid = _check_count("error_grid", error_grid, 1)
     _check_ratio(r)
     # the error grid is the same for every n.  A library error F raises on

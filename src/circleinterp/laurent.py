@@ -75,6 +75,15 @@ def _check_count(name: str, value, minimum: int) -> int:
     return k
 
 
+def _real_values(what: str, values, shape: tuple) -> np.ndarray:
+    """values, real numbers one per point or one for all, as a float array."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "biuf" or v.shape not in ((), shape):
+        raise ValidationError(f"{what} must return one real number per point, got {v.dtype} "
+                              f"values of shape {v.shape} for points of shape {shape}")
+    return np.full(shape, v, dtype=float) if v.ndim == 0 else v.astype(float, copy=False)
+
+
 def _check_ratio(r: float) -> None:
     if isinstance(r, bool) or not isinstance(r, numbers.Real) or not (0.0 < r < 1.0):
         raise ValidationError(f"ratio r must be a number in (0, 1), got {r!r}")

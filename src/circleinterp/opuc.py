@@ -28,7 +28,7 @@ from .errors import (
     RootFindingError,
     ValidationError,
 )
-from .laurent import _check_count
+from .laurent import _check_count, _real_values
 from .nodal import DISTINCT_TOL, NodalSystem, _check_unimodular, make_nodal_system
 
 __all__ = [
@@ -40,14 +40,10 @@ __all__ = [
     "bernstein_szego",
     "load_measure_spec",
     "szego_recurrence",
-    "trigonometric_moments",
-    "moments_to_verblunsky",
     "verblunsky_coefficients",
     "paraorthogonal_nodes",
 ]
 
-# measure kinds whose alphas come from moment quadrature of spec.weight
-_QUADRATURE_KINDS = ("quadrature-weight", "interval-weight")
 ALPHA_LIMIT = 1.0 - 1e-8  # beyond this the analytic-extension hypothesis is implausible
 _TWO_PI = 2.0 * np.pi
 # radians, ~2 ulps of 2 pi.  Near a steep phase jump a Newton step
@@ -69,15 +65,16 @@ _GROUP_ROWS = 64
 _GROUP_DECAY = 300.0
 _PRINCIPAL_TURN = 3.0
 _PHASE_BUDGET = 1 << 20
-# moment quadrature gives up beyond this many points on the circle, or
-# sooner when its relative differences d_i follow a power law that misses
-# tol at the cap: the last _ORDER_RUN observed orders log2(d_{i-1} / d_i)
-# lie within _ORDER_SPREAD of each other and above _MIN_ORDER, and the
-# latest d_i, extrapolated to the cap at the latest order plus
-# _ORDER_SPREAD, stays above _MISS_FACTOR tol.  The margins keep an order
-# still creeping up, or rounding in the last levels, from declining a
-# weight that converges.  Spectral convergence doubles its order per level
-# and never qualifies.
+# moment quadrature converges when two levels differ by less than tol =
+# _QUADRATURE_TOL times the mass.  It gives up beyond MAX_QUADRATURE_POINTS,
+# or sooner when its relative differences d_i follow a power law that misses
+# tol at the cap: the last _ORDER_RUN observed orders log2(d_{i-1} / d_i) lie
+# within _ORDER_SPREAD of each other and above _MIN_ORDER, and the latest
+# d_i, extrapolated to the cap at the latest order plus _ORDER_SPREAD, stays
+# above _MISS_FACTOR tol.  The margins keep an order still creeping up, or
+# rounding in the last levels, from declining a weight that converges.
+# Spectral convergence doubles its order per level and never qualifies.
+_QUADRATURE_TOL = 1e-12
 MAX_QUADRATURE_POINTS = 2**20
 _ORDER_RUN = 3
 _ORDER_SPREAD = 0.1
@@ -178,9 +175,10 @@ def szego_recurrence(alphas: Sequence[complex], N: int) -> np.ndarray:
 
 
 def _weight_values(w, theta: np.ndarray) -> np.ndarray:
-    vals = np.asarray(w(theta), dtype=float)
-    if np.any(vals < -1e-12 * max(1.0, np.max(np.abs(vals)))):
-        raise ValidationError("measure weight must be nonnegative on [0, 2*pi)")
+    vals = _real_values("measure weight", w(theta), theta.shape)
+    top = np.max(np.abs(vals))  # NaN or inf when some value is
+    if not math.isfinite(top) or np.any(vals < -1e-12 * max(1.0, top)):
+        raise ValidationError("measure weight must be finite and nonnegative on [0, 2*pi)")
     return vals
 
 
@@ -214,7 +212,7 @@ def _even_moments(w, m: int, k: np.ndarray) -> np.ndarray:
     return (4.0 * np.pi / m) * (np.exp(-1j * np.pi * k / m) * _real_dft(vals, k)).real
 
 
-def _check_power_law(diffs: list, m: int, tol: float) -> None:
+def _check_power_law(diffs: list, m: int) -> None:
     """Raise QuadratureError when the relative differences diffs of the
     levels up to m points converge like a power law of m that cannot reach
     tol by MAX_QUADRATURE_POINTS points (the rule is stated there)."""
@@ -227,48 +225,31 @@ def _check_power_law(diffs: list, m: int, tol: float) -> None:
         return
     order = float(orders[-1])
     doublings_left = math.log2(MAX_QUADRATURE_POINTS / m)
-    if d[-1] * 2.0 ** (-(order + _ORDER_SPREAD) * doublings_left) < _MISS_FACTOR * tol:
+    if d[-1] * 2.0 ** (-(order + _ORDER_SPREAD) * doublings_left) < _MISS_FACTOR * _QUADRATURE_TOL:
         return
-    needed = round(math.log2(m) + math.ceil(math.log2(d[-1] / tol) / order))
+    needed = round(math.log2(m) + math.ceil(math.log2(d[-1] / _QUADRATURE_TOL) / order))
     raise QuadratureError(
         f"moment quadrature converges like m^-{order:.2f} (an endpoint or kink "
         f"singularity of the weight); at {m} points successive estimates differ "
-        f"by {d[-1]:.1e}, and tol {tol:g} needs about 2^{needed} points, above "
+        f"by {d[-1]:.1e}, and tol {_QUADRATURE_TOL:g} needs about 2^{needed} points, above "
         f"the cap 2^{round(math.log2(MAX_QUADRATURE_POINTS))}"
     )
 
 
-def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12) -> np.ndarray:
-    """Moments m_k = int_0^{2 pi} e^{i k theta} w(theta) dtheta for k = 0..N,
-    by periodic trapezoid quadrature with point-count doubling.
+def _moments(spec: MeasureSpec, N: int) -> np.ndarray:
+    """Moments m_k = int_0^{2 pi} e^{i k theta} w(theta) dtheta for k = 0..N
+    of a weight measure, by periodic trapezoid quadrature with point-count
+    doubling until two levels agree to tol (the rule, and the early
+    QuadratureError for a power law that cannot reach tol, are stated at
+    MAX_QUADRATURE_POINTS).  A weight that converges returns the same
+    moments as without the early stop.
 
     The grid is shifted by half a step (periodic midpoint rule, same spectral
     accuracy) so that removable singularities of Szego-transformed weights at
-    theta = 0 and theta = pi are never sampled.  Convergence is declared when
-    successive estimates differ by less than tol relative to the total mass,
-    with at most MAX_QUADRATURE_POINTS points.
-
-    A weight with an endpoint or kink singularity converges only like a
-    power m^-r of the point count.  After each level that did not converge,
-    the observed orders r_i = log2(d_{i-1} / d_i) of the relative
-    differences d_i are checked: when the last three are above 1/2 and agree
-    within 0.1, and the latest d_i extrapolated at the latest order plus 0.1
-    would still miss 2 tol at MAX_QUADRATURE_POINTS, QuadratureError is
-    raised at once, naming the order and the point count tol needs.  A
-    weight that converges returns the same moments as without the check.
-
-    The weight values are real, so each level of m points takes one rfft.
-    An interval weight (kind "interval-weight") is even, w(2 pi - theta) =
-    w(theta): it is evaluated on the half grid theta_j, j < m/2, only (the
-    first-kind Chebyshev angles), its moments come from one real cosine
-    transform of length m/2, and they are exactly real (zero imaginary part).
+    theta = 0 and theta = pi are never sampled.  Each level takes one rfft;
+    an interval weight, which is even, only the half grid (``_even_moments``),
+    and its moments are exactly real.
     """
-    if spec.kind not in _QUADRATURE_KINDS:
-        raise ValidationError(
-            "trigonometric moments require a quadrature-weight or interval-weight measure"
-        )
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     level = _even_moments if spec.kind == "interval-weight" else _midpoint_moments
     k = np.arange(N + 1)
     prev = None
@@ -281,28 +262,30 @@ def trigonometric_moments(spec: MeasureSpec, N: int, tol: float = 1e-12) -> np.n
         if prev is not None:
             scale = max(abs(cur[0].real), 1e-300)
             diff = np.max(np.abs(cur - prev))
-            if diff < tol * scale:
+            if diff < _QUADRATURE_TOL * scale:
                 return cur
             diffs.append(diff / scale)
-            _check_power_law(diffs, m, tol)
+            _check_power_law(diffs, m)
         prev = cur
         m *= 2
     raise QuadratureError(
-        f"moment quadrature did not converge below {tol} with up to {MAX_QUADRATURE_POINTS} points"
+        f"moment quadrature did not converge below {_QUADRATURE_TOL} with up to "
+        f"{MAX_QUADRATURE_POINTS} points"
     )
 
 
-def moments_to_verblunsky(spec: MeasureSpec, N: int) -> np.ndarray:
-    """Recover alpha_0..alpha_{N-1} from trigonometric moments by the
-    Levinson-type recursion
+def _weight_alphas(spec: MeasureSpec, N: int) -> np.ndarray:
+    """alpha_0..alpha_{N-1} of a weight measure, from its moments m_0..m_N
+    (``_moments``) by the Levinson-type recursion
 
         conj(alpha_k) = <z phi_k, 1> / ||phi_k||^2,
         ||phi_{k+1}||^2 = (1 - |alpha_k|^2) ||phi_k||^2,
 
-    where <f, g> = int f conj(g) dnu and <z^a, z^b> = m_{a-b}.
+    where <f, g> = int f conj(g) dnu and <z^a, z^b> = m_{a-b}.  In double
+    precision the alphas lose digits, even on exact moments and with no
+    error, once ||phi_k||^2 / m_0 falls below about 1e-6.
     """
-    N = _check_count("N", N, 1)
-    m = trigonometric_moments(spec, N)
+    m = _moments(spec, N)
     mass = m[0].real
     if mass <= 0:
         raise ValidationError("measure has nonpositive total mass")
@@ -321,8 +304,9 @@ def moments_to_verblunsky(spec: MeasureSpec, N: int) -> np.ndarray:
         alpha = np.conj(c)
         if abs(alpha) >= ALPHA_LIMIT:
             raise MeasureValidityError(
-                f"recovered |alpha_{k}| = {abs(alpha):.6f} >= {ALPHA_LIMIT}; "
-                "measure is numerically outside the admissible class"
+                f"recovered |alpha_{k}| = {abs(alpha):.6f} >= {ALPHA_LIMIT} at ||phi_{k}||^2 / m_0 "
+                f"= {norm2 / mass:.1e}: the moment recursion lost its digits (it does below "
+                "about 1e-6), so the measure is numerically outside the admissible class"
             )
         alphas[k] = alpha
         # phi_{k+1} = z phi_k - c phi_k*
@@ -339,8 +323,8 @@ def verblunsky_coefficients(spec: MeasureSpec, N: int) -> np.ndarray:
     if spec.kind == "finite-verblunsky":
         head = np.array(spec.alphas[:N], dtype=complex)
         return np.pad(head, (0, N - len(head)))  # exact zeros past the last alpha
-    if spec.kind in _QUADRATURE_KINDS:
-        return moments_to_verblunsky(spec, N)
+    if spec.kind in ("quadrature-weight", "interval-weight"):
+        return _weight_alphas(spec, N)
     raise ValidationError(f"unknown measure kind {spec.kind!r}")
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SymmetryError, ValidationError
 from .interp import interpolant_coefficients, interpolate
-from .laurent import DegreePlan, LaurentPolynomial, _check_count, eval_laurent
+from .laurent import DegreePlan, LaurentPolynomial, _check_count, _real_values, eval_laurent
 from .nodal import NodalSystem
 from .opuc import MeasureSpec, ParaOrthogonalSpec, paraorthogonal_nodes, verblunsky_coefficients
 
@@ -114,7 +114,8 @@ def szego_transform_weight(w, label: str = "szego-transform") -> MeasureSpec:
 
     def circle_w(theta):
         theta = np.asarray(theta, dtype=float)
-        return 0.5 * np.asarray(w(np.cos(theta)), dtype=float) * np.abs(np.sin(theta))
+        wx = _real_values("interval weight", w(np.cos(theta)), theta.shape)
+        return 0.5 * wx * np.abs(np.sin(theta))
 
     return MeasureSpec(kind="interval-weight", weight=circle_w, label=label)
 
@@ -182,7 +183,7 @@ def interval_interpolate(sys: IntervalNodalSystem, f):
     call .convert() for power-basis coefficients when the degree is modest).
     """
     system = sys.circle_system
-    values = np.asarray(f(np.clip(system.nodes.real, -1.0, 1.0)), dtype=complex)
+    values = _real_values("f", f(np.clip(system.nodes.real, -1.0, 1.0)), (system.n,))
     pos, neg = _folded_fit(system, values)
     d = 0.5 * (pos + neg)
     scale = max(float(np.max(np.abs(values))), 1.0)
@@ -205,7 +206,7 @@ def trig_nodes_symmetric(w, n: int) -> np.ndarray:
 def _trig_fit(system: NodalSystem, f) -> TrigPolynomial:
     """The real part of the circle interpolant of f at the node angles:
     a_0 = Re c_0, a_k = Re(c_k + c_{-k}), b_k = -Im(c_k - c_{-k})."""
-    pos, neg = _folded_fit(system, np.asarray(f(system.thetas), dtype=float))
+    pos, neg = _folded_fit(system, _real_values("f", f(system.thetas), (system.n,)))
     a = (pos + neg).real
     a[0] = pos[0].real
     return TrigPolynomial(a=a, b=-(pos - neg)[1:].imag)

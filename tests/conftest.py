@@ -21,8 +21,8 @@ def midpoint_moments(w, m, N):
     return (2.0 * np.pi / m) * np.exp(1j * np.pi * k / m) * np.conj(np.fft.fft(vals)[: N + 1])
 
 
-def plain_trigonometric_moments(spec, N, tol=1e-12):
-    """opuc.trigonometric_moments without its early power-law decline: the
+def plain_moments(spec, N, tol=1e-12):
+    """opuc._moments without its early power-law decline: the
     plain doubling loop, which stops only when successive estimates differ
     by less than tol relative to the mass, or past MAX_QUADRATURE_POINTS
     points with QuadratureError.  Returns the moments and the point count
@@ -140,7 +140,7 @@ def brute_force_interpolant(nodes, p, values, z):
 
 
 def levinson_reference(m, N):
-    """The Levinson loop of opuc.moments_to_verblunsky as it was, with two
+    """The Levinson loop of opuc._weight_alphas as it was, with two
     concatenations per degree: alpha_0..alpha_{N-1} from the moments
     m_0..m_N.  The library's in-place loop must agree bit for bit."""
     alphas = np.zeros(N, dtype=complex)

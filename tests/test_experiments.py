@@ -38,6 +38,15 @@ class TestCorpus:
         assert F(np.pi) == pytest.approx(1.0)
         assert F(0.0) == pytest.approx(0.0)
 
+    def test_steep_step_smooth_saturates_without_overflow(self):
+        """exp(-k cos theta) overflows to inf where cos theta < -0.71 at
+        k = 1000, which gives the ramp's limit 0; other values keep their bits."""
+        t = np.linspace(0.0, 2.0 * np.pi, 257)
+        got = corpus("step-smooth", 1000.0)(t)
+        assert got[128] == 0.0 and got[0] == 1.0 and np.all((got >= 0) & (got <= 1))
+        with np.errstate(over="ignore"):
+            assert got.tobytes() == (1.0 / (1.0 + np.exp(-1000.0 * np.cos(t)))).tobytes()
+
     def test_lipschitz_triangle(self):
         F = corpus("lipschitz")
         assert F(np.pi) == pytest.approx(np.pi)
@@ -94,6 +103,11 @@ class TestModulus:
         profile = estimate_modulus(F, np.logspace(-3, 0, 12))
         # deltas stored decreasing, estimates must be nonincreasing with them
         assert np.all(np.diff(profile.lambda_hat) <= 1e-15)
+
+    def test_rejects_complex_values(self):
+        F = CorpusFunction("complex", None, lambda t: 1j * np.cos(t))
+        with pytest.raises(ValidationError, match="complex must return one real number"):
+            estimate_modulus(F, [0.1, 0.01])
 
     def test_validation(self, capfd):
         F = corpus("smooth-exp")
@@ -401,10 +415,19 @@ class TestSweep:
 
     def test_rejects_bad_ns(self):
         family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
-        with pytest.raises(ValidationError):
-            convergence_sweep(family, 0.5, [8, 8], corpus("smooth-exp"))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"no n repeated .* got \[4, 8, 8\]"):
+            convergence_sweep(family, 0.5, [8, 4, 8], corpus("smooth-exp"))
+        with pytest.raises(ValidationError, match="nonempty"):
             convergence_sweep(family, 0.5, [], corpus("smooth-exp"))
+
+    def test_runs_ns_in_increasing_order(self):
+        family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
+        result = convergence_sweep(family, 0.5, [16, 8], corpus("smooth-exp"), error_grid=256)
+        assert result.ns.tolist() == [8, 16] and result.statuses == ("ok", "ok")
+
+    def test_family_refuses_an_unknown_kind(self):
+        with pytest.raises(ValidationError, match="unknown family kind 'foo'"):
+            NodalFamily("foo")
 
     @pytest.mark.parametrize("ns", [[1], [1, 8, 64], np.arange(1, 5)])
     def test_rejects_n_below_two_before_any_n_runs(self, ns, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from circleinterp import (
     ConditioningError,
     DegeneracyError,
+    MeasureSpec,
+    MeasureValidityError,
     ParaOrthogonalSpec,
     QuadratureError,
     RootFindingError,
@@ -16,20 +19,20 @@ from circleinterp import (
     lebesgue_measure,
     load_measure_spec,
     make_degree_plan,
-    moments_to_verblunsky,
     paraorthogonal_nodes,
     quadrature_weight,
     szego_recurrence,
-    trigonometric_moments,
+    szego_transform_weight,
     verblunsky_coefficients,
 )
 from circleinterp import opuc
 from conftest import (
     bernstein_szego_weight,
+    chebyshev1_weight,
     levinson_reference,
     opuc_coefficients,
     paraorthogonal_coefficients,
-    plain_trigonometric_moments,
+    plain_moments,
 )
 
 
@@ -224,26 +227,45 @@ class TestSzegoRecurrence:
 class TestMoments:
     def test_lebesgue_weight_moments(self):
         spec = quadrature_weight(lambda t: np.ones_like(t))
-        m = trigonometric_moments(spec, 4)
+        m = opuc._moments(spec, 4)
         assert m[0] == pytest.approx(2 * np.pi, rel=1e-13)
         assert np.max(np.abs(m[1:])) < 1e-12
 
     def test_cosine_weight(self):
         # w = 1 + cos theta: m_0 = 2 pi, m_1 = pi, higher vanish
         spec = quadrature_weight(lambda t: 1.0 + np.cos(t))
-        m = trigonometric_moments(spec, 3)
+        m = opuc._moments(spec, 3)
         assert m[0] == pytest.approx(2 * np.pi, rel=1e-12)
         assert m[1] == pytest.approx(np.pi, rel=1e-12)
         assert np.max(np.abs(m[2:])) < 1e-11
 
     def test_rejects_negative_weight(self):
         spec = quadrature_weight(lambda t: np.cos(t))
-        with pytest.raises(ValidationError):
-            trigonometric_moments(spec, 2)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            verblunsky_coefficients(spec, 2)
 
-    def test_requires_quadrature_kind(self):
-        with pytest.raises(ValidationError):
-            trigonometric_moments(lebesgue_measure(), 2)
+    def test_rejects_zero_mass(self):
+        with pytest.raises(ValidationError, match="nonpositive total mass"):
+            verblunsky_coefficients(quadrature_weight(lambda t: 0 * t), 2)
+
+    @pytest.mark.parametrize("spec,match", [
+        (quadrature_weight(lambda t: 1 + 0.5j * np.cos(t)), "complex128"),
+        (quadrature_weight(lambda t: np.where(t > 1.0, np.nan, 1.0)), "finite"),
+        (quadrature_weight(lambda t: np.ones(3)), r"shape \(3,\)"),
+        (quadrature_weight(lambda t: np.ones((len(t), 2))), r"shape \(256, 2\)"),
+        (quadrature_weight(lambda t: np.full(t.shape, "1")), "<U1"),
+        (quadrature_weight(lambda t: None), "object"),
+        (szego_transform_weight(lambda x: 1 + 0j * x), "interval weight .* complex128"),
+    ], ids=["complex", "nan", "three-values", "two-d", "strings", "none", "complex-interval"])
+    def test_weight_must_give_one_finite_real_per_angle(self, spec, match):
+        """Each is refused at the first quadrature level: not cast, and not
+        run on to the cap."""
+        with pytest.raises(ValidationError, match=match):
+            verblunsky_coefficients(spec, 4)
+
+    def test_scalar_weight_broadcasts(self):
+        got = verblunsky_coefficients(quadrature_weight(lambda t: 2.0), 4)
+        assert np.max(np.abs(got)) < 1e-15
 
 
 def _seeded_weight(rng, kind):
@@ -263,7 +285,7 @@ def _seeded_weight(rng, kind):
 
 
 class TestQuadratureDecline:
-    """trigonometric_moments declines a power law early; against the plain
+    """opuc._moments declines a power law early; against the plain
     doubling loop it must change nothing else."""
 
     @pytest.mark.parametrize("kind", ["gauss", "lorentz", "kink"])
@@ -274,27 +296,21 @@ class TestQuadratureDecline:
             spec = _seeded_weight(rng, kind)
             N = int(rng.choice([0, 8, 64, 256]))
             try:
-                ref, _ = plain_trigonometric_moments(spec, N)
+                ref, _ = plain_moments(spec, N)
             except QuadratureError:
                 with pytest.raises(QuadratureError):
-                    trigonometric_moments(spec, N)
+                    opuc._moments(spec, N)
                 continue
             resolved += 1
-            assert trigonometric_moments(spec, N).tobytes() == ref.tobytes()
+            assert opuc._moments(spec, N).tobytes() == ref.tobytes()
         assert resolved >= 4
-
-    def test_rejects_nonpositive_tol(self):
-        spec = quadrature_weight(lambda t: np.ones_like(t))
-        for tol in (0.0, -1e-12, float("nan")):
-            with pytest.raises(ValidationError):
-                trigonometric_moments(spec, 2, tol=tol)
 
 
 class TestVerblunskyRecovery:
     def test_bernstein_szego_recovers_alphas(self):
         # w ~ 1/|1 - z/2|^2 has alpha = (1/2, 0, 0, ...)
         spec = quadrature_weight(bernstein_szego_weight([1.0, -0.5]))
-        alphas = moments_to_verblunsky(spec, 6)
+        alphas = verblunsky_coefficients(spec, 6)
         assert alphas[0] == pytest.approx(0.5, abs=1e-10)
         assert np.max(np.abs(alphas[1:])) < 1e-10
 
@@ -302,7 +318,7 @@ class TestVerblunskyRecovery:
         # w ~ 1/|1 - alpha_0 z|^2 recovers alpha = (alpha_0, 0, ...)
         a = 0.3 - 0.2j
         spec = quadrature_weight(bernstein_szego_weight([1.0, -a]))
-        alphas = moments_to_verblunsky(spec, 4)
+        alphas = verblunsky_coefficients(spec, 4)
         assert alphas[0] == pytest.approx(a, abs=1e-10)
         assert np.max(np.abs(alphas[1:])) < 1e-10
 
@@ -319,20 +335,29 @@ class TestVerblunskyRecovery:
         got = verblunsky_coefficients(finite_verblunsky([0.5, -0.2]), 4)
         assert np.allclose(got, [0.5, -0.2, 0.0, 0.0])
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValidationError, match="unknown measure kind 'foo'"):
+            verblunsky_coefficients(MeasureSpec(kind="foo", weight=np.ones_like), 2)
+
     @pytest.mark.parametrize("weight", ["chebyshev1", "chebyshev2", "chebyshev3", "chebyshev4"])
     def test_in_place_levinson_is_bit_identical(self, weight):
         """The preallocated loop does the arithmetic of the concatenating
         one, on the CLI's interval weights at N = 258."""
         from circleinterp.cli import INTERVAL_WEIGHTS
-        from circleinterp.transforms import szego_transform_weight
 
         spec = szego_transform_weight(INTERVAL_WEIGHTS[weight])
-        ref = levinson_reference(trigonometric_moments(spec, 258), 258)
-        assert moments_to_verblunsky(spec, 258).tobytes() == ref.tobytes()
+        ref = levinson_reference(opuc._moments(spec, 258), 258)
+        assert verblunsky_coefficients(spec, 258).tobytes() == ref.tobytes()
 
     def test_invalid_count(self):
-        with pytest.raises(ValidationError):
-            moments_to_verblunsky(quadrature_weight(bernstein_szego_weight([1.0])), 0)
+        with pytest.raises(ValidationError, match="integer"):
+            verblunsky_coefficients(quadrature_weight(bernstein_szego_weight([1.0])), 2.0)
+
+    def test_zero_count_is_empty(self):
+        for spec in (lebesgue_measure(), quadrature_weight(np.ones_like),
+                     szego_transform_weight(chebyshev1_weight)):
+            got = verblunsky_coefficients(spec, 0)
+            assert got.shape == (0,) and got.dtype == complex
 
     @pytest.mark.parametrize("spec", [lebesgue_measure(), finite_verblunsky([0.5]),
                                       quadrature_weight(bernstein_szego_weight([1.0]))],
@@ -345,8 +370,21 @@ class TestVerblunskyRecovery:
         # a sharply peaked weight pushes |alpha_0| toward 1 without crossing
         # the admissibility limit
         spec = quadrature_weight(lambda t: np.exp(50.0 * np.cos(t)))
-        alphas = moments_to_verblunsky(spec, 2)
+        alphas = verblunsky_coefficients(spec, 2)
         assert 0.97 < abs(alphas[0]) < 1.0
+
+    def test_lost_digits_are_named(self):
+        """The von Mises weight exp(50 (cos theta - 1)) is valid, but
+        ||phi_k||^2 / m_0 falls to 1e-11 by k = 12, far below what
+        double-precision Levinson on the moments resolves."""
+        spec = quadrature_weight(lambda t: np.exp(50.0 * (np.cos(t) - 1.0)))
+        with pytest.raises(MeasureValidityError) as info:
+            verblunsky_coefficients(spec, 20)
+        message = str(info.value)
+        assert "lost its digits" in message
+        # |alpha_12| = 1.60 at a ratio of 1.9e-11 with numpy 2.4 and OpenBLAS
+        found = re.search(r"\|alpha_(\d+)\| = .* at \|\|phi_\1\|\|\^2 / m_0 = (\S+):", message)
+        assert float(found.group(2)) < 1e-6
 
 
 def seeded_h(m, seed):
@@ -372,15 +410,13 @@ class TestBernsteinSzego:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_quadrature_oracle(self, m):
         h = seeded_h(m, 2400 + m)
-        oracle = moments_to_verblunsky(quadrature_weight(bernstein_szego_weight(h)), m + 2)
+        oracle = verblunsky_coefficients(quadrature_weight(bernstein_szego_weight(h)), m + 2)
         got = verblunsky_coefficients(bernstein_szego(h), m + 2)
         assert np.max(np.abs(got - oracle)) < 1e-12
 
     def test_one_zero_is_finite_verblunsky(self):
         assert bernstein_szego([1.0, -0.5]).alphas == finite_verblunsky([0.5]).alphas
         assert bernstein_szego([2.0, 0.0, 0.0]).alphas == ()
-        with pytest.raises(ValidationError, match="quadrature-weight"):
-            moments_to_verblunsky(bernstein_szego([1.0, -0.5]), 4)
 
     @pytest.mark.parametrize("h", [[], [0.0, 0.0], [1.0, np.nan], [1.0, np.inf], [0.0, 1.0],
                                    [1.0, -1.0], [1.0, -2.0], [1.0, 0.0, 1.0]],
@@ -388,9 +424,9 @@ class TestBernsteinSzego:
                                   "inside", "pair-on-circle"])
     def test_refuses_at_once(self, h, monkeypatch):
         def spy(*args, **kwargs):
-            pytest.fail("trigonometric_moments was called")
+            pytest.fail("opuc._moments was called")
 
-        monkeypatch.setattr(opuc, "trigonometric_moments", spy)
+        monkeypatch.setattr(opuc, "_moments", spy)
         with pytest.raises(ValidationError):
             verblunsky_coefficients(bernstein_szego(h), 8)
 

@@ -6,28 +6,31 @@ import pytest
 
 from circleinterp import (
     LaurentPolynomial,
+    IntervalNodalSystem,
     QuadratureError,
+    SymmetryError,
     TrigPolynomial,
     ValidationError,
     interval_interpolate,
     interval_nodes_csv,
     interval_nodes_from_measure,
+    make_nodal_system,
+    roots_of_unimodular,
     szego_transform_weight,
     szego_recurrence,
     trig_interpolate_paraorthogonal,
     trig_interpolate_symmetric,
     trig_nodes_symmetric,
-    trigonometric_moments,
     verblunsky_coefficients,
 )
 
-from circleinterp import laurent
+from circleinterp import laurent, opuc, transforms
 from circleinterp.cli import INTERVAL_WEIGHTS
 from circleinterp.opuc import _even_moments
 from conftest import (
     chebyshev1_weight,
     midpoint_moments,
-    plain_trigonometric_moments,
+    plain_moments,
     real_barycentric,
 )
 
@@ -58,11 +61,12 @@ class TestSzegoTransform:
         theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
         assert np.max(np.abs(spec.weight(theta) - 0.5)) < 1e-12
 
-    def test_mass(self):
+    def test_mass(self, monkeypatch):
         # |sin theta| has a kink, so the quadrature converges only
         # algebraically; a looser tolerance keeps this cheap
+        monkeypatch.setattr(opuc, "_QUADRATURE_TOL", 1e-9)
         spec = szego_transform_weight(lambda x: np.ones_like(x))
-        m = trigonometric_moments(spec, 0, tol=1e-9)
+        m = opuc._moments(spec, 0)
         # int (1/2)|sin theta| dtheta = 2
         assert m[0].real == pytest.approx(2.0, rel=1e-8)
 
@@ -98,7 +102,7 @@ class TestIntervalMoments:
     def test_chebyshev_moments_match_mpmath(self, name, mp_weight):
         """The moments of the Szego transform are int w(x) T_k(x) dx."""
         mp = pytest.importorskip("mpmath")
-        got = trigonometric_moments(szego_transform_weight(INTERVAL_WEIGHTS[name]), 24)
+        got = opuc._moments(szego_transform_weight(INTERVAL_WEIGHTS[name]), 24)
         assert np.all(got.imag == 0)
         ks = [0, 1, 2, 3, 7, 12, 24]
         with mp.workdps(30):
@@ -134,21 +138,22 @@ class TestIntervalMoments:
             return (1.0 - x) ** a * (1.0 + x) ** b
         nu = szego_transform_weight(w)
         with pytest.raises(QuadratureError) as info:
-            trigonometric_moments(nu, N)
+            verblunsky_coefficients(nu, N)
         message = str(info.value)
         assert f"converges like m^-{order}" in message
         assert int(re.search(r"at (\d+) points", message).group(1)) <= 2**15
         assert "above the cap 2^20" in message
         with pytest.raises(QuadratureError):
-            plain_trigonometric_moments(nu, N)
+            plain_moments(nu, N)
 
-    def test_border_converges_at_the_cap(self):
+    def test_border_converges_at_the_cap(self, monkeypatch):
         """Legendre at tol 1e-11 converges at exactly 2^20 points; its
         power law must not decline it on the way."""
         nu = szego_transform_weight(legendre_weight)
-        ref, points = plain_trigonometric_moments(nu, 128, tol=1e-11)
+        ref, points = plain_moments(nu, 128, tol=1e-11)
         assert points == 2**20
-        assert trigonometric_moments(nu, 128, tol=1e-11).tobytes() == ref.tobytes()
+        monkeypatch.setattr(opuc, "_QUADRATURE_TOL", 1e-11)
+        assert opuc._moments(nu, 128).tobytes() == ref.tobytes()
 
 
 class TestIntervalNodes:
@@ -176,6 +181,19 @@ class TestIntervalNodes:
         with pytest.raises(ValidationError):
             interval_nodes_from_measure(chebyshev1_weight, 3, "mu5")
 
+    @pytest.mark.parametrize("thetas,match", [
+        ([0.5, 1.0, 1.5, -1.0], "half-plane counts differ"),
+        ([0.5, 1.0, -0.5, -1.2], "fail conjugate symmetry by 1.997e-01"),
+        ([0.0, 1.0, -1.0, np.pi], r"expected 2 conjugate pairs with endpoints \(-1: False, \+1: False\)"),
+    ], ids=["counts", "pairing", "endpoints"])
+    def test_asymmetric_zeros_raise(self, monkeypatch, thetas, match):
+        """Solver output that a real weight cannot give: a mu1 system of
+        n = 2 needs two conjugate pairs and no real zero."""
+        system = make_nodal_system(np.exp(1j * np.array(thetas)))
+        monkeypatch.setattr(transforms, "paraorthogonal_nodes", lambda alphas, spec: system)
+        with pytest.raises(SymmetryError, match=match):
+            interval_nodes_from_measure(chebyshev1_weight, 2, "mu1")
+
     def test_csv_export(self):
         sys = interval_nodes_from_measure(chebyshev1_weight, 2, "mu2")
         text = interval_nodes_csv(sys)
@@ -201,6 +219,19 @@ class TestIntervalInterpolation:
             oracle = real_barycentric(sys.all_nodes, f(sys.all_nodes))
             xg = np.linspace(-1, 1, 401)
             assert np.max(np.abs(poly(xg) - oracle(xg))) < 1e-9
+
+    def test_rejects_complex_values(self):
+        sys = interval_nodes_from_measure(chebyshev1_weight, 4, "mu1")
+        with pytest.raises(ValidationError, match="f must return one real number"):
+            interval_interpolate(sys, lambda x: 1j * x)
+
+    def test_asymmetric_circle_system_leaves_imaginary_residue(self):
+        """Nodes that are not conjugate-closed do not fold to a real
+        polynomial in x."""
+        circle = roots_of_unimodular(8, np.exp(0.3j))
+        sys = IntervalNodalSystem(xs=np.sort(circle.nodes.real[:4]), circle_system=circle)
+        with pytest.raises(SymmetryError, match="imaginary residue"):
+            interval_interpolate(sys, np.exp)
 
     def test_interpolates_node_values(self):
         sys = interval_nodes_from_measure(chebyshev1_weight, 10, "mu2")
@@ -274,6 +305,11 @@ class TestTrig:
         theta = trig_nodes_symmetric(chebyshev1_weight, n)
         assert tp.degree <= n
         assert np.max(np.abs(tp(theta) - F(theta))) < 1e-11
+
+    def test_rejects_complex_values(self):
+        """A cast would keep the real part: the zero polynomial here."""
+        with pytest.raises(ValidationError, match="f must return one real number"):
+            trig_interpolate_symmetric(chebyshev1_weight, 4, lambda t: 1j * np.cos(t))
 
     def test_reproduces_cosine(self):
         tp = trig_interpolate_symmetric(chebyshev1_weight, 3, np.cos)
