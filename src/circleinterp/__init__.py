@@ -68,7 +68,6 @@ from .transforms import (
     IntervalNodalSystem,
     TrigPolynomial,
     interval_interpolate,
-    interval_nodes_csv,
     interval_nodes_from_measure,
     szego_transform_weight,
     trig_interpolate_paraorthogonal,

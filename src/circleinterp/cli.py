@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from collections import namedtuple
 
@@ -35,7 +36,6 @@ from .opuc import lebesgue_measure, load_measure_spec, verblunsky_coefficients
 from .transforms import (
     VARIANTS,
     interval_interpolate,
-    interval_nodes_csv,
     interval_nodes_from_measure,
     trig_interpolate_paraorthogonal,
     trig_interpolate_symmetric,
@@ -210,6 +210,15 @@ def cmd_interp(cfg) -> int:
     return 0
 
 
+def _interval_nodes_csv(sys_iv) -> str:
+    """The interval nodes as CSV rows (j, x_j, theta_j, endpoint_flag)."""
+    lines = ["j,x_j,theta_j,endpoint_flag"]
+    for j, x in enumerate(sys_iv.all_nodes.tolist()):
+        flag = int((x == -1.0 and sys_iv.has_minus_one) or (x == 1.0 and sys_iv.has_plus_one))
+        lines.append(f"{j},{x!r},{math.acos(max(-1.0, min(1.0, x)))!r},{flag}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_interval(cfg) -> int:
     w = INTERVAL_WEIGHTS[cfg.get("weight", "chebyshev1")]
     F = parse_corpus(cfg["corpus"])
@@ -223,7 +232,7 @@ def cmd_interval(cfg) -> int:
     }
     _emit_fit(cfg, head, F, xg, F.on_interval(xg), poly(xg), "x,f,interpolant,error")
     if cfg.get("nodes_out"):
-        _emit(interval_nodes_csv(sys_iv), cfg["nodes_out"])
+        _emit(_interval_nodes_csv(sys_iv), cfg["nodes_out"])
     return 0
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import CircleInterpError, ValidationError
 from .interp import interpolant_coefficients, interpolate
-from .laurent import (DegreePlan, _check_count, _check_ratio, _fft_on_grid, _real_values,
-                      _uniform_angles, eval_laurent, make_degree_plan)
+from .laurent import (DegreePlan, _check_count, _check_ratio, _fft_on_grid, _real_points,
+                      _real_values, _uniform_angles, eval_laurent, make_degree_plan)
 from .nodal import (AT_NODE_TOL, NodalSystem, _node_midpoints, estimate_conditions,
                     roots_of_unimodular)
 from .opuc import (
@@ -55,15 +55,13 @@ class CorpusFunction:
     f_theta: callable = field(repr=False)
 
     def __call__(self, theta):
-        if np.iscomplexobj(theta):
-            raise ValidationError(f"{self.label} takes real angles; call on_circle for points z")
-        return self.f_theta(np.asarray(theta, dtype=float))
+        return self.f_theta(_real_points(f"{self.label} angles (on_circle takes points z)", theta))
 
     def on_circle(self, z):
         return self.f_theta(np.mod(np.angle(np.asarray(z, dtype=complex)), 2.0 * np.pi))
 
     def on_interval(self, x):
-        return self.f_theta(np.arccos(np.clip(np.asarray(x, dtype=float), -1.0, 1.0)))
+        return self.f_theta(np.arccos(np.clip(_real_points(f"{self.label} x", x), -1.0, 1.0)))
 
     @property
     def label(self) -> str:
@@ -132,7 +130,7 @@ def estimate_modulus(F: CorpusFunction, deltas, grid_size: int = 2**14) -> Modul
     The estimate is a cumulative maximum over window widths, hence
     automatically nondecreasing in delta.
     """
-    deltas = np.asarray(deltas, dtype=float)
+    deltas = _real_points("deltas", deltas)
     if deltas.ndim != 1 or len(deltas) == 0 or not np.all(np.isfinite(deltas) & (deltas > 0)):
         raise ValidationError(f"deltas must be a nonempty list of finite positive numbers, "
                               f"got {deltas}")

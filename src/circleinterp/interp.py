@@ -53,7 +53,6 @@ from .nodal import (
     _log_product,
     _nearest_nodes,
     _samples,
-    _samples_are_nodes,
     _walk_pairs,
 )
 
@@ -211,7 +210,7 @@ def eval_interpolant(I: CircleInterpolant, z):
         raise ValidationError(f"the interpolant needs finite points, got {zz[~finite][0]}")
     L = None
     if len(zz) >= HORNER_MIN_POINTS and np.all(np.abs(np.abs(zz) - 1.0) <= UNIMODULAR_TOL):
-        if len(zz) > I.n or _samples_are_nodes(I.system):
+        if len(zz) > I.n or I.system._rotation_symmetric:
             L = interpolant_coefficients(I)
     out = _evaluate(I, zz, L)
     return complex(out[0]) if shape == () else out.reshape(shape)

@@ -84,6 +84,13 @@ def _real_values(what: str, values, shape: tuple) -> np.ndarray:
     return np.full(shape, v, dtype=float) if v.ndim == 0 else v.astype(float, copy=False)
 
 
+def _real_points(what: str, x) -> np.ndarray:
+    """x as a float array, refusing complex x, whose imaginary part a cast drops."""
+    if np.iscomplexobj(x):
+        raise ValidationError(f"{what} must be real, got complex input")
+    return np.asarray(x, dtype=float)
+
+
 def _check_ratio(r: float) -> None:
     if isinstance(r, bool) or not isinstance(r, numbers.Real) or not (0.0 < r < 1.0):
         raise ValidationError(f"ratio r must be a number in (0, 1), got {r!r}")

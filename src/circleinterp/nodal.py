@@ -13,6 +13,7 @@ which together bound the Lebesgue function by (sqrt(L_hat)/B_hat) sqrt(n).
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 import numbers
 import os
@@ -67,6 +68,13 @@ class NodalSystem:
     def thetas(self) -> np.ndarray:
         """Node arguments in [0, 2*pi)."""
         return np.mod(np.angle(self.nodes), 2.0 * np.pi)
+
+    @functools.cached_property
+    def _rotation_symmetric(self) -> bool:
+        """Whether each sample z_0 e^{2 pi i j/n} lies within AT_NODE_TOL of a
+        node, in any order, so the nodes are the roots of z^n = z_0^n (being
+        distinct, no two share a sample); decided once, on first use."""
+        return bool(np.all(_nearest_nodes(self, _samples(self))[1] < AT_NODE_TOL))
 
 
 @dataclass(frozen=True)
@@ -273,19 +281,12 @@ def _samples(system: NodalSystem) -> np.ndarray:
     return system.nodes[0] * np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _samples_are_nodes(system: NodalSystem) -> bool:
-    """Whether each of the n samples z_0 e^{2 pi i j/n} lies within
-    AT_NODE_TOL of a node, in any order: the nodes are then the roots of
-    z^n = z_0^n.  The nodes are distinct, so no two samples share a node."""
-    return bool(np.all(_nearest_nodes(system, _samples(system))[1] < AT_NODE_TOL))
-
-
 def _node_midpoints(system: NodalSystem) -> np.ndarray:
     """The angles midway between adjacent node arguments, increasing.  For
-    rotation-symmetric nodes (_samples_are_nodes) they are arg nodes[0] plus
+    rotation-symmetric nodes (_rotation_symmetric) they are arg nodes[0] plus
     the odd points of the uniform 2n-point grid: on the roots of z^n = 1,
     points of the uniform M-point grid when M / (2n) is a power of two."""
-    if _samples_are_nodes(system):
+    if system._rotation_symmetric:
         return np.angle(system.nodes[0]) + _uniform_angles(2 * system.n)[1::2]
     thetas = np.sort(system.thetas)
     mids = 0.5 * (thetas + np.roll(thetas, -1))
@@ -376,7 +377,7 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
     of condition (ii) is replaced by its limit |W'(z_j)|^2 / n^2.
 
     When every sample z_0 e^{2 pi i j/n}, z_0 = nodes[0], is a node (see
-    _samples_are_nodes) and n divides grid_size, the rows run on one
+    _rotation_symmetric) and n divides grid_size, the rows run on one
     period only: the first grid_size / n uniform points and one midpoint.
     Every other grid point is one of these turned by a multiple of 2 pi / n,
     which permutes the nodes and leaves |W'(z)|, (ii) and the Lebesgue
@@ -387,7 +388,7 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
     if grid_size is None:
         grid_size = max(4096, 16 * n)
     grid_size = _check_count("grid_size", grid_size, 4)
-    if grid_size % n == 0 and _samples_are_nodes(system):
+    if grid_size % n == 0 and system._rotation_symmetric:
         period = _uniform_angles(grid_size)[: grid_size // n]
         z = np.append(np.exp(1j * period), system.nodes[0] * np.exp(1j * np.pi / n))
     else:

@@ -105,8 +105,8 @@ def finite_verblunsky(alphas: Sequence[complex]) -> MeasureSpec:
     return MeasureSpec(kind="finite-verblunsky", alphas=tuple(checked.tolist()), label="verblunsky")
 
 
-def quadrature_weight(w: Callable, label: str = "quadrature") -> MeasureSpec:
-    return MeasureSpec(kind="quadrature-weight", weight=w, label=label)
+def quadrature_weight(w: Callable) -> MeasureSpec:
+    return MeasureSpec(kind="quadrature-weight", weight=w, label="quadrature")
 
 
 def bernstein_szego(h_coeffs: Sequence[complex]) -> MeasureSpec:

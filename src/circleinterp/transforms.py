@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import SymmetryError, ValidationError
 from .interp import interpolant_coefficients, interpolate
-from .laurent import DegreePlan, LaurentPolynomial, _check_count, _real_values, eval_laurent
+from .laurent import (DegreePlan, LaurentPolynomial, _check_count, _real_points, _real_values,
+                      eval_laurent)
 from .nodal import NodalSystem
 from .opuc import MeasureSpec, ParaOrthogonalSpec, paraorthogonal_nodes, verblunsky_coefficients
 
@@ -36,7 +37,6 @@ __all__ = [
     "trig_nodes_symmetric",
     "trig_interpolate_symmetric",
     "trig_interpolate_paraorthogonal",
-    "interval_nodes_csv",
 ]
 
 _VARIANT_TABLE = {
@@ -59,6 +59,10 @@ class IntervalNodalSystem:
     circle_system: NodalSystem = field(repr=False)
     variant: str = "mu1"
 
+    def __post_init__(self):
+        if not np.all(np.diff(self.xs) > 0):  # interval_interpolate searches them
+            raise ValidationError("the interior nodes xs must be strictly increasing")
+
     @property
     def has_minus_one(self) -> bool:
         return _VARIANT_TABLE[self.variant][2]
@@ -70,13 +74,9 @@ class IntervalNodalSystem:
     @property
     def all_nodes(self) -> np.ndarray:
         """Interior nodes and flagged endpoints, increasing."""
-        parts = []
-        if self.has_minus_one:
-            parts.append([-1.0])
-        parts.append(self.xs)
-        if self.has_plus_one:
-            parts.append([1.0])
-        return np.concatenate(parts)
+        minus = [-1.0] if self.has_minus_one else []
+        plus = [1.0] if self.has_plus_one else []
+        return np.concatenate([minus, self.xs, plus])
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +87,7 @@ class TrigPolynomial:
     b: np.ndarray = field(repr=False)  # b[k-1] multiplies sin(k theta)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        a, b = _real_points("a", self.a), _real_points("b", self.b)
         if len(b) != len(a) - 1:
             raise ValidationError(f"need len(b) == len(a)-1, got {len(b)} and {len(a)}")
         object.__setattr__(self, "a", a)
@@ -103,11 +102,11 @@ class TrigPolynomial:
         e^{i theta}: one FFT on uniform theta, Horner otherwise."""
         L = LaurentPolynomial(p=0, q=self.degree,
                               coeffs=np.concatenate([self.a[:1], self.a[1:] - 1j * self.b]))
-        out = eval_laurent(L, np.exp(1j * np.asarray(theta, dtype=float)))
+        out = eval_laurent(L, np.exp(1j * _real_points("theta", theta)))
         return out.real
 
 
-def szego_transform_weight(w, label: str = "szego-transform") -> MeasureSpec:
+def szego_transform_weight(w) -> MeasureSpec:
     """Circle weight theta -> (1/2) w(cos theta) |sin theta| of an interval
     weight w on [-1, 1], as an "interval-weight" measure: the weight is even,
     so its moments are real and need only the half circle."""
@@ -117,14 +116,13 @@ def szego_transform_weight(w, label: str = "szego-transform") -> MeasureSpec:
         wx = _real_values("interval weight", w(np.cos(theta)), theta.shape)
         return 0.5 * wx * np.abs(np.sin(theta))
 
-    return MeasureSpec(kind="interval-weight", weight=circle_w, label=label)
+    return MeasureSpec(kind="interval-weight", weight=circle_w, label="szego-transform")
 
 
-def _classify_zeros(nodes: np.ndarray):
-    upper = nodes[nodes.imag > _ENDPOINT_IM_TOL]
-    lower = nodes[nodes.imag < -_ENDPOINT_IM_TOL]
-    real = nodes[np.abs(nodes.imag) <= _ENDPOINT_IM_TOL]
-    return upper, lower, real
+def _szego_zeros(w, m: int, tau: float) -> NodalSystem:
+    """The m para-orthogonal zeros, rotation tau, of the Szego transform of w."""
+    alphas = verblunsky_coefficients(szego_transform_weight(w), m)
+    return paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=m, tau=tau))
 
 
 def interval_nodes_from_measure(w, n: int, variant: str = "mu1") -> IntervalNodalSystem:
@@ -138,25 +136,20 @@ def interval_nodes_from_measure(w, n: int, variant: str = "mu1") -> IntervalNoda
         raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     n = _check_count("the interior node count n", n, 1)
     degree_of, tau, want_minus, want_plus = _VARIANT_TABLE[variant]
-    m = degree_of(n)
-    alphas = verblunsky_coefficients(szego_transform_weight(w), m)
-    system = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=m, tau=tau))
-    upper, lower, real = _classify_zeros(system.nodes)
-    if len(upper) != len(lower):
-        raise SymmetryError("zeros are not conjugate-symmetric: half-plane counts differ")
-    up = upper[np.argsort(upper.real)]
-    low = np.conj(lower[np.argsort(lower.real)])
-    if len(up) and np.max(np.abs(up - low)) > 1e-9:
-        raise SymmetryError(
-            f"zeros fail conjugate symmetry by {np.max(np.abs(up - low)):.3e}"
-        )
-    got_minus = bool(np.any(real.real < 0))
-    got_plus = bool(np.any(real.real > 0))
-    if got_minus != want_minus or got_plus != want_plus or len(upper) != n:
+    system = _szego_zeros(w, degree_of(n), tau)
+    z = system.nodes
+    half = np.where(np.abs(z.imag) > _ENDPOINT_IM_TOL, np.sign(z.imag), 0.0)
+    upper, lower, real = z[half > 0], z[half < 0], z[half == 0].real
+    if (len(upper), len(lower), any(real < 0), any(real > 0)) != (n, n, want_minus, want_plus):
         raise SymmetryError(
             f"variant {variant} expected {n} conjugate pairs with endpoints "
-            f"(-1: {want_minus}, +1: {want_plus}); zeros disagree"
+            f"(-1: {want_minus}, +1: {want_plus}); got {len(upper)} zeros above the real "
+            f"axis, {len(lower)} below and {len(real)} on it"
         )
+    up = upper[np.argsort(upper.real)]
+    gap = np.max(np.abs(up - np.conj(lower[np.argsort(lower.real)])))
+    if gap > 1e-9:
+        raise SymmetryError(f"zeros fail conjugate symmetry by {gap:.3e}")
     xs = np.sort(np.clip(up.real, -1.0, 1.0))
     return IntervalNodalSystem(xs=xs, circle_system=system, variant=variant)
 
@@ -183,7 +176,10 @@ def interval_interpolate(sys: IntervalNodalSystem, f):
     call .convert() for power-basis coefficients when the degree is modest).
     """
     system = sys.circle_system
-    values = _real_values("f", f(np.clip(system.nodes.real, -1.0, 1.0)), (system.n,))
+    # each circle node takes f at its nearest interval node: the two real parts of a pair can differ
+    x = sys.all_nodes
+    fx = _real_values("f", f(x), x.shape)
+    values = fx[np.searchsorted(0.5 * (x[1:] + x[:-1]), system.nodes.real)]
     pos, neg = _folded_fit(system, values)
     d = 0.5 * (pos + neg)
     scale = max(float(np.max(np.abs(values))), 1.0)
@@ -199,8 +195,8 @@ def trig_nodes_symmetric(w, n: int) -> np.ndarray:
     """The 2n angles of the mu1 circle system of the weight w, increasing:
     theta_j = arccos x_j in (0, pi) for the interval nodes x_j and their
     mirror images 2 pi - theta_j."""
-    sys = interval_nodes_from_measure(w, n, "mu1")
-    return np.sort(sys.circle_system.thetas)
+    n = _check_count("the interior node count n", n, 1)
+    return np.sort(_szego_zeros(w, 2 * n, 1.0).thetas)
 
 
 def _trig_fit(system: NodalSystem, f) -> TrigPolynomial:
@@ -214,9 +210,10 @@ def _trig_fit(system: NodalSystem, f) -> TrigPolynomial:
 
 def trig_interpolate_symmetric(w, n: int, f) -> TrigPolynomial:
     """Trig polynomial of degree <= n matching f at the 2n symmetric angles
-    derived from the mu1 interval nodes of the weight w; the circle
-    system's nodes are exactly e^{i theta_j} for those angles."""
-    return _trig_fit(interval_nodes_from_measure(w, n, "mu1").circle_system, f)
+    of the weight w: the para-orthogonal fit of its Szego transform at 2n
+    nodes with tau = 1."""
+    n = _check_count("the interior node count n", n, 1)
+    return _trig_fit(_szego_zeros(w, 2 * n, 1.0), f)
 
 
 def trig_interpolate_paraorthogonal(alphas, tau: complex, n: int, f) -> TrigPolynomial:
@@ -225,14 +222,3 @@ def trig_interpolate_paraorthogonal(alphas, tau: complex, n: int, f) -> TrigPoly
     n are used); the window is (n/2, n/2-1) for even n and ((n-1)/2, (n-1)/2)
     for odd n."""
     return _trig_fit(paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=n, tau=tau)), f)
-
-
-def interval_nodes_csv(sys: IntervalNodalSystem) -> str:
-    """CSV export with columns (j, x_j, theta_j, endpoint_flag)."""
-    lines = ["j,x_j,theta_j,endpoint_flag"]
-    xs = sys.all_nodes
-    for j, x in enumerate(xs):
-        x = float(x)
-        flag = int((x == -1.0 and sys.has_minus_one) or (x == 1.0 and sys.has_plus_one))
-        lines.append(f"{j},{x!r},{math.acos(max(-1.0, min(1.0, x)))!r},{flag}")
-    return "\n".join(lines) + "\n"

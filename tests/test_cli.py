@@ -7,8 +7,8 @@ from circleinterp import (ParaOrthogonalSpec, ValidationError, corpus, eval_inte
                           interpolate, interval_interpolate, interval_nodes_from_measure,
                           make_degree_plan, paraorthogonal_nodes, trig_interpolate_paraorthogonal,
                           trig_interpolate_symmetric)
-from circleinterp.cli import (INTERVAL_WEIGHTS, _dense_csv, _load_nodes_file, _parse_ns,
-                              _parse_tau, _parser, main)
+from circleinterp.cli import (INTERVAL_WEIGHTS, _dense_csv, _interval_nodes_csv, _load_nodes_file,
+                              _parse_ns, _parse_tau, _parser, main)
 from circleinterp.laurent import _uniform_angles
 
 
@@ -165,6 +165,14 @@ class TestCommands:
         lines = nodes_out.read_text().strip().splitlines()
         assert lines[0] == "j,x_j,theta_j,endpoint_flag"
         assert len(lines) == 9
+
+    def test_interval_nodes_csv(self):
+        sys_iv = interval_nodes_from_measure(INTERVAL_WEIGHTS["chebyshev1"], 2, "mu2")
+        lines = _interval_nodes_csv(sys_iv).strip().splitlines()
+        assert lines[0] == "j,x_j,theta_j,endpoint_flag"
+        assert len(lines) == 5
+        first = lines[1].split(",")
+        assert first[1] == "-1.0" and first[3] == "1"
 
     def test_trig_command(self, tmp_path):
         out = tmp_path / "trig.json"

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -69,6 +70,15 @@ class TestCorpus:
         with pytest.raises(ValidationError, match="on_circle"):
             F(1j)
 
+    def test_interval_lift_rejects_complex_points(self):
+        """A cast would take the value at x = 0.5 for the point 0.5 + 1j, or
+        raise a bare TypeError for a list."""
+        F = corpus("smooth-exp")
+        with pytest.raises(ValidationError, match="smooth-exp x must be real"):
+            F.on_interval([0.5 + 1j])
+        with pytest.raises(ValidationError, match="smooth-exp x must be real"):
+            F.on_interval(np.array([0.5 + 1j]))
+
     def test_invalid(self):
         with pytest.raises(ValidationError):
             corpus("holder", 1.5)
@@ -108,6 +118,11 @@ class TestModulus:
         F = CorpusFunction("complex", None, lambda t: 1j * np.cos(t))
         with pytest.raises(ValidationError, match="complex must return one real number"):
             estimate_modulus(F, [0.1, 0.01])
+
+    def test_rejects_complex_deltas(self):
+        """A list with a Python complex raised a bare TypeError in the cast."""
+        with pytest.raises(ValidationError, match="deltas must be real"):
+            estimate_modulus(corpus("smooth-exp"), [0.1 + 1j, 0.01])
 
     def test_validation(self, capfd):
         F = corpus("smooth-exp")
@@ -162,6 +177,26 @@ class TestSweep:
         family = NodalFamily(kind="roots-of-unimodular", tau=1.0)
         with pytest.raises(ValidationError, match="ratio r"):
             convergence_sweep(family, r, [8, 16], corpus("smooth-exp"), error_grid=256)
+
+    @pytest.mark.parametrize("family", [
+        NodalFamily(kind="roots-of-unimodular", tau=1.0),
+        NodalFamily(kind="para-orthogonal", tau=1.0, measure=finite_verblunsky([0.5])),
+    ], ids=["roots", "para-0.5"])
+    def test_rotation_symmetry_decided_once_per_system(self, monkeypatch, family):
+        """The midpoints, the condition grid and the evaluation path all read
+        one cached decision per nodal system."""
+        calls = []
+        decide = nodal.NodalSystem._rotation_symmetric.func
+
+        def counting(system):
+            calls.append(system)
+            return decide(system)
+
+        cached = functools.cached_property(counting)
+        cached.__set_name__(nodal.NodalSystem, "_rotation_symmetric")
+        monkeypatch.setattr(nodal.NodalSystem, "_rotation_symmetric", cached)
+        convergence_sweep(family, 0.5, [8, 16, 32], corpus("smooth-exp"), error_grid=256)
+        assert [system.n for system in calls] == [8, 16, 32]
 
     def test_para_orthogonal_family(self):
         family = NodalFamily(kind="para-orthogonal", tau=1.0,

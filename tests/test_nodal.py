@@ -338,13 +338,12 @@ class TestOnePeriodGrid:
         1e-9 perturbation does not."""
         tau = np.exp(0.7j)
         sys = roots_of_unimodular(1000, tau)
-        assert nodal._samples_are_nodes(sys)
+        assert sys._rotation_symmetric
         lebesgue = szego_recurrence(np.zeros(64), 64)
-        assert nodal._samples_are_nodes(
-            paraorthogonal_nodes(lebesgue, ParaOrthogonalSpec(n=64, tau=tau)))
-        assert nodal._samples_are_nodes(make_nodal_system(sys.nodes[::-1]))
+        assert paraorthogonal_nodes(lebesgue, ParaOrthogonalSpec(n=64, tau=tau))._rotation_symmetric
+        assert make_nodal_system(sys.nodes[::-1])._rotation_symmetric
         jitter = np.exp(1e-9j * (np.arange(1000) % 2))
-        assert not nodal._samples_are_nodes(make_nodal_system(sys.nodes * jitter))
+        assert not make_nodal_system(sys.nodes * jitter)._rotation_symmetric
 
 
 def stacked_nearest_nodes(system, z):

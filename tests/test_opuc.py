@@ -263,6 +263,15 @@ class TestMoments:
         with pytest.raises(ValidationError, match=match):
             verblunsky_coefficients(spec, 4)
 
+    def test_weight_specs_take_no_label(self):
+        """The labels of the two weight kinds are fixed; nothing passed one."""
+        assert quadrature_weight(np.ones_like).label == "quadrature"
+        assert szego_transform_weight(chebyshev1_weight).label == "szego-transform"
+        with pytest.raises(TypeError):
+            quadrature_weight(np.ones_like, label="mine")
+        with pytest.raises(TypeError):
+            szego_transform_weight(chebyshev1_weight, label="mine")
+
     def test_scalar_weight_broadcasts(self):
         got = verblunsky_coefficients(quadrature_weight(lambda t: 2.0), 4)
         assert np.max(np.abs(got)) < 1e-15

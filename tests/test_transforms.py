@@ -12,7 +12,6 @@ from circleinterp import (
     TrigPolynomial,
     ValidationError,
     interval_interpolate,
-    interval_nodes_csv,
     interval_nodes_from_measure,
     make_nodal_system,
     roots_of_unimodular,
@@ -182,26 +181,18 @@ class TestIntervalNodes:
             interval_nodes_from_measure(chebyshev1_weight, 3, "mu5")
 
     @pytest.mark.parametrize("thetas,match", [
-        ([0.5, 1.0, 1.5, -1.0], "half-plane counts differ"),
+        ([0.5, 1.0, 1.5, -1.0], "got 3 zeros above the real axis, 1 below and 0 on it"),
         ([0.5, 1.0, -0.5, -1.2], "fail conjugate symmetry by 1.997e-01"),
         ([0.0, 1.0, -1.0, np.pi], r"expected 2 conjugate pairs with endpoints \(-1: False, \+1: False\)"),
     ], ids=["counts", "pairing", "endpoints"])
     def test_asymmetric_zeros_raise(self, monkeypatch, thetas, match):
         """Solver output that a real weight cannot give: a mu1 system of
-        n = 2 needs two conjugate pairs and no real zero."""
+        n = 2 needs two zeros in each half plane and none on the real axis,
+        and then the two halves must be conjugate."""
         system = make_nodal_system(np.exp(1j * np.array(thetas)))
         monkeypatch.setattr(transforms, "paraorthogonal_nodes", lambda alphas, spec: system)
         with pytest.raises(SymmetryError, match=match):
             interval_nodes_from_measure(chebyshev1_weight, 2, "mu1")
-
-    def test_csv_export(self):
-        sys = interval_nodes_from_measure(chebyshev1_weight, 2, "mu2")
-        text = interval_nodes_csv(sys)
-        lines = text.strip().splitlines()
-        assert lines[0] == "j,x_j,theta_j,endpoint_flag"
-        assert len(lines) == 5
-        first = lines[1].split(",")
-        assert first[1] == "-1.0" and first[3] == "1"
 
 
 class TestIntervalInterpolation:
@@ -233,11 +224,50 @@ class TestIntervalInterpolation:
         with pytest.raises(SymmetryError, match="imaginary residue"):
             interval_interpolate(sys, np.exp)
 
+    def test_interior_nodes_must_increase(self):
+        """interval_interpolate takes f at the interior nodes by a sorted
+        search; reversed nodes gave an interpolant 2.5 off with no error."""
+        sys = interval_nodes_from_measure(chebyshev1_weight, 6, "mu1")
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            IntervalNodalSystem(xs=sys.xs[::-1], circle_system=sys.circle_system)
+
     def test_interpolates_node_values(self):
         sys = interval_nodes_from_measure(chebyshev1_weight, 10, "mu2")
         f = lambda x: np.abs(x) ** 0.6
         poly = interval_interpolate(sys, f)
         assert np.max(np.abs(poly(sys.all_nodes) - f(sys.all_nodes))) < 1e-10
+
+    @pytest.mark.parametrize("variant", ["mu1", "mu2"])
+    def test_node_value_of_a_pair_with_unequal_real_parts(self, variant):
+        """On the Chebyshev-2 weight at n = 33 the middle node is
+        x = 6.1e-17, but the real part of its conjugate partner is
+        -1.8e-16.  f at both real parts gave the interpolant 2.74e-10 there,
+        where f is 1.87e-10; each circle node now takes f at its interval
+        node."""
+        f = lambda x: np.abs(x) ** 0.6
+        sys = interval_nodes_from_measure(INTERVAL_WEIGHTS["chebyshev2"], 33, variant)
+        z = sys.circle_system.nodes
+        assert len(set(z.real[np.abs(z.real) < 1e-15].tolist())) == 2
+        poly = interval_interpolate(sys, f)
+        assert np.max(np.abs(poly(sys.all_nodes) - f(sys.all_nodes))) < 1e-14
+
+    @pytest.mark.parametrize("n,tol", [(33, 1e-14), (129, 4e-14)])
+    def test_meets_f_at_its_nodes(self, n, tol):
+        """Each interpolant of |x|^0.6 takes f at its own nodes, on the four
+        weights and mu1 to mu4, and f runs once per interval node."""
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            return np.abs(x) ** 0.6
+
+        for weight in sorted(INTERVAL_WEIGHTS):
+            for variant in ("mu1", "mu2", "mu3", "mu4"):
+                sys = interval_nodes_from_measure(INTERVAL_WEIGHTS[weight], n, variant)
+                calls.clear()
+                poly = interval_interpolate(sys, f)
+                assert calls == [len(sys.all_nodes)]
+                assert np.max(np.abs(poly(sys.all_nodes) - f(sys.all_nodes))) < tol
 
     def test_endpoint_accuracy_at_high_degree(self):
         """At x = +-1 the mu1 interpolant extrapolates past its outermost
@@ -339,6 +369,25 @@ class TestTrig:
         np.testing.assert_array_equal(sym.a, para.a)
         np.testing.assert_array_equal(sym.b, para.b)
 
+    def test_symmetric_transfers_skip_the_interval_classification(self, monkeypatch):
+        """The symmetric trig transfers take the para-orthogonal zeros
+        directly; they never classify them as interval nodes."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("interval_nodes_from_measure called")
+
+        want = trig_nodes_symmetric(chebyshev1_weight, 4)
+        monkeypatch.setattr(transforms, "interval_nodes_from_measure", refuse)
+        np.testing.assert_array_equal(trig_nodes_symmetric(chebyshev1_weight, 4), want)
+        tp = trig_interpolate_symmetric(chebyshev1_weight, 4, np.cos)
+        assert np.max(np.abs(tp(want) - np.cos(want))) < 1e-13
+
+    @pytest.mark.parametrize("bad", [2.5, 0, "4"])
+    def test_symmetric_transfers_check_n(self, bad):
+        with pytest.raises(ValidationError, match="interior node count n"):
+            trig_nodes_symmetric(chebyshev1_weight, bad)
+        with pytest.raises(ValidationError, match="interior node count n"):
+            trig_interpolate_symmetric(chebyshev1_weight, bad, np.cos)
+
     def test_coefficients_are_real(self):
         tp = trig_interpolate_symmetric(chebyshev1_weight, 5, lambda t: np.sin(3 * t))
         assert tp.a.dtype == float and tp.b.dtype == float
@@ -348,6 +397,16 @@ class TestTrig:
     def test_trig_polynomial_validation(self):
         with pytest.raises(ValidationError):
             TrigPolynomial(a=[1.0, 2.0], b=[])
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda: TrigPolynomial(a=[1.0, 1.0], b=[0.0])(np.array([1j])), "theta must be real"),
+        (lambda: TrigPolynomial(a=[1.0, 1j], b=[0.0]), "a must be real"),
+    ], ids=["point", "coefficient"])
+    def test_trig_polynomial_refuses_complex_input(self, build, match):
+        """A cast would drop the imaginary part (the value at theta = 0 for
+        the point 1j) or raise a bare TypeError (a complex coefficient)."""
+        with pytest.raises(ValidationError, match=match):
+            build()
 
     @pytest.mark.parametrize("degree", [0, 1, 64])
     def test_trig_polynomial_matches_cos_sin_sum(self, degree):
