@@ -2,10 +2,12 @@
 # Smoke checks of the installed `circle-interp` console script: version,
 # nodes, the exit codes of a malformed flag and of a NaN node, interp on
 # the FFT path with its dense CSV, interval with its dense and node CSVs,
-# trig in both variants, a sweep that must write its CSV, and a
-# para-orthogonal sweep and trig interpolant read from a measure file (the
-# sweep's node midpoints are not rotation-symmetric), the same nodes from a
-# Bernstein-Szego file, and the exit code of an h with a zero on the circle.
+# interval and symmetric trig on the closed-form Jacobi alphas of the
+# Chebyshev weights, trig in both variants, a sweep that must write its
+# CSV, and a para-orthogonal sweep and trig interpolant read from a
+# measure file (the sweep's node midpoints are not rotation-symmetric),
+# the same nodes from a Bernstein-Szego file, and the exit code of an h
+# with a zero on the circle.
 #
 #   scripts/ci_console_smoke.sh [OUT_DIR]
 #
@@ -30,6 +32,12 @@ circle-interp interval --n 8 --variant mu2 --corpus smooth-exp \
     --dense "$out_dir/interval.csv" --nodes-out "$out_dir/interval-nodes.csv"
 test -s "$out_dir/interval.csv"
 test -s "$out_dir/interval-nodes.csv"
+for weight in chebyshev1 chebyshev2 chebyshev3 chebyshev4; do
+    circle-interp interval --n 8 --weight "$weight" --corpus smooth-exp \
+        --nodes-out "$out_dir/interval-$weight-nodes.csv"
+    test -s "$out_dir/interval-$weight-nodes.csv"
+done
+circle-interp trig --n 32 --weight chebyshev2 --corpus lipschitz
 circle-interp trig --n 32 --corpus lipschitz
 circle-interp trig --n 128 --variant para --corpus holder:0.6
 circle-interp sweep --ns 256:2048 --corpus holder:0.6 --out "$out_dir/sweep"

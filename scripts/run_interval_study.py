@@ -17,13 +17,13 @@ import numpy as np
 from circleinterp import (
     interval_interpolate,
     interval_nodes_from_measure,
+    jacobi_weight,
     trig_interpolate_symmetric,
     trig_nodes_symmetric,
 )
 
-
-def chebyshev1(x):
-    return 1.0 / np.sqrt(np.clip(1.0 - np.asarray(x) ** 2, 1e-300, None))
+# (1 - x^2)^(-1/2), whose Verblunsky coefficients are exactly 0
+chebyshev1 = jacobi_weight(-0.5, -0.5)
 
 
 def main():

@@ -57,6 +57,7 @@ from .opuc import (
     ParaOrthogonalSpec,
     bernstein_szego,
     finite_verblunsky,
+    jacobi_weight,
     lebesgue_measure,
     load_measure_spec,
     paraorthogonal_nodes,

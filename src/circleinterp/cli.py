@@ -32,7 +32,7 @@ from .experiments import (
 from .interp import eval_interpolant, interpolate
 from .laurent import _check_count, _uniform_angles, make_degree_plan
 from .nodal import estimate_conditions, make_nodal_system
-from .opuc import lebesgue_measure, load_measure_spec, verblunsky_coefficients
+from .opuc import jacobi_weight, lebesgue_measure, load_measure_spec, verblunsky_coefficients
 from .transforms import (
     VARIANTS,
     interval_interpolate,
@@ -41,11 +41,12 @@ from .transforms import (
     trig_interpolate_symmetric,
 )
 
+# the Chebyshev weights of the four kinds as Jacobi weights (1-x)^a (1+x)^b
 INTERVAL_WEIGHTS = {
-    "chebyshev1": lambda x: 1.0 / np.sqrt(np.clip(1.0 - x * x, 1e-300, None)),
-    "chebyshev2": lambda x: np.sqrt(np.clip(1.0 - x * x, 0.0, None)),
-    "chebyshev3": lambda x: np.sqrt(np.clip((1.0 + x) / np.clip(1.0 - x, 1e-300, None), 0.0, None)),
-    "chebyshev4": lambda x: np.sqrt(np.clip((1.0 - x) / np.clip(1.0 + x, 1e-300, None), 0.0, None)),
+    "chebyshev1": jacobi_weight(-0.5, -0.5),
+    "chebyshev2": jacobi_weight(0.5, 0.5),
+    "chebyshev3": jacobi_weight(-0.5, 0.5),
+    "chebyshev4": jacobi_weight(0.5, -0.5),
 }
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,10 +86,16 @@ def _real_values(what: str, values, shape: tuple) -> np.ndarray:
 
 
 def _real_points(what: str, x) -> np.ndarray:
-    """x as a float array, refusing complex x, whose imaginary part a cast drops."""
-    if np.iscomplexobj(x):
-        raise ValidationError(f"{what} must be real, got complex input")
-    return np.asarray(x, dtype=float)
+    """x as a float array, refusing anything but real numbers: a cast drops
+    the imaginary part of complex x, stores None as NaN and raises a bare
+    ValueError on a string."""
+    try:
+        v = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        v = None
+    if v is None or v.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must be real numbers, got {reprlib.repr(x)}")
+    return v.astype(float, copy=False)
 
 
 def _check_ratio(r: float) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import reprlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -38,6 +39,7 @@ __all__ = [
     "finite_verblunsky",
     "quadrature_weight",
     "bernstein_szego",
+    "jacobi_weight",
     "load_measure_spec",
     "szego_recurrence",
     "verblunsky_coefficients",
@@ -65,6 +67,12 @@ _GROUP_ROWS = 64
 _GROUP_DECAY = 300.0
 _PRINCIPAL_TURN = 3.0
 _PHASE_BUDGET = 1 << 20
+# a run of at most _FOLDED_ZEROS zero alphas between nonzero ones stays in
+# its group as steps p <- z p, q <- q, two array operations each.  Splitting
+# the group around a run of r zeros costs a group end, a new group and one
+# complex exp per point instead: measured at n = 64, 256 and 1024, the
+# zero steps cost less up to r = 20 and more from r = 24 at two of the three.
+_FOLDED_ZEROS = 20
 # moment quadrature converges when two levels differ by less than tol =
 # _QUADRATURE_TOL times the mass.  It gives up beyond MAX_QUADRATURE_POINTS,
 # or sooner when its relative differences d_i follow a power law that misses
@@ -85,14 +93,16 @@ _MISS_FACTOR = 2.0
 @dataclass(frozen=True)
 class MeasureSpec:
     """A measure on [0, 2*pi): a finite Verblunsky sequence (Lebesgue measure
-    has none, a Bernstein-Szego weight m), or a quadrature-computable
+    has none, a Bernstein-Szego weight m), the Szego transform of a Jacobi
+    weight (1-x)^a (1+x)^b with exponents (a, b), or a quadrature-computable
     nonnegative weight function of theta (an interval weight is the Szego
     transform of a weight on [-1, 1], with w(2 pi - theta) = w(theta))."""
 
-    kind: str  # "finite-verblunsky" | "quadrature-weight" | "interval-weight"
+    kind: str  # "finite-verblunsky" | "jacobi" | "quadrature-weight" | "interval-weight"
     alphas: tuple = ()
     weight: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
+    exponents: tuple = ()  # (a, b) of a "jacobi" measure
 
 
 def lebesgue_measure() -> MeasureSpec:
@@ -127,6 +137,19 @@ def bernstein_szego(h_coeffs: Sequence[complex]) -> MeasureSpec:
             raise ValidationError(f"h has a zero in the closed unit disk (|alpha_{k}| = {abs(a)})")
         star = ((star + a * np.conj(star[::-1])) / (1.0 - abs(a) ** 2))[:-1]
     return MeasureSpec(kind="finite-verblunsky", alphas=tuple(alphas.tolist()), label="bernstein-szego")
+
+
+def jacobi_weight(a: float, b: float) -> MeasureSpec:
+    """The Szego transform of the Jacobi weight (1-x)^a (1+x)^b on [-1, 1],
+    the circle weight (1/2) (1 - cos theta)^a (1 + cos theta)^b |sin theta|,
+    for real a, b > -1.  Its Verblunsky coefficients have a closed form
+    (``_jacobi_alphas``): no quadrature, and the alphas that are 0 are
+    exactly 0."""
+    for name, v in (("a", a), ("b", b)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and v > -1):
+            raise ValidationError(f"Jacobi exponent {name} must be a finite number > -1, got {v!r}")
+    a, b = float(a), float(b)
+    return MeasureSpec(kind="jacobi", exponents=(a, b), label=f"jacobi({a!r}, {b!r})")
 
 
 def load_measure_spec(path) -> MeasureSpec:
@@ -317,12 +340,37 @@ def _weight_alphas(spec: MeasureSpec, N: int) -> np.ndarray:
     return alphas
 
 
+def _jacobi_alphas(a: float, b: float, N: int) -> np.ndarray:
+    """alpha_0..alpha_{N-1} of the Szego transform of (1-x)^a (1+x)^b:
+
+        alpha_k = (b - a) / (k + a + b + 2)         for even k,
+        alpha_k = -(a + b + 1) / (k + a + b + 2)    for odd k.
+
+    This is the inverse Geronimus map (Simon, OPUC Section 13.1) of the
+    closed-form Jacobi recurrence scaled to [-2, 2], with diagonal d_j and
+    off-diagonal e_j (j >= 0): with alpha_{-1} = -1 these alphas satisfy
+
+        d_j = (1 - alpha_{2j-1}) alpha_{2j} - (1 + alpha_{2j-1}) alpha_{2j-2},
+        e_j^2 = (1 - alpha_{2j-1}) (1 - alpha_{2j}^2) (1 + alpha_{2j+1})
+
+    for every j, as substitution shows, so running that map forward
+    reproduces them.  Each alpha takes three roundings instead of the
+    forward map's error growing with k, and the alphas that are 0 (the even
+    ones when a = b, the odd ones when a + b = -1) are exactly 0.  For
+    a, b > -1 every |alpha_k| < 1."""
+    k = np.arange(N)
+    num = np.where(k % 2 == 0, b - a, -(a + b + 1.0))
+    return (num / (k + (a + b + 2.0))).astype(complex)
+
+
 def verblunsky_coefficients(spec: MeasureSpec, N: int) -> np.ndarray:
     """First N Verblunsky coefficients of any supported measure family."""
     N = _check_count("N", N, 0)
     if spec.kind == "finite-verblunsky":
         head = np.array(spec.alphas[:N], dtype=complex)
         return np.pad(head, (0, N - len(head)))  # exact zeros past the last alpha
+    if spec.kind == "jacobi":
+        return _jacobi_alphas(*spec.exponents, N)
     if spec.kind in ("quadrature-weight", "interval-weight"):
         return _weight_alphas(spec, N)
     raise ValidationError(f"unknown measure kind {spec.kind!r}")
@@ -341,8 +389,9 @@ class ParaOrthogonalSpec:
 
 
 class _Group(NamedTuple):
-    """A run of nonzero Verblunsky coefficients that _blaschke_phase steps
-    through before it takes the winding and psi' in bulk.
+    """A run of Verblunsky coefficients, nonzero at both ends, that
+    _blaschke_phase steps through before it takes the winding and psi' in
+    bulk.
 
     The group's q_0..q_m go to buffer rows so that the segment ends
     q_0 = q_{c_0}, q_{c_1}, .., q_{c_S} = q_m fill the last rows start..m
@@ -355,7 +404,7 @@ class _Group(NamedTuple):
 
 
 def _group(alphas: list) -> _Group:
-    """The _Group of a run of nonzero alphas, given as Python complex.  A
+    """The _Group of a run of alphas, given as Python complex.  A
     segment ends before the step whose arcsin|alpha_k| would bring its sum
     to _PRINCIPAL_TURN; each |alpha_k| < 1 adds less than pi/2."""
     mag = np.abs(alphas)
@@ -381,7 +430,9 @@ def _phase_steps(alphas: np.ndarray) -> list:
     """The recursion steps for alpha_0..alpha_{n-1}: each run of r zero
     alphas as the int r, and the nonzero alphas between them as _Groups of
     at most _GROUP_ROWS steps whose sum of -log(1 - |alpha_k|) stays within
-    _GROUP_DECAY."""
+    _GROUP_DECAY.  A run of at most _FOLDED_ZEROS zeros that has room in
+    the group before it joins that group as zero steps, which do exactly
+    p <- z p, q <- q."""
     steps: list = []
     group: list = []
     run = 0
@@ -390,6 +441,9 @@ def _phase_steps(alphas: np.ndarray) -> list:
         if a == 0:
             run += 1
             continue
+        if group and run <= _FOLDED_ZEROS and len(group) + run < _GROUP_ROWS and cost + c <= _GROUP_DECAY:
+            group += [0j] * run
+            run = 0
         if group and (run or len(group) == _GROUP_ROWS or cost + c > _GROUP_DECAY):
             steps.append(_group(group))
             group, cost = [], 0.0
@@ -428,11 +482,11 @@ def _blaschke_phase(steps: list, theta: np.ndarray, _slope: bool = True):
     with g > 0 (a Poisson kernel), so psi_n is strictly increasing and
     gains 2 pi n per turn.
 
-    A step costs five array operations.  At the end of each _Group the
-    group's sum of Arg d_k is one arctan2 over its segments: a segment
-    from q_a to q_b has arcsin|alpha_k| adding up to less than
-    _PRINCIPAL_TURN < pi, so the principal arg of q_b conj(q_a) is its sum
-    of Arg d_k exactly.  G takes the group's |q_k|^2 against its suffix
+    A step costs five array operations, a zero alpha inside a group two.
+    At the end of each _Group the group's sum of Arg d_k is one arctan2
+    over its segments: a segment from q_a to q_b has arcsin|alpha_k|
+    adding up to less than _PRINCIPAL_TURN < pi, so the principal arg of
+    q_b conj(q_a) is its sum of Arg d_k exactly.  G takes the group's |q_k|^2 against its suffix
     products.  Then p becomes p / q = b and q becomes 1.  The
     group bounds keep |q| within e^{+-_GROUP_DECAY}, so it neither
     underflows nor overflows.  Points run in blocks, so that the buffered
@@ -463,6 +517,11 @@ def _blaschke_phase(steps: list, theta: np.ndarray, _slope: bool = True):
             q = rows[step.start]
             q.fill(1.0)
             for (a, a_conj), r in zip(step.alphas, step.rows):
+                if not a:  # the general step gives these values, bit for bit
+                    np.multiply(z, p, out=p)
+                    rows[r][...] = q
+                    q = rows[r]
+                    continue
                 np.multiply(z, p, out=zp)
                 np.multiply(q, a_conj, out=p)
                 np.subtract(zp, p, out=p)

@@ -120,13 +120,28 @@ def szego_transform_weight(w) -> MeasureSpec:
 
 
 def _szego_zeros(w, m: int, tau: float) -> NodalSystem:
-    """The m para-orthogonal zeros, rotation tau, of the Szego transform of w."""
-    alphas = verblunsky_coefficients(szego_transform_weight(w), m)
+    """The m para-orthogonal zeros, rotation tau, of the Szego transform of
+    w: a "jacobi" or "interval-weight" MeasureSpec as it is (the former
+    takes its alphas in closed form), a callable weight on [-1, 1] through
+    ``szego_transform_weight`` and its moment quadrature."""
+    if isinstance(w, MeasureSpec):
+        if w.kind not in ("jacobi", "interval-weight"):
+            raise ValidationError(f"an interval weight spec must be of kind 'jacobi' or "
+                                  f"'interval-weight', got {w.kind!r}")
+        spec = w
+    elif callable(w):
+        spec = szego_transform_weight(w)
+    else:
+        raise ValidationError(f"the interval weight must be a callable or a MeasureSpec, "
+                              f"got {type(w).__name__}")
+    alphas = verblunsky_coefficients(spec, m)
     return paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=m, tau=tau))
 
 
 def interval_nodes_from_measure(w, n: int, variant: str = "mu1") -> IntervalNodalSystem:
-    """Interval nodal system with n interior nodes from the weight w(x).
+    """Interval nodal system with n interior nodes from the weight w(x): a
+    callable, or a "jacobi" (``jacobi_weight``) or "interval-weight"
+    (``szego_transform_weight``) MeasureSpec.
 
     Takes the Verblunsky coefficients of the transformed measure, the
     para-orthogonal zeros of the variant's degree/rotation, and projects
@@ -192,9 +207,10 @@ def interval_interpolate(sys: IntervalNodalSystem, f):
 
 
 def trig_nodes_symmetric(w, n: int) -> np.ndarray:
-    """The 2n angles of the mu1 circle system of the weight w, increasing:
-    theta_j = arccos x_j in (0, pi) for the interval nodes x_j and their
-    mirror images 2 pi - theta_j."""
+    """The 2n angles of the mu1 circle system of the weight w (as
+    ``interval_nodes_from_measure`` takes it), increasing: theta_j =
+    arccos x_j in (0, pi) for the interval nodes x_j and their mirror
+    images 2 pi - theta_j."""
     n = _check_count("the interior node count n", n, 1)
     return np.sort(_szego_zeros(w, 2 * n, 1.0).thetas)
 
@@ -210,8 +226,8 @@ def _trig_fit(system: NodalSystem, f) -> TrigPolynomial:
 
 def trig_interpolate_symmetric(w, n: int, f) -> TrigPolynomial:
     """Trig polynomial of degree <= n matching f at the 2n symmetric angles
-    of the weight w: the para-orthogonal fit of its Szego transform at 2n
-    nodes with tau = 1."""
+    of the weight w (as ``interval_nodes_from_measure`` takes it): the
+    para-orthogonal fit of its Szego transform at 2n nodes with tau = 1."""
     n = _check_count("the interior node count n", n, 1)
     return _trig_fit(_szego_zeros(w, 2 * n, 1.0), f)
 

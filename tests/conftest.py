@@ -11,6 +11,57 @@ def chebyshev1_weight(x):
     return 1.0 / np.sqrt(np.clip(1.0 - np.asarray(x) ** 2, 1e-300, None))
 
 
+# the four Chebyshev weights as callables, which take the moment quadrature
+CHEBYSHEV_WEIGHTS = {
+    "chebyshev1": chebyshev1_weight,
+    "chebyshev2": lambda x: np.sqrt(np.clip(1.0 - x * x, 0.0, None)),
+    "chebyshev3": lambda x: np.sqrt(np.clip((1.0 + x) / np.clip(1.0 - x, 1e-300, None), 0.0, None)),
+    "chebyshev4": lambda x: np.sqrt(np.clip((1.0 - x) / np.clip(1.0 + x, 1e-300, None), 0.0, None)),
+}
+
+
+def jacobi_recurrence(a, b, n):
+    """Diagonal d_0..d_{n-1} and squared off-diagonal e_0^2..e_{n-1}^2 of
+    the Jacobi matrix of the weight (1-x)^a (1+x)^b on [-1, 1], in closed
+    form (e_j couples rows j and j + 1)."""
+    s = a + b
+    k = np.arange(1.0, n)
+    diag = np.empty(n)
+    diag[0] = (b - a) / (s + 2.0)
+    diag[1:] = (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2))
+    k = k + 1.0
+    beta = np.empty(n)
+    beta[0] = 4.0 * (1 + a) * (1 + b) / ((2 + s) ** 2 * (3 + s))
+    beta[1:] = 4 * k * (k + a) * (k + b) * (k + s) / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
+    return diag, beta
+
+
+def golub_welsch_nodes(a, b, n):
+    """Golub-Welsch oracle: the Gauss nodes of (1-x)^a (1+x)^b, increasing,
+    as the eigenvalues of its n x n Jacobi matrix."""
+    diag, beta = jacobi_recurrence(a, b, n)
+    off = np.sqrt(beta[:-1])
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def geronimus_alphas(a, b, N):
+    """Forward inverse Geronimus map: alpha_0..alpha_{N-1} of the Szego
+    transform of (1-x)^a (1+x)^b from its Jacobi recurrence scaled to
+    [-2, 2] (diagonal 2 d_j, off-diagonal 2 e_j), with alpha_{-1} = -1:
+    alpha_{2j} = (2 d_j + (1 + alpha_{2j-1}) alpha_{2j-2}) / (1 - alpha_{2j-1}),
+    alpha_{2j+1} = 4 e_j^2 / ((1 - alpha_{2j-1}) (1 - alpha_{2j}^2)) - 1."""
+    diag, beta = jacobi_recurrence(a, b, N // 2 + 1)
+    alphas = np.zeros(N)
+    odd, even = -1.0, 0.0
+    for k in range(N):
+        j = k // 2
+        if k % 2 == 0:
+            even = alphas[k] = (2 * diag[j] + (1 + odd) * even) / (1 - odd)
+        else:
+            odd = alphas[k] = 4 * beta[j] / ((1 - odd) * (1 - even**2)) - 1
+    return alphas
+
+
 def midpoint_moments(w, m, N):
     """Full-circle oracle for the moments of a circle weight w at a fixed
     grid: (2 pi / m) sum_j w(theta_j) e^{i k theta_j} for k = 0..N < m,

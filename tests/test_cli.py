@@ -174,6 +174,24 @@ class TestCommands:
         first = lines[1].split(",")
         assert first[1] == "-1.0" and first[3] == "1"
 
+    def test_interval_weights_are_jacobi_specs(self, tmp_path, monkeypatch):
+        """The four --weight choices are Jacobi weights (1-x)^a (1+x)^b,
+        and the interval and symmetric trig commands take their alphas in
+        closed form, never the moment quadrature."""
+        from circleinterp import opuc
+
+        assert {k: (w.kind, w.exponents) for k, w in INTERVAL_WEIGHTS.items()} == {
+            "chebyshev1": ("jacobi", (-0.5, -0.5)), "chebyshev2": ("jacobi", (0.5, 0.5)),
+            "chebyshev3": ("jacobi", (-0.5, 0.5)), "chebyshev4": ("jacobi", (0.5, -0.5))}
+        monkeypatch.setattr(opuc, "_moments", lambda *a: pytest.fail("moment quadrature called"))
+        out = str(tmp_path / "out.json")
+        for weight in sorted(INTERVAL_WEIGHTS):
+            assert main(["interval", "--n", "8", "--weight", weight, "--corpus", "smooth-exp",
+                         "--out", out]) == 0
+            assert json.loads((tmp_path / "out.json").read_text())["sup_error"] < 1e-3
+            assert main(["trig", "--n", "8", "--weight", weight, "--corpus", "smooth-exp",
+                         "--out", out]) == 0
+
     def test_trig_command(self, tmp_path):
         out = tmp_path / "trig.json"
         code = main(["trig", "--n", "8", "--corpus", "smooth-exp",

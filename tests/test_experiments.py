@@ -79,6 +79,11 @@ class TestCorpus:
         with pytest.raises(ValidationError, match="smooth-exp x must be real"):
             F.on_interval(np.array([0.5 + 1j]))
 
+    def test_interval_lift_rejects_strings(self):
+        """A cast would raise a bare ValueError."""
+        with pytest.raises(ValidationError, match="smooth-exp x must be real numbers"):
+            corpus("smooth-exp").on_interval(["x"])
+
     def test_invalid(self):
         with pytest.raises(ValidationError):
             corpus("holder", 1.5)

@@ -16,6 +16,7 @@ from circleinterp import (
     bernstein_szego,
     finite_verblunsky,
     interpolate,
+    jacobi_weight,
     lebesgue_measure,
     load_measure_spec,
     make_degree_plan,
@@ -27,8 +28,10 @@ from circleinterp import (
 )
 from circleinterp import opuc
 from conftest import (
+    CHEBYSHEV_WEIGHTS,
     bernstein_szego_weight,
     chebyshev1_weight,
+    geronimus_alphas,
     levinson_reference,
     opuc_coefficients,
     paraorthogonal_coefficients,
@@ -348,13 +351,11 @@ class TestVerblunskyRecovery:
         with pytest.raises(ValidationError, match="unknown measure kind 'foo'"):
             verblunsky_coefficients(MeasureSpec(kind="foo", weight=np.ones_like), 2)
 
-    @pytest.mark.parametrize("weight", ["chebyshev1", "chebyshev2", "chebyshev3", "chebyshev4"])
+    @pytest.mark.parametrize("weight", sorted(CHEBYSHEV_WEIGHTS))
     def test_in_place_levinson_is_bit_identical(self, weight):
         """The preallocated loop does the arithmetic of the concatenating
-        one, on the CLI's interval weights at N = 258."""
-        from circleinterp.cli import INTERVAL_WEIGHTS
-
-        spec = szego_transform_weight(INTERVAL_WEIGHTS[weight])
+        one, on the four Chebyshev weights as callables at N = 258."""
+        spec = szego_transform_weight(CHEBYSHEV_WEIGHTS[weight])
         ref = levinson_reference(opuc._moments(spec, 258), 258)
         assert verblunsky_coefficients(spec, 258).tobytes() == ref.tobytes()
 
@@ -364,7 +365,7 @@ class TestVerblunskyRecovery:
 
     def test_zero_count_is_empty(self):
         for spec in (lebesgue_measure(), quadrature_weight(np.ones_like),
-                     szego_transform_weight(chebyshev1_weight)):
+                     szego_transform_weight(chebyshev1_weight), jacobi_weight(1.5, -0.3)):
             got = verblunsky_coefficients(spec, 0)
             assert got.shape == (0,) and got.dtype == complex
 
@@ -440,6 +441,69 @@ class TestBernsteinSzego:
             verblunsky_coefficients(bernstein_szego(h), 8)
 
 
+class TestJacobiWeight:
+    """jacobi_weight(a, b): the Szego transform of (1-x)^a (1+x)^b, whose
+    alphas come in closed form, with no quadrature."""
+
+    @pytest.mark.parametrize("N", [1, 2, 257, 258, 8191, 8192])
+    def test_chebyshev_closed_forms(self, N):
+        """Chebyshev-1: all 0.  Chebyshev-2: 0 at even k, -2/(k+3) at odd
+        k.  Chebyshev-3: (-1)^k/(k+2).  Chebyshev-4: -1/(k+2).  The zeros
+        are exactly 0."""
+        k = np.arange(N)
+        got = {name: verblunsky_coefficients(jacobi_weight(a, b), N)
+               for name, (a, b) in {"1": (-0.5, -0.5), "2": (0.5, 0.5),
+                                    "3": (-0.5, 0.5), "4": (0.5, -0.5)}.items()}
+        assert all(g.dtype == complex and g.shape == (N,) and np.all(g.imag == 0) for g in got.values())
+        assert np.all(got["1"] == 0)
+        assert np.all(got["2"][::2] == 0)
+        np.testing.assert_allclose(got["2"][1::2].real, -2.0 / (k[1::2] + 3), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(got["3"].real, (-1.0) ** k / (k + 2), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(got["4"].real, -1.0 / (k + 2), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (1.5, -0.3), (-0.5, -0.5), (0.5, 0.5),
+                                     (-0.5, 0.5), (0.5, -0.5), (-0.9, 3.0)])
+    def test_matches_the_forward_geronimus_map(self, a, b):
+        """The closed form solves the inverse Geronimus relations of the
+        Jacobi recurrence; run forward, the map drifts with k (measured
+        1.1e-14 at N = 512 for Jacobi(1.5, -0.3), 1.7e-13 at N = 8192)."""
+        got = verblunsky_coefficients(jacobi_weight(a, b), 512)
+        ref = geronimus_alphas(a, b, 512)
+        assert np.max(np.abs(got - ref)) < 1e-13
+        assert np.array_equal(got == 0, ref == 0)
+
+    def test_matches_mpmath_levinson(self):
+        """Jacobi(1.5, -0.3) at N = 20 against a 40-digit Levinson
+        recursion on its exact moments m_k = int T_k(x) (1-x)^a (1+x)^b dx,
+        taken with x = cos 2s, up to the common factor 2^{a+b+2}, as
+        int_0^{pi/2} cos(2ks) sin^{2a+1}(s) cos^{2b+1}(s) ds."""
+        mp = pytest.importorskip("mpmath")
+        a, b, N = 1.5, -0.3, 20
+        got = verblunsky_coefficients(jacobi_weight(a, b), N)
+        with mp.workdps(40):
+            A, B = 2 * mp.mpf(a) + 1, 2 * mp.mpf(b) + 1
+            m = [mp.quad(lambda s: mp.cos(2 * k * s) * mp.sin(s) ** A * mp.cos(s) ** B,
+                         [0, mp.pi / 4, mp.pi / 2]) for k in range(N + 1)]
+            phi, norm2, ref = [mp.mpf(1)], m[0], []
+            for k in range(N):
+                c = mp.fsum(p * mk for p, mk in zip(phi, m[1:k + 2])) / norm2
+                ref.append(float(c))  # real moments: alpha_k = conj(c) = c
+                phi = [x - c * y for x, y in zip([0] + phi, phi[::-1] + [0])]
+                norm2 *= 1 - c**2
+        assert np.max(np.abs(got - ref)) < 1e-15
+
+    @pytest.mark.parametrize("a,b", [(-1.0, 0.0), (0.0, -1.5), (np.nan, 0.0), (0.0, np.inf),
+                                     (True, 0.0), ("0.5", 0.0), (1j, 0.0)])
+    def test_rejects_bad_exponents(self, a, b):
+        with pytest.raises(ValidationError, match="Jacobi exponent"):
+            jacobi_weight(a, b)
+
+    def test_spec(self):
+        spec = jacobi_weight(1, np.float64(-0.3))
+        assert spec.kind == "jacobi" and spec.exponents == (1.0, -0.3)
+        assert spec.label == "jacobi(1.0, -0.3)"
+
+
 class TestParaOrthogonal:
     def test_lebesgue_coefficients(self):
         omega = paraorthogonal_coefficients(np.zeros(4), 4, 1.0)
@@ -500,8 +564,8 @@ class TestParaOrthogonal:
         group as its length and the steps at which its segments end.  A
         segment's arcsin|alpha_k| add up to less than _PRINCIPAL_TURN, and
         one more step would bring them to it."""
-        def shape(family, n):
-            alphas = np.asarray(FAMILIES[family](n), dtype=complex)
+        def shape(alphas):
+            alphas = np.asarray(alphas, dtype=complex)
             out, k = [], 0
             for s in opuc._phase_steps(alphas):
                 if isinstance(s, int):
@@ -518,15 +582,17 @@ class TestParaOrthogonal:
                 k += len(s.alphas)
             return out
 
-        assert shape("arcsin-2.99", 128) == [(64, [0, 64])] * 2
-        assert shape("arcsin-3.01", 128) == [(64, [0, 63, 64])] * 2
-        assert [m for m, _ in shape("near-one", 74)] == [35, 16, 23]
-        assert shape("decaying", 4096) == [(64, [0, 64])] * 64
-        assert shape("alternating", 256) == [(64, list(range(0, 64, 3)) + [64])] * 4
-        # short groups, each closed by a run of zeros
-        steps = shape("sparse", 128)
-        assert sum(isinstance(s, int) for s in steps) > 10
-        assert all(isinstance(a, int) != isinstance(b, int) for a, b in zip(steps, steps[1:]))
+        assert shape(FAMILIES["arcsin-2.99"](128)) == [(64, [0, 64])] * 2
+        assert shape(FAMILIES["arcsin-3.01"](128)) == [(64, [0, 63, 64])] * 2
+        assert [m for m, _ in shape(FAMILIES["near-one"](74))] == [35, 16, 23]
+        assert shape(FAMILIES["decaying"](4096)) == [(64, [0, 64])] * 64
+        assert shape(FAMILIES["alternating"](256)) == [(64, list(range(0, 64, 3)) + [64])] * 4
+        # a run of up to _FOLDED_ZEROS = 20 zeros between nonzero alphas
+        # stays in its group while the group has room; a longer one splits it
+        r = opuc._FOLDED_ZEROS
+        for gap, want in ((r, [64, 20, 43, 1]), (r + 1, [1, 21] * 5 + [1, 17])):
+            alphas = np.where(np.arange(128) % (gap + 1) == 0, 0.5, 0.0)
+            assert [s if isinstance(s, int) else s[0] for s in shape(alphas)] == want
 
     @pytest.mark.parametrize("family,n,floor", [
         ("alternating", 256, 0.0),
@@ -608,6 +674,24 @@ class TestParaOrthogonal:
         ref = cmv_paraorthogonal_angles(alphas, tau)
         # measured at most 1.1e-14
         assert np.max(angle_distance(np.sort(sys.thetas), ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [256, 257])
+    @pytest.mark.parametrize("family,tau", [("odd-0.5", np.exp(0.7j)), ("odd-0.5", 1j),
+                                            ("chebyshev2", 1.0), ("chebyshev2", -1.0)])
+    def test_interleaved_zeros_match_cmv_eigenvalues(self, family, tau, n):
+        """Zero alphas between nonzero ones run as plain steps inside their
+        group: alpha_k = 0.5 at odd k only, and the exact Chebyshev-2
+        alphas (0 at even k, -2/(k+3) at odd k).  (The first family has a
+        double zero at z = 1 for tau = 1, in the CMV oracle too.)"""
+        if family == "odd-0.5":
+            alphas = np.where(np.arange(n) % 2 == 1, 0.5, 0.0).astype(complex)
+        else:
+            alphas = verblunsky_coefficients(jacobi_weight(0.5, 0.5), n)
+        sys = paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=n, tau=tau))
+        ref = cmv_paraorthogonal_angles(alphas, tau)
+        # a turn of 1 rad keeps zeros at z = +-1 off the cut at 2 pi
+        turn = lambda t: np.sort(np.mod(t + 1.0, 2 * np.pi))
+        assert np.max(angle_distance(turn(sys.thetas), turn(ref))) <= 1e-13
 
     def test_zero_on_flat_phase_converges(self):
         """|alpha| = 0.966: one zero sits where psi' = 0.12, so a phase
