@@ -2,6 +2,7 @@
 # Smoke checks of the installed `circle-interp` console script: version,
 # nodes, the exit codes of a malformed flag and of a NaN node, interp on
 # the FFT path with its dense CSV, interval with its dense and node CSVs,
+# the node CSV's angles at n = 4096 against their closed form,
 # interval and symmetric trig on the closed-form Jacobi alphas of the
 # Chebyshev weights, trig in both variants, a sweep that must write its
 # CSV, and a para-orthogonal sweep and trig interpolant read from a
@@ -37,6 +38,14 @@ for weight in chebyshev1 chebyshev2 chebyshev3 chebyshev4; do
         --nodes-out "$out_dir/interval-$weight-nodes.csv"
     test -s "$out_dir/interval-$weight-nodes.csv"
 done
+# the Chebyshev-1 mu1 angles are the circle zeros' arguments, within 1e-14
+# of (2j - 1) pi / (2n); acos(x_j) is up to 1.1e-13 off next to x = +-1
+circle-interp interval --n 4096 --weight chebyshev1 --variant mu1 --corpus smooth-exp \
+    --grid 16 --nodes-out "$out_dir/interval-4096-nodes.csv"
+python -c 'import sys, numpy as np
+t = np.sort(np.loadtxt(sys.argv[1], delimiter=",", skiprows=1)[:, 2])
+ref = (2 * np.arange(1, len(t) + 1) - 1) * np.pi / (2 * len(t))
+sys.exit(bool(len(t) != 4096 or np.max(np.abs(t - ref)) > 1e-14))' "$out_dir/interval-4096-nodes.csv"
 circle-interp trig --n 32 --weight chebyshev2 --corpus lipschitz
 circle-interp trig --n 32 --corpus lipschitz
 circle-interp trig --n 128 --variant para --corpus holder:0.6

@@ -19,7 +19,6 @@ from circleinterp import (
     interval_nodes_from_measure,
     jacobi_weight,
     trig_interpolate_symmetric,
-    trig_nodes_symmetric,
 )
 
 # (1 - x^2)^(-1/2), whose Verblunsky coefficients are exactly 0
@@ -70,7 +69,8 @@ def main():
         row = " ".join(f"{e:<10.2e}" for e in errs)
         print(f"{'':<8} {name:<13} {row}")
     # sanity: node counts double with n
-    print(f"\nnode count at n={ns[-1]}: {len(trig_nodes_symmetric(chebyshev1, ns[-1]))}")
+    print(f"\nnode count at n={ns[-1]}: "
+          f"{interval_nodes_from_measure(chebyshev1, ns[-1]).circle_system.n}")
 
 
 if __name__ == "__main__":

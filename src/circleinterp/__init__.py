@@ -73,7 +73,6 @@ from .transforms import (
     szego_transform_weight,
     trig_interpolate_paraorthogonal,
     trig_interpolate_symmetric,
-    trig_nodes_symmetric,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 from collections import namedtuple
 
@@ -214,9 +213,10 @@ def cmd_interp(cfg) -> int:
 def _interval_nodes_csv(sys_iv) -> str:
     """The interval nodes as CSV rows (j, x_j, theta_j, endpoint_flag)."""
     lines = ["j,x_j,theta_j,endpoint_flag"]
-    for j, x in enumerate(sys_iv.all_nodes.tolist()):
-        flag = int((x == -1.0 and sys_iv.has_minus_one) or (x == 1.0 and sys_iv.has_plus_one))
-        lines.append(f"{j},{x!r},{math.acos(max(-1.0, min(1.0, x)))!r},{flag}")
+    last = len(sys_iv.all_nodes) - 1
+    for j, (x, theta) in enumerate(zip(sys_iv.all_nodes.tolist(), sys_iv.thetas.tolist())):
+        flag = int((j == 0 and sys_iv.has_minus_one) or (j == last and sys_iv.has_plus_one))
+        lines.append(f"{j},{x!r},{theta!r},{flag}")
     return "\n".join(lines) + "\n"
 
 

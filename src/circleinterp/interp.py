@@ -41,6 +41,7 @@ from .laurent import (
     DegreePlan,
     LaurentPolynomial,
     _check_count,
+    _complex_points,
     _uniform_angles,
     coefficients_from_samples,
     eval_laurent,
@@ -107,7 +108,7 @@ class CircleInterpolant:
     def __post_init__(self):
         if self.plan.n != self.system.n:
             raise ValidationError(f"plan is for n={self.plan.n} but system has n={self.system.n}")
-        values = np.asarray(self.values, dtype=complex)
+        values = _complex_points("values", self.values)
         if values.shape != (self.system.n,):
             raise ValidationError(f"need values of shape ({self.system.n},), got {values.shape}")
         object.__setattr__(self, "values", values)
@@ -200,7 +201,7 @@ def eval_interpolant(I: CircleInterpolant, z):
     one FFT) or there are more points than nodes, eval_laurent runs on
     interpolant_coefficients(I): one FFT on a rotated uniform grid, Horner
     elsewhere.  Otherwise the first-form pair kernel runs on the points."""
-    zz = np.asarray(z, dtype=complex)
+    zz = _complex_points("z", z)
     shape = zz.shape
     zz = zz.ravel()
     if np.any(zz == 0):

@@ -89,13 +89,22 @@ def _real_points(what: str, x) -> np.ndarray:
     """x as a float array, refusing anything but real numbers: a cast drops
     the imaginary part of complex x, stores None as NaN and raises a bare
     ValueError on a string."""
+    return _numbers(what, x, "biuf", "real numbers").astype(float, copy=False)
+
+
+def _complex_points(what: str, x) -> np.ndarray:
+    """x as a complex array, refusing anything but numbers (see _real_points)."""
+    return _numbers(what, x, "biufc", "numbers").astype(complex, copy=False)
+
+
+def _numbers(what: str, x, kinds: str, noun: str) -> np.ndarray:
     try:
         v = np.asarray(x)
     except ValueError:  # a ragged nesting
         v = None
-    if v is None or v.dtype.kind not in "biuf":
-        raise ValidationError(f"{what} must be real numbers, got {reprlib.repr(x)}")
-    return v.astype(float, copy=False)
+    if v is None or v.dtype.kind not in kinds:
+        raise ValidationError(f"{what} must be {noun}, got {reprlib.repr(x)}")
+    return v
 
 
 def _check_ratio(r: float) -> None:
@@ -129,7 +138,7 @@ class LaurentPolynomial:
     def __post_init__(self):
         object.__setattr__(self, "p", _check_count("p", self.p, 0))
         object.__setattr__(self, "q", _check_count("q", self.q, 0))
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = _complex_points("coeffs", self.coeffs)
         if c.ndim != 1 or len(c) != self.p + self.q + 1:
             raise ValidationError(
                 f"coefficient vector must have length p+q+1={self.p + self.q + 1}, got {len(c)}"
@@ -225,7 +234,7 @@ def eval_laurent(L: LaurentPolynomial, z):
     (32 eps), one inverse FFT of length M returns L at those ideal points
     (see _grid_rotation, _fft_on_grid).  Any other input runs Horner.
     """
-    z = np.asarray(z, dtype=complex)
+    z = _complex_points("z", z)
     if np.any(z == 0):
         raise ValidationError("Laurent polynomials are undefined at z = 0")
     grid = _grid_rotation(z)
@@ -244,10 +253,10 @@ def coefficients_from_samples(samples, p: int) -> LaurentPolynomial:
     The inversion gives the coefficient of z^k at index k mod m, so an
     exact cyclic shift by p puts it at k + p.
     """
-    samples = np.asarray(samples, dtype=complex)
+    samples = _complex_points("samples", samples)
     if samples.ndim != 1 or len(samples) < 1:
         raise ValidationError("need a one-dimensional, nonempty sample vector")
-    m = len(samples)
+    m, p = len(samples), _check_count("p", p, 0)
     if not (0 <= p <= m - 1):
         raise ValidationError(f"p must satisfy 0 <= p <= m-1={m - 1}, got {p}")
     # (1/m) sum_j samples_j z_j^{-k} is the forward FFT / m

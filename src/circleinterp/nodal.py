@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .laurent import _check_count, _uniform_angles
+from .laurent import _check_count, _complex_points, _uniform_angles
 
 __all__ = [
     "NodalSystem",
@@ -219,7 +219,7 @@ def make_nodal_system(nodes, source: str = "user-supplied") -> NodalSystem:
     Raises DegeneracyError when some W_n'(z_j) underflows to 0: nodes can
     clear DISTINCT_TOL and still crowd so many neighbours that the product
     drops below the smallest double, and the interpolant would be NaN."""
-    nodes = np.asarray(nodes, dtype=complex)
+    nodes = _complex_points("nodes", nodes)
     _validate_nodes(nodes)
     derivs = _derivs_product(nodes)
     zero = int(np.count_nonzero(derivs == 0))

@@ -29,7 +29,7 @@ from .errors import (
     RootFindingError,
     ValidationError,
 )
-from .laurent import _check_count, _real_values
+from .laurent import _check_count, _complex_points, _real_values
 from .nodal import DISTINCT_TOL, NodalSystem, _check_unimodular, make_nodal_system
 
 __all__ = [
@@ -126,7 +126,7 @@ def bernstein_szego(h_coeffs: Sequence[complex]) -> MeasureSpec:
     alpha_k = -conj(phi_{k+1}(0)), phi_k* = (phi_{k+1}* + alpha_k phi_{k+1}) / (1 - |alpha_k|^2).
     An h with a zero in the closed disk (some |alpha_k| >= 1), not finite,
     zero or with h(0) = 0 raises ValidationError."""
-    h = np.asarray(list(h_coeffs), dtype=complex)
+    h = _complex_points("h", list(h_coeffs))
     if h.ndim != 1 or not np.all(np.isfinite(h)) or not np.any(h) or h[0] == 0:
         raise ValidationError(f"h must be finite, nonzero and h(0) != 0, got {reprlib.repr(h_coeffs)}")
     star = np.trim_zeros(h / h[0], "b")

@@ -34,17 +34,19 @@ __all__ = [
     "szego_transform_weight",
     "interval_nodes_from_measure",
     "interval_interpolate",
-    "trig_nodes_symmetric",
     "trig_interpolate_symmetric",
     "trig_interpolate_paraorthogonal",
 ]
 
 _VARIANT_TABLE = {
-    # variant -> (degree for n interior nodes, tau, minus-one flag, plus-one flag)
-    "mu1": (lambda n: 2 * n, 1.0, False, False),
-    "mu2": (lambda n: 2 * n + 2, -1.0, True, True),
-    "mu3": (lambda n: 2 * n + 1, -1.0, False, True),
-    "mu4": (lambda n: 2 * n + 1, 1.0, True, False),
+    # variant -> (node at -1, node at +1).  With real alphas omega_m(z, tau)
+    # vanishes at +1 exactly when tau = -1 and at -1 exactly when
+    # tau = -(-1)^m, so n interior nodes take m = 2n + minus + plus zeros
+    # and tau = -1 when +1 is a node, else 1.
+    "mu1": (False, False),
+    "mu2": (True, True),
+    "mu3": (False, True),
+    "mu4": (True, False),
 }
 VARIANTS = tuple(_VARIANT_TABLE)
 _ENDPOINT_IM_TOL = 1e-12
@@ -52,31 +54,46 @@ _ENDPOINT_IM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class IntervalNodalSystem:
-    """Interior interval nodes plus the conjugate-closed circle system they
-    came from; endpoints +-1 enter only through the variant's flags."""
+    """The interval nodes x = Re z of a circle system whose zeros are
+    conjugate pairs, to 1e-9, plus at most one zero at each of -1 and +1;
+    any other set of zeros raises SymmetryError.  The variant, the nodes,
+    their angles and the pairing of zeros to nodes are read off the zeros
+    once, when the system is built."""
 
-    xs: np.ndarray = field(repr=False)  # interior nodes, strictly increasing
     circle_system: NodalSystem = field(repr=False)
-    variant: str = "mu1"
+    variant: str = field(init=False)
+    has_minus_one: bool = field(init=False, repr=False)
+    has_plus_one: bool = field(init=False, repr=False)
+    xs: np.ndarray = field(init=False, repr=False)  # interior nodes, increasing
+    all_nodes: np.ndarray = field(init=False, repr=False)  # xs and the endpoint nodes
+    thetas: np.ndarray = field(init=False, repr=False)  # the angles arccos(all_nodes)
+    _index: np.ndarray = field(init=False, repr=False)  # each zero's place in all_nodes
 
     def __post_init__(self):
-        if not np.all(np.diff(self.xs) > 0):  # interval_interpolate searches them
-            raise ValidationError("the interior nodes xs must be strictly increasing")
-
-    @property
-    def has_minus_one(self) -> bool:
-        return _VARIANT_TABLE[self.variant][2]
-
-    @property
-    def has_plus_one(self) -> bool:
-        return _VARIANT_TABLE[self.variant][3]
-
-    @property
-    def all_nodes(self) -> np.ndarray:
-        """Interior nodes and flagged endpoints, increasing."""
-        minus = [-1.0] if self.has_minus_one else []
-        plus = [1.0] if self.has_plus_one else []
-        return np.concatenate([minus, self.xs, plus])
+        z = self.circle_system.nodes
+        # +-2 above and below the real axis, +-1 on it at +-1
+        side = np.where(np.abs(z.imag) > _ENDPOINT_IM_TOL, 2 * np.sign(z.imag), np.sign(z.real))
+        upper, lower, minus, plus = (np.flatnonzero(side == s) for s in (2.0, -2.0, -1.0, 1.0))
+        if len(upper) != len(lower) or len(minus) > 1 or len(plus) > 1:
+            raise SymmetryError(f"the circle zeros must be conjugate pairs plus at most one "
+                                f"zero at each of -1 and +1; got {len(upper)} above the real axis, "
+                                f"{len(lower)} below, {len(minus)} at -1 and {len(plus)} at +1")
+        upper, lower = upper[np.argsort(z.real[upper])], lower[np.argsort(z.real[lower])]
+        gap = np.max(np.abs(z[upper] - np.conj(z[lower])), initial=0.0)
+        if gap > 1e-9:
+            raise SymmetryError(f"zeros fail conjugate symmetry by {gap:.3e}")
+        n, flags = len(upper), (len(minus) == 1, len(plus) == 1)
+        index = np.empty(len(z), dtype=int)
+        index[upper] = index[lower] = np.arange(n) + flags[0]
+        index[minus], index[plus] = 0, n + flags[0]
+        xs = np.clip(z.real[upper], -1.0, 1.0)
+        for name, value in dict(
+            variant=next(v for v, f in _VARIANT_TABLE.items() if f == flags),
+            has_minus_one=flags[0], has_plus_one=flags[1], xs=xs, _index=index,
+            all_nodes=np.concatenate([[-1.0] * flags[0], xs, [1.0] * flags[1]]),
+            thetas=np.concatenate([[np.pi] * flags[0], np.angle(z[upper]), [0.0] * flags[1]]),
+        ).items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,32 +158,17 @@ def _szego_zeros(w, m: int, tau: float) -> NodalSystem:
 def interval_nodes_from_measure(w, n: int, variant: str = "mu1") -> IntervalNodalSystem:
     """Interval nodal system with n interior nodes from the weight w(x): a
     callable, or a "jacobi" (``jacobi_weight``) or "interval-weight"
-    (``szego_transform_weight``) MeasureSpec.
-
-    Takes the Verblunsky coefficients of the transformed measure, the
-    para-orthogonal zeros of the variant's degree/rotation, and projects
-    the upper-half-circle zeros to their real parts.
-    """
+    (``szego_transform_weight``) MeasureSpec, through the para-orthogonal
+    zeros of its Szego transform at the variant's degree and rotation."""
     if variant not in VARIANTS:
         raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     n = _check_count("the interior node count n", n, 1)
-    degree_of, tau, want_minus, want_plus = _VARIANT_TABLE[variant]
-    system = _szego_zeros(w, degree_of(n), tau)
-    z = system.nodes
-    half = np.where(np.abs(z.imag) > _ENDPOINT_IM_TOL, np.sign(z.imag), 0.0)
-    upper, lower, real = z[half > 0], z[half < 0], z[half == 0].real
-    if (len(upper), len(lower), any(real < 0), any(real > 0)) != (n, n, want_minus, want_plus):
-        raise SymmetryError(
-            f"variant {variant} expected {n} conjugate pairs with endpoints "
-            f"(-1: {want_minus}, +1: {want_plus}); got {len(upper)} zeros above the real "
-            f"axis, {len(lower)} below and {len(real)} on it"
-        )
-    up = upper[np.argsort(upper.real)]
-    gap = np.max(np.abs(up - np.conj(lower[np.argsort(lower.real)])))
-    if gap > 1e-9:
-        raise SymmetryError(f"zeros fail conjugate symmetry by {gap:.3e}")
-    xs = np.sort(np.clip(up.real, -1.0, 1.0))
-    return IntervalNodalSystem(xs=xs, circle_system=system, variant=variant)
+    minus, plus = _VARIANT_TABLE[variant]
+    system = IntervalNodalSystem(_szego_zeros(w, 2 * n + minus + plus, -1.0 if plus else 1.0))
+    if (system.variant, len(system.xs)) != (variant, n):
+        raise SymmetryError(f"variant {variant} with {n} interior nodes expected; the zeros "
+                            f"give {system.variant} with {len(system.xs)}")
+    return system
 
 
 def _folded_fit(system: NodalSystem, values):
@@ -190,12 +192,10 @@ def interval_interpolate(sys: IntervalNodalSystem, f):
     Returns a numpy Chebyshev series (stable to evaluate at high degree;
     call .convert() for power-basis coefficients when the degree is modest).
     """
-    system = sys.circle_system
-    # each circle node takes f at its nearest interval node: the two real parts of a pair can differ
+    # both zeros of a pair take f at their interval node: their real parts can differ
     x = sys.all_nodes
-    fx = _real_values("f", f(x), x.shape)
-    values = fx[np.searchsorted(0.5 * (x[1:] + x[:-1]), system.nodes.real)]
-    pos, neg = _folded_fit(system, values)
+    values = _real_values("f", f(x), x.shape)[sys._index]
+    pos, neg = _folded_fit(sys.circle_system, values)
     d = 0.5 * (pos + neg)
     scale = max(float(np.max(np.abs(values))), 1.0)
     if np.max(np.abs(d.imag)) > 1e-9 * scale:
@@ -204,15 +204,6 @@ def interval_interpolate(sys: IntervalNodalSystem, f):
         )
     cheb = np.concatenate([[d[0].real], 2.0 * d[1:].real])
     return np.polynomial.chebyshev.Chebyshev(cheb)
-
-
-def trig_nodes_symmetric(w, n: int) -> np.ndarray:
-    """The 2n angles of the mu1 circle system of the weight w (as
-    ``interval_nodes_from_measure`` takes it), increasing: theta_j =
-    arccos x_j in (0, pi) for the interval nodes x_j and their mirror
-    images 2 pi - theta_j."""
-    n = _check_count("the interior node count n", n, 1)
-    return np.sort(_szego_zeros(w, 2 * n, 1.0).thetas)
 
 
 def _trig_fit(system: NodalSystem, f) -> TrigPolynomial:

@@ -30,7 +30,6 @@ from circleinterp import (
     szego_recurrence,
     trig_interpolate_paraorthogonal,
     trig_interpolate_symmetric,
-    trig_nodes_symmetric,
     verblunsky_coefficients,
 )
 from circleinterp.cli import main as cli_main
@@ -200,7 +199,7 @@ def test_08_trig_interpolation():
     F = corpus("holder", 0.6)
     # interpolation conditions and realness, symmetric variant
     tp = trig_interpolate_symmetric(chebyshev1_weight, 8, F)
-    theta = trig_nodes_symmetric(chebyshev1_weight, 8)
+    theta = np.sort(interval_nodes_from_measure(chebyshev1_weight, 8).circle_system.thetas)
     cond = float(np.max(np.abs(tp(theta) - F(theta))))
     ok &= cond <= 1e-11
     ok &= tp.a.dtype == float and tp.b.dtype == float

@@ -174,6 +174,18 @@ class TestCommands:
         first = lines[1].split(",")
         assert first[1] == "-1.0" and first[3] == "1"
 
+    def test_interval_nodes_csv_angles_are_the_circle_angles(self, tmp_path):
+        """theta_j is the argument of the circle zero, not acos(x_j), which
+        put it up to 1.1e-13 rad off (2j - 1) pi / (2n) at n = 4096."""
+        nodes_out = tmp_path / "nodes.csv"
+        assert main(["interval", "--n", "4096", "--weight", "chebyshev1", "--variant", "mu1",
+                     "--corpus", "smooth-exp", "--grid", "16", "--out", str(tmp_path / "iv.json"),
+                     "--nodes-out", str(nodes_out)]) == 0
+        rows = np.loadtxt(nodes_out, delimiter=",", skiprows=1)
+        assert rows[:, 3].tolist() == [0.0] * 4096
+        ref = (2 * np.arange(4096, 0, -1) - 1) * np.pi / (2 * 4096)
+        assert np.max(np.abs(rows[:, 2] - ref)) <= 2e-15
+
     def test_interval_weights_are_jacobi_specs(self, tmp_path, monkeypatch):
         """The four --weight choices are Jacobi weights (1-x)^a (1+x)^b,
         and the interval and symmetric trig commands take their alphas in

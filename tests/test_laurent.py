@@ -9,10 +9,12 @@ from circleinterp import (
     NodalFamily,
     ParaOrthogonalSpec,
     ValidationError,
+    bernstein_szego,
     coefficients_from_samples,
     convergence_sweep,
     corpus,
     estimate_conditions,
+    eval_interpolant,
     eval_laurent,
     finite_verblunsky,
     fundamental_polynomial,
@@ -21,6 +23,7 @@ from circleinterp import (
     interval_nodes_from_measure,
     lebesgue_measure,
     make_degree_plan,
+    make_nodal_system,
     near_best_error,
     roots_of_unimodular,
     szego_recurrence,
@@ -310,11 +313,36 @@ ROOTS4 = roots_of_unimodular(4, 1.0)
     lambda: finite_verblunsky(0.5),
     lambda: make_degree_plan(4, "x"),
     lambda: DegreePlan(p=True, q=1),
+    lambda: coefficients_from_samples([1, 2, 3], "1"),
 ], ids=["node-index", "tau-str", "tau-none", "tau-bool", "roots-tau-str", "roots-n-bool",
         "szego-nested", "szego-ragged", "verblunsky-str", "verblunsky-scalar", "ratio-str",
-        "plan-bool"])
+        "plan-bool", "samples-p-str"])
 def test_malformed_scalars_raise_validation_error(call):
     """A value of the wrong type is bad input: ValidationError names it,
     where numpy or Python raised IndexError, ValueError or TypeError."""
     with pytest.raises(ValidationError):
         call()
+
+
+PLAN4 = make_degree_plan(4, 0.5)
+
+
+@pytest.mark.parametrize("bad", [["1", "2", "3", "4"], "1j", [None, 1, 2, 3], "x",
+                                 [[1, 2], [3], 4, 5]],
+                         ids=["numeric-strs", "numeric-str", "none", "str", "ragged"])
+@pytest.mark.parametrize("call", [
+    lambda v: LaurentPolynomial(p=1, q=2, coeffs=v),
+    lambda v: eval_laurent(LaurentPolynomial(p=1, q=2, coeffs=np.ones(4)), v),
+    lambda v: coefficients_from_samples(v, 1),
+    lambda v: make_nodal_system(v),
+    lambda v: interpolate(ROOTS4, PLAN4, v),
+    lambda v: eval_interpolant(interpolate(ROOTS4, PLAN4, np.ones(4)), v),
+    lambda v: bernstein_szego(v),
+], ids=["laurent-coeffs", "laurent-points", "samples", "nodes", "values", "interpolant-points",
+        "bernstein-szego-h"])
+def test_complex_arrays_must_be_numbers(call, bad):
+    """A complex array input holds numbers only: a cast accepted numeric
+    strings, stored None as NaN and raised a bare ValueError on 'x' or a
+    ragged list."""
+    with pytest.raises(ValidationError, match="must be numbers"):
+        call(bad)

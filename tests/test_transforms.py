@@ -22,7 +22,6 @@ from circleinterp import (
     szego_recurrence,
     trig_interpolate_paraorthogonal,
     trig_interpolate_symmetric,
-    trig_nodes_symmetric,
     verblunsky_coefficients,
 )
 
@@ -186,18 +185,49 @@ class TestIntervalNodes:
             interval_nodes_from_measure(chebyshev1_weight, 3, "mu5")
 
     @pytest.mark.parametrize("thetas,match", [
-        ([0.5, 1.0, 1.5, -1.0], "got 3 zeros above the real axis, 1 below and 0 on it"),
+        ([0.5, 1.0, 1.5, -1.0], r"got 3 above the real axis, 1 below, 0 at -1 and 0 at \+1"),
         ([0.5, 1.0, -0.5, -1.2], "fail conjugate symmetry by 1.997e-01"),
-        ([0.0, 1.0, -1.0, np.pi], r"expected 2 conjugate pairs with endpoints \(-1: False, \+1: False\)"),
+        ([0.0, 1.0, -1.0, np.pi], "variant mu1 with 2 interior nodes expected; the zeros give "
+                                  "mu2 with 1"),
     ], ids=["counts", "pairing", "endpoints"])
     def test_asymmetric_zeros_raise(self, monkeypatch, thetas, match):
-        """Solver output that a real weight cannot give: a mu1 system of
-        n = 2 needs two zeros in each half plane and none on the real axis,
-        and then the two halves must be conjugate."""
+        """Solver output that a real weight cannot give: the zeros must be
+        as many above the real axis as below, and the two halves conjugate;
+        and a mu1 system of n = 2 needs two pairs and no zero on the axis."""
         system = make_nodal_system(np.exp(1j * np.array(thetas)))
         monkeypatch.setattr(transforms, "paraorthogonal_nodes", lambda alphas, spec: system)
         with pytest.raises(SymmetryError, match=match):
             interval_nodes_from_measure(chebyshev1_weight, 2, "mu1")
+
+    def test_non_conjugate_circle_system_raises(self):
+        """The roots of z^8 = e^{0.3i} lie four above the real axis and four
+        below, but no two are conjugate."""
+        with pytest.raises(SymmetryError, match="fail conjugate symmetry by 6.956e-01"):
+            IntervalNodalSystem(roots_of_unimodular(8, np.exp(0.3j)))
+
+    @pytest.mark.parametrize("weight", sorted(INTERVAL_WEIGHTS))
+    @pytest.mark.parametrize("variant", ["mu1", "mu2", "mu3", "mu4"])
+    def test_variant_is_read_off_the_zeros(self, weight, variant):
+        """Rebuilt from its circle system alone, a system gives back the
+        requested variant and its nodes and angles, bit for bit; the
+        angles are the arccos of the nodes."""
+        sys = interval_nodes_from_measure(INTERVAL_WEIGHTS[weight], 9, variant)
+        again = IntervalNodalSystem(sys.circle_system)
+        assert sys.variant == again.variant == variant
+        assert len(again.all_nodes) == 9 + again.has_minus_one + again.has_plus_one
+        for name in ("xs", "all_nodes", "thetas"):
+            assert getattr(again, name).tobytes() == getattr(sys, name).tobytes()
+        assert np.max(np.abs(np.cos(sys.thetas) - sys.all_nodes)) < 1e-15
+
+    def test_nodes_come_from_the_zeros_only(self):
+        """xs and variant are read off the circle system, not given: a
+        hand-built system with xs scaled by 0.9 gave a fit 0.18 off f at
+        its own nodes, with no error."""
+        sys = interval_nodes_from_measure(chebyshev1_weight, 6, "mu1")
+        with pytest.raises(TypeError):
+            IntervalNodalSystem(circle_system=sys.circle_system, xs=0.9 * sys.xs)
+        with pytest.raises(TypeError):
+            IntervalNodalSystem(sys.circle_system, variant="mu2")
 
 
 def upper_angles(sys):
@@ -206,6 +236,11 @@ def upper_angles(sys):
     arccos has next to x = +-1."""
     z = sys.circle_system.nodes
     return np.sort(np.angle(z[z.imag > 1e-12]))
+
+
+def symmetric_angles(w, n):
+    """The 2n angles of the mu1 circle system of w, increasing."""
+    return np.sort(interval_nodes_from_measure(w, n).circle_system.thetas)
 
 
 class TestJacobiRoute:
@@ -241,7 +276,6 @@ class TestJacobiRoute:
         for name, w in INTERVAL_WEIGHTS.items():
             interval_nodes_from_measure(w, 8, "mu2")
             trig_interpolate_symmetric(w, 8, F)
-            trig_nodes_symmetric(w, 8)
 
     def test_interval_weight_spec_is_taken_as_it_is(self):
         """A Szego-transformed callable gives the callable's nodes, bit for bit."""
@@ -256,7 +290,7 @@ class TestJacobiRoute:
         (0.5, "callable or a MeasureSpec, got float"),
     ], ids=["finite-verblunsky", "quadrature-weight", "number"])
     def test_refuses_other_weights(self, w, match):
-        for call in (lambda: interval_nodes_from_measure(w, 3), lambda: trig_nodes_symmetric(w, 3),
+        for call in (lambda: interval_nodes_from_measure(w, 3),
                      lambda: trig_interpolate_symmetric(w, 3, np.cos)):
             with pytest.raises(ValidationError, match=match):
                 call()
@@ -283,20 +317,16 @@ class TestIntervalInterpolation:
         with pytest.raises(ValidationError, match="f must return one real number"):
             interval_interpolate(sys, lambda x: 1j * x)
 
-    def test_asymmetric_circle_system_leaves_imaginary_residue(self):
+    def test_asymmetric_circle_system_leaves_imaginary_residue(self, monkeypatch):
         """Nodes that are not conjugate-closed do not fold to a real
-        polynomial in x."""
-        circle = roots_of_unimodular(8, np.exp(0.3j))
-        sys = IntervalNodalSystem(xs=np.sort(circle.nodes.real[:4]), circle_system=circle)
-        with pytest.raises(SymmetryError, match="imaginary residue"):
+        polynomial in x.  Such a system can no longer be built, so the fit
+        it would give, c_k and c_{-k} not conjugate, is patched in: the
+        residue check stays as a safety net."""
+        sys = interval_nodes_from_measure(chebyshev1_weight, 4, "mu1")
+        pos = np.array([1.0, 0.5j, 0.25])
+        monkeypatch.setattr(transforms, "_folded_fit", lambda system, values: (pos, pos.real))
+        with pytest.raises(SymmetryError, match="imaginary residue 2.500e-01"):
             interval_interpolate(sys, np.exp)
-
-    def test_interior_nodes_must_increase(self):
-        """interval_interpolate takes f at the interior nodes by a sorted
-        search; reversed nodes gave an interpolant 2.5 off with no error."""
-        sys = interval_nodes_from_measure(chebyshev1_weight, 6, "mu1")
-        with pytest.raises(ValidationError, match="strictly increasing"):
-            IntervalNodalSystem(xs=sys.xs[::-1], circle_system=sys.circle_system)
 
     def test_interpolates_node_values(self):
         sys = interval_nodes_from_measure(chebyshev1_weight, 10, "mu2")
@@ -376,21 +406,21 @@ class TestIntervalInterpolation:
 
 class TestTrig:
     def test_symmetric_angles_mirror(self):
-        theta = trig_nodes_symmetric(chebyshev1_weight, 4)
+        theta = symmetric_angles(chebyshev1_weight, 4)
         assert len(theta) == 8
         assert np.all(np.diff(theta) > 0)
         assert np.max(np.abs((theta + theta[::-1]) - 2 * np.pi)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 8, 33])
     def test_symmetric_angles_are_the_circle_system(self, n):
-        """The 2n angles are those of the mu1 circle system, not re-derived
-        from the interval nodes."""
-        circle = interval_nodes_from_measure(chebyshev1_weight, n, "mu1").circle_system
-        np.testing.assert_array_equal(trig_nodes_symmetric(chebyshev1_weight, n),
-                                      np.sort(circle.thetas))
+        """The interval system's node angles are the n symmetric angles in
+        (0, pi) of its mu1 circle system, not re-derived from the interval
+        nodes."""
+        sys = interval_nodes_from_measure(chebyshev1_weight, n, "mu1")
+        np.testing.assert_array_equal(sys.thetas[::-1], np.sort(sys.circle_system.thetas)[:n])
 
     def test_chebyshev_symmetric_angles_closed_form(self):
-        theta = trig_nodes_symmetric(chebyshev1_weight, 3)
+        theta = symmetric_angles(chebyshev1_weight, 3)
         j = np.arange(1, 4)
         expected = (2 * j - 1) * np.pi / 6
         assert np.max(np.abs(theta[:3] - expected)) < 1e-11
@@ -399,7 +429,7 @@ class TestTrig:
         F = lambda t: np.exp(np.sin(t)) + 0.3 * np.cos(2 * t)
         n = 6
         tp = trig_interpolate_symmetric(chebyshev1_weight, n, F)
-        theta = trig_nodes_symmetric(chebyshev1_weight, n)
+        theta = symmetric_angles(chebyshev1_weight, n)
         assert tp.degree <= n
         assert np.max(np.abs(tp(theta) - F(theta))) < 1e-11
 
@@ -444,21 +474,20 @@ class TestTrig:
         np.testing.assert_array_equal(sym.b, para.b)
 
     def test_symmetric_transfers_skip_the_interval_classification(self, monkeypatch):
-        """The symmetric trig transfers take the para-orthogonal zeros
-        directly; they never classify them as interval nodes."""
+        """The symmetric trig transfer takes the para-orthogonal zeros
+        directly; it never classifies them as interval nodes."""
         def refuse(*args, **kwargs):
             raise AssertionError("interval_nodes_from_measure called")
 
-        want = trig_nodes_symmetric(chebyshev1_weight, 4)
+        want = symmetric_angles(chebyshev1_weight, 4)
         monkeypatch.setattr(transforms, "interval_nodes_from_measure", refuse)
-        np.testing.assert_array_equal(trig_nodes_symmetric(chebyshev1_weight, 4), want)
         tp = trig_interpolate_symmetric(chebyshev1_weight, 4, np.cos)
         assert np.max(np.abs(tp(want) - np.cos(want))) < 1e-13
 
     @pytest.mark.parametrize("bad", [2.5, 0, "4"])
     def test_symmetric_transfers_check_n(self, bad):
         with pytest.raises(ValidationError, match="interior node count n"):
-            trig_nodes_symmetric(chebyshev1_weight, bad)
+            interval_nodes_from_measure(chebyshev1_weight, bad)
         with pytest.raises(ValidationError, match="interior node count n"):
             trig_interpolate_symmetric(chebyshev1_weight, bad, np.cos)
 
