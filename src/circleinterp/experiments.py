@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import CircleInterpError, ValidationError
 from .interp import interpolant_coefficients, interpolate
-from .laurent import (DegreePlan, _check_count, _check_ratio, _fft_on_grid, _real_points,
-                      _real_values, _uniform_angles, eval_laurent, make_degree_plan)
+from .laurent import (DegreePlan, _check_count, _check_ratio, _complex_points, _fft_on_grid,
+                      _real_points, _real_values, _uniform_angles, eval_laurent,
+                      make_degree_plan)
 from .nodal import (AT_NODE_TOL, NodalSystem, _node_midpoints, estimate_conditions,
                     roots_of_unimodular)
 from .opuc import (
@@ -58,7 +59,7 @@ class CorpusFunction:
         return self.f_theta(_real_points(f"{self.label} angles (on_circle takes points z)", theta))
 
     def on_circle(self, z):
-        return self.f_theta(np.mod(np.angle(np.asarray(z, dtype=complex)), 2.0 * np.pi))
+        return self.f_theta(np.mod(np.angle(_complex_points(f"{self.label} points z", z)), 2.0 * np.pi))
 
     def on_interval(self, x):
         return self.f_theta(np.arccos(np.clip(_real_points(f"{self.label} x", x), -1.0, 1.0)))
@@ -182,7 +183,7 @@ def near_best_error(F: CorpusFunction, plan: DegreePlan, grid_size: int = 8192) 
     while M < 4 * (max(plan.p, plan.q) + 2):
         M *= 2
     theta = _uniform_angles(M)
-    vals = np.asarray(F(theta), dtype=complex)
+    vals = _complex_points("F's values", F(theta))
     c = np.fft.fft(vals) / M
     approx = np.fft.ifft(c * _vp_taper(plan.p, plan.q, M) * M)
     return float(np.max(np.abs(vals - approx)))

@@ -238,4 +238,4 @@ def interpolation_error(I: CircleInterpolant, F, grid_size: int = 8192) -> float
     z, through F.on_circle where it has one (a corpus function takes angles)."""
     z = np.exp(1j * _uniform_angles(_check_count("grid_size", grid_size, 1)))
     f = getattr(F, "on_circle", F)(z)
-    return float(np.max(np.abs(np.asarray(f, dtype=complex) - eval_interpolant(I, z))))
+    return float(np.max(np.abs(_complex_points("F's values", f) - eval_interpolant(I, z))))

@@ -29,7 +29,7 @@ from .errors import (
     RootFindingError,
     ValidationError,
 )
-from .laurent import _check_count, _complex_points, _real_values
+from .laurent import _check_count, _complex_points, _numbers, _real_values
 from .nodal import DISTINCT_TOL, NodalSystem, _check_unimodular, make_nodal_system
 
 __all__ = [
@@ -179,11 +179,8 @@ def szego_recurrence(alphas: Sequence[complex], N: int) -> np.ndarray:
     """alpha_0..alpha_{N-1}, which fix the monic OPUC through degree N, as
     a complex copy, after checking that alphas is a 1-D sequence of
     numbers, that there are N of them and that each has |alpha_k| < 1."""
-    try:
-        a = np.asarray(alphas)
-    except ValueError:  # a ragged nesting
-        a = None
-    if a is None or a.ndim != 1 or a.dtype.kind not in "iufc":
+    a = _numbers("Verblunsky coefficients", alphas, "iufc", "a 1-D sequence of numbers")
+    if a.ndim != 1:
         raise ValidationError(f"Verblunsky coefficients must be a 1-D sequence of numbers, "
                               f"got {reprlib.repr(alphas)}")
     N = _check_count("N", N, 0)
@@ -205,34 +202,12 @@ def _weight_values(w, theta: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _real_dft(vals: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """F_k = sum_j vals_j e^{-2 pi i j k / L} of real vals at integers
-    k >= 0, from one rfft: F is L-periodic and F_k = conj(F_{L-k})."""
-    L = len(vals)
-    F = np.fft.rfft(vals)
-    k = k % L
-    top = k > L // 2
-    Fk = F[np.where(top, L - k, k)]
-    return np.where(top, np.conj(Fk), Fk)
-
-
-def _midpoint_moments(w, m: int, k: np.ndarray) -> np.ndarray:
-    """(2 pi / m) sum_j w(theta_j) e^{i k theta_j}, theta_j = 2 pi (j + 1/2) / m."""
+def _midpoint_moments(w, m: int, N: int) -> np.ndarray:
+    """(2 pi / m) sum_j w(theta_j) e^{i k theta_j} for k = 0..N < m,
+    theta_j = 2 pi (j + 1/2) / m, by one FFT over all m points."""
     vals = _weight_values(w, 2.0 * np.pi * (np.arange(m) + 0.5) / m)
-    return (2.0 * np.pi / m) * np.exp(1j * np.pi * k / m) * np.conj(_real_dft(vals, k))
-
-
-def _even_moments(w, m: int, k: np.ndarray) -> np.ndarray:
-    """The midpoint moments of a weight with w(2 pi - theta) = w(theta):
-    (4 pi / m) sum_{j < m/2} w(theta_j) cos(k theta_j), a DCT-II of length
-    M = m/2 at the first-kind Chebyshev angles.  Makhoul's reordering
-    v = (x_0, x_2, ..., x_{M-2}, x_{M-1}, ..., x_3, x_1) of x_j = w(theta_j) gives
-    DCT_k = Re(e^{-i pi k / m} V_k) with V the length-M DFT of v; w is
-    evaluated straight in that order."""
-    M = m // 2
-    order = np.concatenate([np.arange(0, M, 2), np.arange(M - 1, 0, -2)])
-    vals = _weight_values(w, np.pi * (2 * order + 1) / m)
-    return (4.0 * np.pi / m) * (np.exp(-1j * np.pi * k / m) * _real_dft(vals, k)).real
+    k = np.arange(N + 1)
+    return (2.0 * np.pi / m) * np.exp(1j * np.pi * k / m) * np.conj(np.fft.fft(vals)[: N + 1])
 
 
 def _check_power_law(diffs: list, m: int) -> None:
@@ -269,19 +244,20 @@ def _moments(spec: MeasureSpec, N: int) -> np.ndarray:
 
     The grid is shifted by half a step (periodic midpoint rule, same spectral
     accuracy) so that removable singularities of Szego-transformed weights at
-    theta = 0 and theta = pi are never sampled.  Each level takes one rfft;
-    an interval weight, which is even, only the half grid (``_even_moments``),
-    and its moments are exactly real.
+    theta = 0 and theta = pi are never sampled.  Each level takes one FFT
+    (``_midpoint_moments``).  An interval weight is even, so its moments are
+    real: each level keeps only their real part, and its alphas are exactly
+    real.
     """
-    level = _even_moments if spec.kind == "interval-weight" else _midpoint_moments
-    k = np.arange(N + 1)
     prev = None
     diffs = []
     m = 256
     while m <= N:  # need at least N+1 resolvable frequencies
         m *= 2
     while m <= MAX_QUADRATURE_POINTS:
-        cur = np.asarray(level(spec.weight, m, k), dtype=complex)
+        cur = _midpoint_moments(spec.weight, m, N)
+        if spec.kind == "interval-weight":
+            cur = cur.real
         if prev is not None:
             scale = max(abs(cur[0].real), 1e-300)
             diff = np.max(np.abs(cur - prev))
@@ -313,17 +289,10 @@ def _weight_alphas(spec: MeasureSpec, N: int) -> np.ndarray:
     if mass <= 0:
         raise ValidationError("measure has nonpositive total mass")
     alphas = np.zeros(N, dtype=complex)
-    # phi_k = buf[N - k:], right-aligned behind zeros, so that z phi_k is
-    # buf[N - k - 1:]; rev[:k + 1] = phi_k* coefficients, then zeros
-    buf = np.zeros(N + 1, dtype=complex)
-    buf[N] = 1.0
-    rev = np.zeros(N + 1, dtype=complex)
-    rev[0] = 1.0
-    tmp = np.empty(N + 1, dtype=complex)
+    phi = np.ones(1, dtype=complex)  # ascending coefficients of phi_k
     norm2 = mass
     for k in range(N):
-        ip = np.dot(buf[N - k:], m[1:k + 2])  # <z phi_k, 1> = sum_j a_j m_{j+1}
-        c = ip / norm2
+        c = np.dot(phi, m[1:k + 2]) / norm2  # <z phi_k, 1> = sum_j a_j m_{j+1}
         alpha = np.conj(c)
         if abs(alpha) >= ALPHA_LIMIT:
             raise MeasureValidityError(
@@ -333,9 +302,7 @@ def _weight_alphas(spec: MeasureSpec, N: int) -> np.ndarray:
             )
         alphas[k] = alpha
         # phi_{k+1} = z phi_k - c phi_k*
-        nxt = buf[N - k - 1:]
-        nxt -= np.multiply(c, rev[:k + 2], out=tmp[:k + 2])
-        np.conjugate(nxt[::-1], out=rev[:k + 2])
+        phi = np.concatenate([[0.0], phi]) - c * np.concatenate([np.conj(phi[::-1]), [0.0]])
         norm2 *= 1.0 - abs(alpha) ** 2
     return alphas
 

@@ -126,7 +126,7 @@ class TrigPolynomial:
 def szego_transform_weight(w) -> MeasureSpec:
     """Circle weight theta -> (1/2) w(cos theta) |sin theta| of an interval
     weight w on [-1, 1], as an "interval-weight" measure: the weight is even,
-    so its moments are real and need only the half circle."""
+    so its moments are real; the quadrature keeps their real part."""
 
     def circle_w(theta):
         theta = np.asarray(theta, dtype=float)

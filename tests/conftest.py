@@ -80,14 +80,14 @@ def plain_moments(spec, N, tol=1e-12):
     of the level that converged."""
     from circleinterp import QuadratureError, opuc
 
-    level = opuc._even_moments if spec.kind == "interval-weight" else opuc._midpoint_moments
-    k = np.arange(N + 1)
     prev = None
     m = 256
     while m <= N:
         m *= 2
     while m <= opuc.MAX_QUADRATURE_POINTS:
-        cur = np.asarray(level(spec.weight, m, k), dtype=complex)
+        cur = opuc._midpoint_moments(spec.weight, m, N)
+        if spec.kind == "interval-weight":
+            cur = cur.real
         if prev is not None:
             scale = max(abs(cur[0].real), 1e-300)
             if np.max(np.abs(cur - prev)) < tol * scale:
@@ -188,21 +188,6 @@ def brute_force_interpolant(nodes, p, values, z):
         wprime = np.prod(nodes[j] - np.delete(nodes, j))
         total += values[j] * nodes[j] ** p * w / (wprime * (z - nodes[j]) * z**p)
     return total
-
-
-def levinson_reference(m, N):
-    """The Levinson loop of opuc._weight_alphas as it was, with two
-    concatenations per degree: alpha_0..alpha_{N-1} from the moments
-    m_0..m_N.  The library's in-place loop must agree bit for bit."""
-    alphas = np.zeros(N, dtype=complex)
-    phi = np.ones(1, dtype=complex)
-    norm2 = m[0].real
-    for k in range(N):
-        c = np.dot(phi, m[1:k + 2]) / norm2
-        alphas[k] = np.conj(c)
-        phi = np.concatenate([[0.0], phi]) - c * np.concatenate([np.conj(phi[::-1]), [0.0]])
-        norm2 *= 1.0 - abs(alphas[k]) ** 2
-    return alphas
 
 
 def joined_grid_sup_error(I, F, error_grid):

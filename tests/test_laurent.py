@@ -338,8 +338,11 @@ PLAN4 = make_degree_plan(4, 0.5)
     lambda v: interpolate(ROOTS4, PLAN4, v),
     lambda v: eval_interpolant(interpolate(ROOTS4, PLAN4, np.ones(4)), v),
     lambda v: bernstein_szego(v),
+    lambda v: interpolation_error(interpolate(ROOTS4, PLAN4, np.ones(4)), lambda z: v, grid_size=4),
+    lambda v: near_best_error(lambda theta: v, PLAN4),
+    lambda v: corpus("smooth-exp").on_circle(v),
 ], ids=["laurent-coeffs", "laurent-points", "samples", "nodes", "values", "interpolant-points",
-        "bernstein-szego-h"])
+        "bernstein-szego-h", "interpolation-error-values", "near-best-values", "corpus-points"])
 def test_complex_arrays_must_be_numbers(call, bad):
     """A complex array input holds numbers only: a cast accepted numeric
     strings, stored None as NaN and raised a bare ValueError on 'x' or a

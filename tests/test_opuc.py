@@ -28,11 +28,9 @@ from circleinterp import (
 )
 from circleinterp import opuc
 from conftest import (
-    CHEBYSHEV_WEIGHTS,
     bernstein_szego_weight,
     chebyshev1_weight,
     geronimus_alphas,
-    levinson_reference,
     opuc_coefficients,
     paraorthogonal_coefficients,
     plain_moments,
@@ -350,14 +348,6 @@ class TestVerblunskyRecovery:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValidationError, match="unknown measure kind 'foo'"):
             verblunsky_coefficients(MeasureSpec(kind="foo", weight=np.ones_like), 2)
-
-    @pytest.mark.parametrize("weight", sorted(CHEBYSHEV_WEIGHTS))
-    def test_in_place_levinson_is_bit_identical(self, weight):
-        """The preallocated loop does the arithmetic of the concatenating
-        one, on the four Chebyshev weights as callables at N = 258."""
-        spec = szego_transform_weight(CHEBYSHEV_WEIGHTS[weight])
-        ref = levinson_reference(opuc._moments(spec, 258), 258)
-        assert verblunsky_coefficients(spec, 258).tobytes() == ref.tobytes()
 
     def test_invalid_count(self):
         with pytest.raises(ValidationError, match="integer"):

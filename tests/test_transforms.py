@@ -27,7 +27,6 @@ from circleinterp import (
 
 from circleinterp import laurent, opuc, transforms
 from circleinterp.cli import INTERVAL_WEIGHTS
-from circleinterp.opuc import _even_moments
 from conftest import (
     CHEBYSHEV_WEIGHTS,
     chebyshev1_weight,
@@ -75,8 +74,9 @@ class TestSzegoTransform:
 
 
 class TestIntervalMoments:
-    """Interval weights are even on the circle: their moments come from the
-    half grid by one real cosine transform and are exactly real."""
+    """Interval weights are even on the circle, so their moments are real:
+    the quadrature keeps the real part of each full-circle FFT, and the
+    alphas are exactly real."""
 
     @pytest.mark.parametrize("name", sorted(CHEBYSHEV_WEIGHTS))
     def test_alphas_exactly_real(self, name):
@@ -85,17 +85,27 @@ class TestIntervalMoments:
             alphas = verblunsky_coefficients(nu, N)
             assert np.all(alphas.imag == 0)
 
+    @pytest.mark.parametrize("N", [258, 2050])
+    def test_chebyshev_callables_match_closed_form(self, N):
+        """Quadrature and Levinson on the four Chebyshev callables against
+        their closed-form alphas (measured at most 1.8e-13 at N = 2050)."""
+        exponents = {"chebyshev1": (-0.5, -0.5), "chebyshev2": (0.5, 0.5),
+                     "chebyshev3": (-0.5, 0.5), "chebyshev4": (0.5, -0.5)}
+        for name, (a, b) in exponents.items():
+            got = verblunsky_coefficients(szego_transform_weight(CHEBYSHEV_WEIGHTS[name]), N)
+            assert np.max(np.abs(got - opuc._jacobi_alphas(a, b, N))) < 3e-13
+
     @pytest.mark.parametrize("w", [legendre_weight] + [
         CHEBYSHEV_WEIGHTS[name] for name in ("chebyshev2", "chebyshev3", "chebyshev4")
     ], ids=["legendre", "chebyshev2", "chebyshev3", "chebyshev4"])
     @pytest.mark.parametrize("m", [256, 1024])
     def test_half_grid_matches_full_circle(self, w, m):
-        """Every k < m, so the aliased moments above m/4 and m/2 are checked
-        too."""
-        circle_w = szego_transform_weight(w).weight
-        ref = midpoint_moments(circle_w, m, m - 1)
-        got = _even_moments(circle_w, m, np.arange(m))
-        assert np.max(np.abs(got - ref)) <= 1e-15 * ref[0].real
+        """The half grid fixes the moments of an even weight, which are
+        real: the imaginary parts that the full-circle FFT leaves, and the
+        quadrature drops, are rounding.  Every k < m, so the aliased
+        moments above m/4 and m/2 are checked too."""
+        got = midpoint_moments(szego_transform_weight(w).weight, m, m - 1)
+        assert np.max(np.abs(got.imag)) <= 1e-15 * got[0].real
 
     @pytest.mark.parametrize("name,mp_weight", [
         ("chebyshev2", lambda mp, x: mp.sqrt(1 - x * x)),
@@ -132,7 +142,7 @@ class TestIntervalMoments:
         assert peak < 3e6
 
     @pytest.mark.parametrize("a,b,order", [(0.0, 0.0, "2.00"), (1.5, -0.3, "1.40")])
-    @pytest.mark.parametrize("N", [129, 257])
+    @pytest.mark.parametrize("N", [128, 129, 256, 257])
     def test_power_law_declined_early(self, a, b, order, N):
         """The Szego transform of (1-x)^a (1+x)^b behaves like |theta|^{2a+1}
         and |theta - pi|^{2b+1}, so the midpoint rule converges like
