@@ -4,10 +4,17 @@
 Compares the four interval node variants (interior-only, both endpoints,
 one endpoint each) on [-1, 1] targets of increasing roughness under the
 Chebyshev weight, then runs the symmetric trigonometric interpolant on the
-matching periodic targets.  Last, it checks the moment quadrature against
-the closed form: the Chebyshev-2 weight given as a callable must give the
-node angles of jacobi_weight(0.5, 0.5) to NODE_GAP_TOL, or the script
-exits nonzero.
+matching periodic targets.  Last, it checks three routes to the same
+nodes, and exits nonzero when one fails:
+- the Chebyshev-2 weight given as a callable must give the node angles of
+  jacobi_weight(0.5, 0.5) to NODE_GAP_TOL (moment quadrature against the
+  closed form);
+- lebesgue_measure() must give the node angles of jacobi_weight(-0.5, -0.5)
+  bit for bit: both have all alphas 0, and the transfers take any measure
+  with real alphas;
+- the Bernstein-Szego weight 1 / ((1 + r^2 - 2 r x) sqrt(1 - x^2)), r = 0.95,
+  given as a callable must give the node angles of bernstein_szego([1, -r])
+  to NODE_GAP_TOL (the quadrature's doubling loop against exact alphas).
 
 Usage:
     python scripts/run_interval_study.py --n-max 128
@@ -18,21 +25,31 @@ import argparse
 import numpy as np
 
 from circleinterp import (
+    bernstein_szego,
     interval_interpolate,
     interval_nodes_from_measure,
     jacobi_weight,
+    lebesgue_measure,
     trig_interpolate_symmetric,
 )
 
 # (1 - x^2)^(-1/2), whose Verblunsky coefficients are exactly 0
 chebyshev1 = jacobi_weight(-0.5, -0.5)
-# radians; the two routes to the Chebyshev-2 nodes agree to 1.05e-15 for n <= 128
+# radians; the two routes to the Chebyshev-2 nodes agree to 1.05e-15 for
+# n <= 128, those to the Bernstein-Szego nodes to 3.2e-15
 NODE_GAP_TOL = 1e-13
+R = 0.95
 
 
 def chebyshev2(x):
     """(1 - x^2)^(1/2) as a callable, which takes the moment quadrature."""
     return np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+
+
+def bernstein_szego_interval(x):
+    """1 / ((1 + R^2 - 2 R x) sqrt(1 - x^2)) as a callable; its alphas are
+    exactly (R, 0, 0, ..), those of bernstein_szego([1, -R])."""
+    return 1.0 / ((1.0 + R * R - 2.0 * R * x) * np.sqrt(1.0 - x * x))
 
 
 def main():
@@ -82,15 +99,20 @@ def main():
     print(f"\nnode count at n={ns[-1]}: "
           f"{interval_nodes_from_measure(chebyshev1, ns[-1]).circle_system.n}")
 
-    gaps = []
-    for n in ns:
-        quad = interval_nodes_from_measure(chebyshev2, n).thetas
-        exact = interval_nodes_from_measure(jacobi_weight(0.5, 0.5), n).thetas
-        gaps.append(np.max(np.abs(quad - exact)))
-    gap = float(np.max(gaps))  # a NaN gap stays NaN and fails the test below
-    print(f"Chebyshev-2 node angles, quadrature against closed form: largest gap {gap:.2e} rad")
-    if not gap <= NODE_GAP_TOL:
-        raise SystemExit(f"the quadrature route is off by more than {NODE_GAP_TOL:g} rad")
+    routes = (("Chebyshev-2", chebyshev2, jacobi_weight(0.5, 0.5)),
+              (f"Bernstein-Szego r = {R}", bernstein_szego_interval, bernstein_szego([1.0, -R])))
+    for name, w, exact in routes:
+        gaps = [np.max(np.abs(interval_nodes_from_measure(w, n).thetas
+                              - interval_nodes_from_measure(exact, n).thetas)) for n in ns]
+        gap = float(np.max(gaps))  # a NaN gap stays NaN and fails the test below
+        print(f"{name} node angles, quadrature against exact alphas: largest gap {gap:.2e} rad")
+        if not gap <= NODE_GAP_TOL:
+            raise SystemExit(f"the {name} quadrature route is off by more than {NODE_GAP_TOL:g} rad")
+    same = all(interval_nodes_from_measure(lebesgue_measure(), n).thetas.tobytes()
+               == interval_nodes_from_measure(chebyshev1, n).thetas.tobytes() for n in ns)
+    print(f"Lebesgue measure and jacobi_weight(-0.5, -0.5), node angles bit for bit: {same}")
+    if not same:
+        raise SystemExit("lebesgue_measure() and jacobi_weight(-0.5, -0.5) give different nodes")
 
 
 if __name__ == "__main__":

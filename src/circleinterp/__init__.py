@@ -63,6 +63,7 @@ from .opuc import (
     paraorthogonal_nodes,
     quadrature_weight,
     szego_recurrence,
+    szego_transform_weight,
     verblunsky_coefficients,
 )
 from .transforms import (
@@ -70,7 +71,6 @@ from .transforms import (
     TrigPolynomial,
     interval_interpolate,
     interval_nodes_from_measure,
-    szego_transform_weight,
     trig_interpolate_paraorthogonal,
     trig_interpolate_symmetric,
 )

@@ -260,10 +260,6 @@ def _nearest_nodes(system: NodalSystem, z: np.ndarray):
     """Index of the node nearest to each z and the distance to it.  For any
     z != 0 the nearest node in distance is the nearest in argument, so a
     binary search over the sorted arguments finds it."""
-    if len(z) == 1:  # one point: scanning the nodes costs less than sorting them
-        d = np.abs(z - system.nodes)
-        k = d.argmin(keepdims=True)
-        return k, d[k]
     thetas = system.thetas
     order = np.argsort(thetas)
     i = np.searchsorted(thetas[order], np.mod(np.angle(z), 2.0 * np.pi))

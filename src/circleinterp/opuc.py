@@ -40,6 +40,7 @@ __all__ = [
     "quadrature_weight",
     "bernstein_szego",
     "jacobi_weight",
+    "szego_transform_weight",
     "load_measure_spec",
     "szego_recurrence",
     "verblunsky_coefficients",
@@ -115,7 +116,13 @@ def finite_verblunsky(alphas: Sequence[complex]) -> MeasureSpec:
     return MeasureSpec(kind="finite-verblunsky", alphas=tuple(checked.tolist()), label="verblunsky")
 
 
+def _check_weight(name: str, w, var: str) -> None:
+    if not callable(w):
+        raise ValidationError(f"{name} must be a callable of {var}, got {type(w).__name__}")
+
+
 def quadrature_weight(w: Callable) -> MeasureSpec:
+    _check_weight("measure weight", w, "theta")
     return MeasureSpec(kind="quadrature-weight", weight=w, label="quadrature")
 
 
@@ -150,6 +157,21 @@ def jacobi_weight(a: float, b: float) -> MeasureSpec:
             raise ValidationError(f"Jacobi exponent {name} must be a finite number > -1, got {v!r}")
     a, b = float(a), float(b)
     return MeasureSpec(kind="jacobi", exponents=(a, b), label=f"jacobi({a!r}, {b!r})")
+
+
+def szego_transform_weight(w: Callable) -> MeasureSpec:
+    """The Szego transform of a weight w on [-1, 1] given as a callable, the
+    circle weight (1/2) w(cos theta) |sin theta|; ``jacobi_weight`` is the
+    closed-form case.  The weight is even, so its moments are real: the
+    quadrature keeps their real part, and its alphas are exactly real."""
+    _check_weight("interval weight", w, "x")
+
+    def circle_w(theta):
+        theta = np.asarray(theta, dtype=float)
+        wx = _real_values("interval weight", w(np.cos(theta)), theta.shape)
+        return 0.5 * wx * np.abs(np.sin(theta))
+
+    return MeasureSpec(kind="interval-weight", weight=circle_w, label="szego-transform")
 
 
 def load_measure_spec(path) -> MeasureSpec:
@@ -402,12 +424,11 @@ def _phase_steps(alphas: np.ndarray) -> list:
     p <- z p, q <- q."""
     steps: list = []
     group: list = []
-    run = 0
-    cost = 0.0
-    for a, c in zip(alphas.tolist(), (-np.log1p(-np.abs(alphas))).tolist()):
-        if a == 0:
-            run += 1
-            continue
+    cost, last = 0.0, -1  # last: the index of the previous nonzero alpha
+    nonzero = np.flatnonzero(alphas)
+    for k, a, c in zip(nonzero.tolist(), alphas[nonzero].tolist(),
+                       (-np.log1p(-np.abs(alphas[nonzero]))).tolist()):
+        run, last = k - last - 1, k
         if group and run <= _FOLDED_ZEROS and len(group) + run < _GROUP_ROWS and cost + c <= _GROUP_DECAY:
             group += [0j] * run
             run = 0
@@ -416,13 +437,12 @@ def _phase_steps(alphas: np.ndarray) -> list:
             group, cost = [], 0.0
         if run:
             steps.append(run)
-            run = 0
         group.append(a)
         cost += c
     if group:
         steps.append(_group(group))
-    if run:
-        steps.append(run)
+    if len(alphas) - last > 1:
+        steps.append(len(alphas) - last - 1)
     return steps
 
 

@@ -26,12 +26,12 @@ from .interp import interpolant_coefficients, interpolate
 from .laurent import (DegreePlan, LaurentPolynomial, _check_count, _real_points, _real_values,
                       eval_laurent)
 from .nodal import NodalSystem
-from .opuc import MeasureSpec, ParaOrthogonalSpec, paraorthogonal_nodes, verblunsky_coefficients
+from .opuc import (MeasureSpec, ParaOrthogonalSpec, paraorthogonal_nodes, szego_transform_weight,
+                   verblunsky_coefficients)
 
 __all__ = [
     "IntervalNodalSystem",
     "TrigPolynomial",
-    "szego_transform_weight",
     "interval_nodes_from_measure",
     "interval_interpolate",
     "trig_interpolate_symmetric",
@@ -123,43 +123,25 @@ class TrigPolynomial:
         return out.real
 
 
-def szego_transform_weight(w) -> MeasureSpec:
-    """Circle weight theta -> (1/2) w(cos theta) |sin theta| of an interval
-    weight w on [-1, 1], as an "interval-weight" measure: the weight is even,
-    so its moments are real; the quadrature keeps their real part."""
-
-    def circle_w(theta):
-        theta = np.asarray(theta, dtype=float)
-        wx = _real_values("interval weight", w(np.cos(theta)), theta.shape)
-        return 0.5 * wx * np.abs(np.sin(theta))
-
-    return MeasureSpec(kind="interval-weight", weight=circle_w, label="szego-transform")
-
-
 def _szego_zeros(w, m: int, tau: float) -> NodalSystem:
     """The m para-orthogonal zeros, rotation tau, of the Szego transform of
-    w: a "jacobi" or "interval-weight" MeasureSpec as it is (the former
-    takes its alphas in closed form), a callable weight on [-1, 1] through
-    ``szego_transform_weight`` and its moment quadrature."""
-    if isinstance(w, MeasureSpec):
-        if w.kind not in ("jacobi", "interval-weight"):
-            raise ValidationError(f"an interval weight spec must be of kind 'jacobi' or "
-                                  f"'interval-weight', got {w.kind!r}")
-        spec = w
-    elif callable(w):
-        spec = szego_transform_weight(w)
-    else:
-        raise ValidationError(f"the interval weight must be a callable or a MeasureSpec, "
-                              f"got {type(w).__name__}")
-    alphas = verblunsky_coefficients(spec, m)
+    w: a MeasureSpec as it is, a callable weight on [-1, 1] through
+    ``szego_transform_weight``.  The Szego transforms are the measures with
+    real Verblunsky coefficients; a nonreal alpha_k raises ValidationError."""
+    alphas = verblunsky_coefficients(w if isinstance(w, MeasureSpec) else szego_transform_weight(w), m)
+    nonreal = np.flatnonzero(alphas.imag)
+    if len(nonreal):
+        k = int(nonreal[0])
+        raise ValidationError(f"alpha_{k} = {alphas[k]} is not real: w is not an interval weight")
     return paraorthogonal_nodes(alphas, ParaOrthogonalSpec(n=m, tau=tau))
 
 
 def interval_nodes_from_measure(w, n: int, variant: str = "mu1") -> IntervalNodalSystem:
     """Interval nodal system with n interior nodes from the weight w(x): a
-    callable, or a "jacobi" (``jacobi_weight``) or "interval-weight"
-    (``szego_transform_weight``) MeasureSpec, through the para-orthogonal
-    zeros of its Szego transform at the variant's degree and rotation."""
+    callable, or a MeasureSpec with real Verblunsky coefficients (such as
+    ``jacobi_weight`` or ``szego_transform_weight``), through the
+    para-orthogonal zeros of its Szego transform at the variant's degree
+    and rotation."""
     if variant not in VARIANTS:
         raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
     n = _check_count("the interior node count n", n, 1)

@@ -361,7 +361,7 @@ def stacked_nearest_nodes(system, z):
 @pytest.mark.parametrize("system", ["random", "roots", "para-0.5"])
 def test_nearest_nodes_match_the_stacked_gather(system):
     """Indices and distances are identical to the stacked gather, also for
-    points at, between (ties) and inside the nodes."""
+    points at, between (ties) and inside the nodes, and for one point."""
     if system == "random":
         sys = make_nodal_system(np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, 256)))
     elif system == "roots":
@@ -370,7 +370,8 @@ def test_nearest_nodes_match_the_stacked_gather(system):
         sys = _para_system([0.5], 256)
     t = np.sort(sys.thetas)
     z = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, 8192))
-    for pts in (z, 0.5 * z, sys.nodes, np.exp(0.5j * (t + np.roll(t, -1)))):
+    ties = np.exp(0.5j * (t + np.roll(t, -1)))
+    for pts in (z, 0.5 * z, sys.nodes, ties, z[:1], sys.nodes[:1], ties[:1]):
         got, want = nodal._nearest_nodes(sys, pts), stacked_nearest_nodes(sys, pts)
         assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
 

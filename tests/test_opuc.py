@@ -250,19 +250,24 @@ class TestMoments:
             verblunsky_coefficients(quadrature_weight(lambda t: 0 * t), 2)
 
     @pytest.mark.parametrize("spec,match", [
-        (quadrature_weight(lambda t: 1 + 0.5j * np.cos(t)), "complex128"),
-        (quadrature_weight(lambda t: np.where(t > 1.0, np.nan, 1.0)), "finite"),
-        (quadrature_weight(lambda t: np.ones(3)), r"shape \(3,\)"),
-        (quadrature_weight(lambda t: np.ones((len(t), 2))), r"shape \(256, 2\)"),
-        (quadrature_weight(lambda t: np.full(t.shape, "1")), "<U1"),
-        (quadrature_weight(lambda t: None), "object"),
-        (szego_transform_weight(lambda x: 1 + 0j * x), "interval weight .* complex128"),
-    ], ids=["complex", "nan", "three-values", "two-d", "strings", "none", "complex-interval"])
+        (lambda: quadrature_weight(lambda t: 1 + 0.5j * np.cos(t)), "complex128"),
+        (lambda: quadrature_weight(lambda t: np.where(t > 1.0, np.nan, 1.0)), "finite"),
+        (lambda: quadrature_weight(lambda t: np.ones(3)), r"shape \(3,\)"),
+        (lambda: quadrature_weight(lambda t: np.ones((len(t), 2))), r"shape \(256, 2\)"),
+        (lambda: quadrature_weight(lambda t: np.full(t.shape, "1")), "<U1"),
+        (lambda: quadrature_weight(lambda t: None), "object"),
+        (lambda: szego_transform_weight(lambda x: 1 + 0j * x), "interval weight .* complex128"),
+        (lambda: quadrature_weight(0.5), "measure weight must be a callable of theta, got float"),
+        (lambda: quadrature_weight(None), "callable of theta, got NoneType"),
+        (lambda: szego_transform_weight("x"), "interval weight must be a callable of x, got str"),
+    ], ids=["complex", "nan", "three-values", "two-d", "strings", "none", "complex-interval",
+            "number", "no-weight", "string-interval"])
     def test_weight_must_give_one_finite_real_per_angle(self, spec, match):
-        """Each is refused at the first quadrature level: not cast, and not
-        run on to the cap."""
+        """Each is refused when its spec is built (a weight that is not
+        callable) or at the first quadrature level: not cast, and not run on
+        to the cap."""
         with pytest.raises(ValidationError, match=match):
-            verblunsky_coefficients(spec, 4)
+            verblunsky_coefficients(spec(), 4)
 
     def test_weight_specs_take_no_label(self):
         """The labels of the two weight kinds are fixed; nothing passed one."""
@@ -583,6 +588,29 @@ class TestParaOrthogonal:
         for gap, want in ((r, [64, 20, 43, 1]), (r + 1, [1, 21] * 5 + [1, 17])):
             alphas = np.where(np.arange(128) % (gap + 1) == 0, 0.5, 0.0)
             assert [s if isinstance(s, int) else s[0] for s in shape(alphas)] == want
+
+    @pytest.mark.parametrize("alphas,want", [
+        (np.pad(alternating(16), (0, 1008)), [(16,), 1008]),
+        (opuc._jacobi_alphas(0.5, 0.5, 258), [1, (63,)] * 4 + [1, (1,)]),
+        (np.concatenate([[0.5] * 5, [0.0] * 21, [-0.3j] * 4, [0.0] * 30, [0.9], [0.0] * 39]),
+         [(5,), 21, (4,), 30, (1,), 39]),
+    ], ids=["alt16-zeros", "chebyshev2-258", "21-zero-run"])
+    def test_phase_steps_pinned(self, alphas, want):
+        """The step lists of three families: each zero run as its length,
+        each group as (its length,) and equal to the _group of the alphas it
+        covers.  A Chebyshev-2 group of 63 leaves no row for the zero after
+        it, and a run of 21 zeros is not folded."""
+        alphas = np.asarray(alphas, dtype=complex)
+        steps = opuc._phase_steps(alphas)
+        assert [s if isinstance(s, int) else (len(s.alphas),) for s in steps] == want
+        k = 0
+        for s in steps:
+            if not isinstance(s, int):
+                ref = opuc._group(alphas[k:k + len(s.alphas)].tolist())
+                assert (s.alphas, s.rows, s.start) == (ref.alphas, ref.rows, ref.start)
+                assert s.decay.tobytes() == ref.decay.tobytes()
+            k += s if isinstance(s, int) else len(s.alphas)
+        assert k == len(alphas)
 
     @pytest.mark.parametrize("family,n,floor", [
         ("alternating", 256, 0.0),

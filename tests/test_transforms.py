@@ -11,10 +11,12 @@ from circleinterp import (
     SymmetryError,
     TrigPolynomial,
     ValidationError,
+    bernstein_szego,
     finite_verblunsky,
     interval_interpolate,
     interval_nodes_from_measure,
     jacobi_weight,
+    lebesgue_measure,
     make_nodal_system,
     quadrature_weight,
     roots_of_unimodular,
@@ -295,15 +297,59 @@ class TestJacobiRoute:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("w,match", [
-        (finite_verblunsky([0.5]), "kind 'jacobi' or 'interval-weight', got 'finite-verblunsky'"),
-        (quadrature_weight(np.ones_like), "got 'quadrature-weight'"),
-        (0.5, "callable or a MeasureSpec, got float"),
+        (finite_verblunsky([0.5, 0.3j]), r"alpha_1 = 0.3j is not real"),
+        (quadrature_weight(lambda t: 1.0 + 0.5 * np.sin(t)), r"alpha_0 = \(.*j\) is not real"),
+        (0.5, "interval weight must be a callable of x, got float"),
     ], ids=["finite-verblunsky", "quadrature-weight", "number"])
     def test_refuses_other_weights(self, w, match):
+        """A measure is an interval weight when its alphas are real: the first
+        nonreal alpha_k is named.  A number is refused as a weight."""
         for call in (lambda: interval_nodes_from_measure(w, 3),
                      lambda: trig_interpolate_symmetric(w, 3, np.cos)):
             with pytest.raises(ValidationError, match=match):
                 call()
+
+
+def bernstein_szego_interval(r):
+    """1 / ((1 + r^2 - 2 r x) sqrt(1 - x^2)) as a callable: its Szego
+    transform is 1 / (2 |1 - r e^{i theta}|^2), whose alphas are exactly
+    (r, 0, 0, ..) (bernstein_szego([1, -r]))."""
+    return lambda x: 1.0 / ((1.0 + r * r - 2.0 * r * x) * np.sqrt(1.0 - x * x))
+
+
+class TestRealAlphas:
+    """An interval measure is one with real Verblunsky coefficients: any
+    MeasureSpec whose alphas are real is taken."""
+
+    @pytest.mark.parametrize("r,last_level", [(0.9, 1024), (0.95, 4096)])
+    def test_quadrature_meets_the_bernstein_szego_alphas(self, monkeypatch, r, last_level):
+        """The callable is not a trigonometric polynomial, so the doubling
+        loop runs from 256 points to last_level.  Its alphas and node angles
+        agree with the exact ones to 1e-13 (measured 2.3e-14 and 1.7e-14)."""
+        levels = []
+        midpoint_moments = opuc._midpoint_moments
+        monkeypatch.setattr(opuc, "_midpoint_moments",
+                            lambda w, m, N: levels.append(m) or midpoint_moments(w, m, N))
+        w, exact = bernstein_szego_interval(r), bernstein_szego([1.0, -r])
+        for n in (8, 64):
+            levels.clear()
+            got = verblunsky_coefficients(szego_transform_weight(w), n)
+            assert levels == [256 * 2**i for i in range(len(levels))] and levels[-1] == last_level
+            assert np.max(np.abs(got - verblunsky_coefficients(exact, n))) < 1e-13
+            for variant in transforms.VARIANTS:
+                got, want = (interval_nodes_from_measure(v, n, variant).thetas for v in (w, exact))
+                assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("variant", transforms.VARIANTS)
+    def test_three_specs_of_chebyshev1_give_the_same_bits(self, variant):
+        """Lebesgue measure, the constant circle weight and jacobi_weight(-0.5, -0.5)
+        all have alphas 0, so they give the same nodes bit for bit."""
+        for n in (1, 3, 8, 64, 257, 1024):
+            specs = (jacobi_weight(-0.5, -0.5), lebesgue_measure(), quadrature_weight(np.ones_like))
+            systems = [interval_nodes_from_measure(w, n, variant) for w in specs]
+            for sys in systems[1:]:
+                assert sys.circle_system.nodes.tobytes() == systems[0].circle_system.nodes.tobytes()
+                assert sys.all_nodes.tobytes() == systems[0].all_nodes.tobytes()
 
 
 class TestIntervalInterpolation:
