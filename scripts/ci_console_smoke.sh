@@ -7,8 +7,8 @@
 # Chebyshev weights, trig in both variants, a sweep that must write its
 # CSV, and a para-orthogonal sweep and trig interpolant read from a
 # measure file (the sweep's node midpoints are not rotation-symmetric),
-# the same nodes from a Bernstein-Szego file, and the exit code of an h
-# with a zero on the circle.
+# the same nodes from a Bernstein-Szego file, the exit code of an h with a
+# zero on the circle, and a check report past overflow.
 #
 #   scripts/ci_console_smoke.sh [OUT_DIR]
 #
@@ -66,3 +66,14 @@ circle-interp sweep --family para-orthogonal --measure "$out_dir/alpha-half.json
     --ns 16:64 --corpus holder:0.6 --out "$out_dir/sweep-para"
 test -s "$out_dir/sweep-para.csv"
 circle-interp trig --n 64 --variant para --measure "$out_dir/alpha-half.json" --corpus holder:0.6
+# alpha_k = 0.7 (-1)^k at n = 1024: (ii) and the Lebesgue function peak
+# near 1e469 and 1e385, past the largest double, so L_hat and lebesgue_max
+# are null and only their log10 fields are finite
+python -c 'import json, sys
+alphas = [[0.7 * (-1) ** k, 0.0] for k in range(1024)]
+json.dump({"kind": "verblunsky", "alphas": alphas}, open(sys.argv[1], "w"))' "$out_dir/alt-inf.json"
+circle-interp check --n 1024 --measure "$out_dir/alt-inf.json" --out "$out_dir/check-alt-inf.json"
+python -c 'import json, sys
+r = json.load(open(sys.argv[1]))
+sys.exit(not (r["L_hat"] is None and r["lebesgue_max"] is None
+              and r["log10_L_hat"] > 308 and r["log10_lebesgue_max"] > 308))' "$out_dir/check-alt-inf.json"

@@ -4,8 +4,9 @@
 Compares the four interval node variants (interior-only, both endpoints,
 one endpoint each) on [-1, 1] targets of increasing roughness under the
 Chebyshev weight, then runs the symmetric trigonometric interpolant on the
-matching periodic targets.  Last, it checks three routes to the same
-nodes, and exits nonzero when one fails:
+matching periodic targets.  It exits nonzero when an interval fit has a
+degree other than its node count less one.  Last, it checks three routes
+to the same nodes, and exits nonzero when one fails:
 - the Chebyshev-2 weight given as a callable must give the node angles of
   jacobi_weight(0.5, 0.5) to NODE_GAP_TOL (moment quadrature against the
   closed form);
@@ -72,15 +73,21 @@ def main():
 
     print("interval interpolation, sup error on [-1, 1]:")
     print(f"{'variant':<8} {'target':<9} " + " ".join(f"n={n:<8}" for n in ns))
+    wrong_degree = []
     for variant in ("mu1", "mu2", "mu3", "mu4"):
         for name, f in targets.items():
             errs = []
             for n in ns:
                 sys = interval_nodes_from_measure(chebyshev1, n, variant)
                 poly = interval_interpolate(sys, f)
+                if poly.degree() != len(sys.all_nodes) - 1:
+                    wrong_degree.append(f"{variant} {name} n={n}: degree {poly.degree()} "
+                                        f"for {len(sys.all_nodes)} nodes")
                 errs.append(float(np.max(np.abs(poly(xg) - f(xg)))))
             row = " ".join(f"{e:<10.2e}" for e in errs)
             print(f"{variant:<8} {name:<9} {row}")
+    if wrong_degree:
+        raise SystemExit("interval fits of the wrong degree: " + "; ".join(wrong_degree))
 
     print("\ntrigonometric interpolation, sup error on [0, 2*pi):")
     tg = np.linspace(0.0, 2.0 * np.pi, 4001)

@@ -22,7 +22,7 @@ from . import __version__
 from .errors import NumericalError, ValidationError
 from .experiments import (
     NodalFamily,
-    _json_number,
+    _strict,
     convergence_sweep,
     parse_corpus,
     sweep_to_csv,
@@ -133,13 +133,6 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _strict(x):
-    """x with every non-finite float, nested dicts included, as None."""
-    if isinstance(x, dict):
-        return {k: _strict(v) for k, v in x.items()}
-    return _json_number(x) if isinstance(x, float) else x
-
-
 def _emit_report(payload: dict, out: str | None):
     """Write a JSON report as strict JSON: an infinite or NaN value is null."""
     _emit(json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n", out)
@@ -177,11 +170,8 @@ def cmd_check(cfg) -> int:
     return 0
 
 
-def _dense_csv(xs, f_vals, approx, header: str) -> str:
-    """The CSV of f, Re approx and |f - approx| on the grid xs; for a complex
-    approx the error is the complex distance, as in the report's sup_error."""
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, as for Python floats
-        error = np.abs(f_vals - approx)
+def _dense_csv(xs, f_vals, approx, error, header: str) -> str:
+    """The CSV of f, Re approx and the error |f - approx| on the grid xs."""
     # Python floats from one tolist() per column: float() per numpy scalar
     # costs more than the formatting
     cols = (np.asarray(c, dtype=float).tolist() for c in (xs, f_vals, np.real(approx), error))
@@ -191,12 +181,15 @@ def _dense_csv(xs, f_vals, approx, header: str) -> str:
 
 def _emit_fit(cfg, head: dict, F, xs, f_vals, approx, header: str):
     """Write the report of a fit on the grid xs, the command's own head
-    fields first, and with --dense its CSV (see _dense_csv)."""
-    payload = {**head, "corpus": F.label, "sup_error": float(np.max(np.abs(f_vals - approx))),
+    fields first, and with --dense its CSV (see _dense_csv).  For a complex
+    approx the error is the complex distance |f - approx|, in both."""
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as for Python floats
+        error = np.abs(f_vals - approx)
+    payload = {**head, "corpus": F.label, "sup_error": float(np.max(error)),
                "grid_size": len(xs), "metadata": _metadata(cfg)}
     _emit_report(payload, cfg.get("out"))
     if cfg.get("dense"):
-        _emit(_dense_csv(xs, f_vals, approx, header), cfg["dense"])
+        _emit(_dense_csv(xs, f_vals, approx, error, header), cfg["dense"])
 
 
 def cmd_interp(cfg) -> int:

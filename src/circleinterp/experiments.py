@@ -378,11 +378,14 @@ def sweep_to_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_number(x) -> float | None:
-    """A float for strict JSON: null where the value is missing (NaN) or
-    infinite."""
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _strict(x):
+    """x for strict JSON: every float that is missing (NaN) or infinite, in
+    nested dicts and lists too, as None."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_strict(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def sweep_to_json(result: SweepResult, metadata: dict | None = None) -> str:
@@ -394,9 +397,8 @@ def sweep_to_json(result: SweepResult, metadata: dict | None = None) -> str:
         "corpus": result.corpus_name,
         "error_grid": result.error_grid,
         "condition_grids": list(result.condition_grid),
-        "rows": [{k: _json_number(v) if isinstance(v, float) else v for k, v in row.items()}
-                 for row in _rows(result)],
+        "rows": list(_rows(result)),
     }
     if metadata:
         payload["metadata"] = metadata
-    return json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n"
+    return json.dumps(_strict(payload), indent=2, default=float, allow_nan=False) + "\n"

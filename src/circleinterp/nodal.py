@@ -296,9 +296,9 @@ def _grid_points(system: NodalSystem, grid_size: int) -> np.ndarray:
 
 
 def _condition_rows(z: np.ndarray, system: NodalSystem):
-    """Per point z: |W'(z)|, the condition (ii) quantity, the log of the
-    Lebesgue function and the log of (ii), with removable singularities
-    patched at nodes.
+    """Per point z: the logs of |W'(z)|, of the condition (ii) quantity
+    and of the Lebesgue function, with removable singularities patched at
+    nodes.
 
     Per pair only real arithmetic is done on q = |z - z_j|^2:
       log|W(z)|        = (1/2) sum_j log q_j,
@@ -323,10 +323,9 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
     else:
         # a W'(z_j) that underflowed to 0 makes the Lebesgue function infinite
         scaled_inv_derivs = (abs_derivs == 0).astype(float)
-    wprime = np.empty(len(z))
-    cond2 = np.empty(len(z))
-    log_leb = np.empty(len(z))
+    log_wprime = np.empty(len(z))
     log_cond2 = np.empty(len(z))
+    log_leb = np.empty(len(z))
 
     def block(rows, scratch):
         dr, di, q, work = scratch
@@ -342,27 +341,23 @@ def _condition_rows(z: np.ndarray, system: NodalSystem):
             log_w = 0.5 * np.log(q, out=work).sum(axis=1)
             inv_q = np.divide(1.0, q, out=q)
             inv_q[loc, cols] = 0.0
-            log_w2 = 2.0 * (log_w - math.log(n))  # log of |W|^2 / n^2
-            sum_inv_q = inv_q.sum(axis=1)
-            cond2[rows] = np.exp(log_w2) * sum_inv_q
-            log_cond2[rows] = log_w2 + np.log(sum_inv_q)
+            log_cond2[rows] = 2.0 * (log_w - math.log(n)) + np.log(inv_q.sum(axis=1))
             # |W'(z)| = |W(z)| * |sum_j 1/(z - z_j)| away from nodes
-            wprime[rows] = np.exp(log_w) * np.hypot(
-                np.einsum("ij,ij->i", dr, inv_q), np.einsum("ij,ij->i", di, inv_q))
+            log_wprime[rows] = log_w + np.log(np.hypot(
+                np.einsum("ij,ij->i", dr, inv_q), np.einsum("ij,ij->i", di, inv_q)))
             leb_sum = np.einsum("ij,j->i", np.sqrt(inv_q, out=inv_q), scaled_inv_derivs)
             log_leb[rows] = log_w + np.log(leb_sum) - shift
         if len(loc):
             # at z_j: the j-th summand of (ii) tends to |W'(z_j)|^2 / n^2,
             # |W'(z)| to |W'(z_j)| and the j-th Lebesgue summand to 1
             hit = loc + rows.start
-            np.add.at(cond2, hit, (abs_derivs[cols] / n) ** 2)
             np.logaddexp.at(log_cond2, hit, 2.0 * (log_abs_derivs[cols] - math.log(n)))
-            wprime[hit] = abs_derivs[cols]
+            log_wprime[hit] = log_abs_derivs[cols]
             hit, count = np.unique(hit, return_counts=True)
             log_leb[hit] = np.logaddexp(log_leb[hit], np.log(count))
 
     _walk_pairs(len(z), n, (float,) * 4, block)
-    return wprime, cond2, log_leb, log_cond2
+    return log_wprime, log_cond2, log_leb
 
 
 def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> NodalConditionReport:
@@ -370,15 +365,16 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
 
     The grid is grid_size uniform points, max(4096, 16 n) by default, plus
     node-argument midpoints.  At a node, within AT_NODE_TOL, the j-th summand
-    of condition (ii) is replaced by its limit |W'(z_j)|^2 / n^2.
+    of condition (ii) is replaced by its limit |W'(z_j)|^2 / n^2.  The
+    constants exponentiate extrema of log rows: inf where they overflow.
 
     When every sample z_0 e^{2 pi i j/n}, z_0 = nodes[0], is a node (see
     _rotation_symmetric) and n divides grid_size, the rows run on one
-    period only: the first grid_size / n uniform points and one midpoint.
-    Every other grid point is one of these turned by a multiple of 2 pi / n,
-    which permutes the nodes and leaves |W'(z)|, (ii) and the Lebesgue
-    function (all |W'(z_j)| are equal) unchanged, so the extrema are those
-    of the full grid up to rounding.
+    period only: the first grid_size / n uniform points and the first node
+    midpoint.  Every other grid point is one of these turned by a multiple
+    of 2 pi / n, which permutes the nodes and leaves |W'(z)|, (ii) and the
+    Lebesgue function (all |W'(z_j)| are equal) unchanged, so the extrema
+    are those of the full grid up to rounding.
     """
     n = system.n
     if grid_size is None:
@@ -386,20 +382,21 @@ def estimate_conditions(system: NodalSystem, grid_size: int | None = None) -> No
     grid_size = _check_count("grid_size", grid_size, 4)
     if grid_size % n == 0 and system._rotation_symmetric:
         period = _uniform_angles(grid_size)[: grid_size // n]
-        z = np.append(np.exp(1j * period), system.nodes[0] * np.exp(1j * np.pi / n))
+        z = np.exp(1j * np.append(period, _node_midpoints(system)[0]))
     else:
         z = _grid_points(system, grid_size)
-    wprime, cond2, log_leb, log_cond2 = _condition_rows(z, system)
+    log_wprime, log_cond2, log_leb = _condition_rows(z, system)
+    # the Lebesgue function is at least 1: it is 1 at every node
+    log_extrema = np.array([log_wprime.min(), log_cond2.max(), max(log_leb.max(), 0.0)])
     with np.errstate(over="ignore"):
-        leb_max = float(np.exp(log_leb.max()))
-    b_nodes = float(np.min(np.abs(system.derivs))) / n
+        wprime_min, l_hat, leb_max = np.exp(log_extrema).tolist()
     return NodalConditionReport(
         n=n,
-        b_hat=float(wprime.min()) / n,
-        b_hat_nodes=b_nodes,
-        l_hat=float(cond2.max()),
-        lebesgue_max=max(leb_max, 1.0),
+        b_hat=wprime_min / n,
+        b_hat_nodes=float(np.min(np.abs(system.derivs))) / n,
+        l_hat=l_hat,
+        lebesgue_max=leb_max,
         grid_size=grid_size,
-        log10_l_hat=float(log_cond2.max()) / math.log(10.0),
-        log10_lebesgue_max=max(float(log_leb.max()), 0.0) / math.log(10.0),
+        log10_l_hat=float(log_extrema[1]) / math.log(10.0),
+        log10_lebesgue_max=float(log_extrema[2]) / math.log(10.0),
     )

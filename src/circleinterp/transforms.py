@@ -171,8 +171,9 @@ def interval_interpolate(sys: IntervalNodalSystem, f):
     circle system, and symmetrizes (L(z) + L(1/z))/2, which collapses to a
     real algebraic polynomial in x through z^k + z^-k = 2 T_k(x).
 
-    Returns a numpy Chebyshev series (stable to evaluate at high degree;
-    call .convert() for power-basis coefficients when the degree is modest).
+    Returns a numpy Chebyshev series of degree len(sys.all_nodes) - 1, stable
+    to evaluate at high degree (.convert() gives power-basis coefficients).
+    The mu1 window (n, n-1) also reaches T_n, whose coefficient is rounding.
     """
     # both zeros of a pair take f at their interval node: their real parts can differ
     x = sys.all_nodes
@@ -185,7 +186,7 @@ def interval_interpolate(sys: IntervalNodalSystem, f):
             f"symmetrized coefficients have imaginary residue {np.max(np.abs(d.imag)):.3e}"
         )
     cheb = np.concatenate([[d[0].real], 2.0 * d[1:].real])
-    return np.polynomial.chebyshev.Chebyshev(cheb)
+    return np.polynomial.chebyshev.Chebyshev(cheb[:len(x)])
 
 
 def _trig_fit(system: NodalSystem, f) -> TrigPolynomial:

@@ -76,8 +76,15 @@ def test_dense_csv_bytes_unchanged():
     approx[410:413] = [np.inf, 1.0, 2.0]
     header = "x,f,interpolant,error"
     want = _dense_csv_per_scalar(xs, f, approx, header)
-    assert _dense_csv(xs, f, approx, header).encode() == want.encode()
-    assert _dense_csv(list(xs), f.tolist(), approx, header) == want
+    with np.errstate(invalid="ignore"):
+        error = np.abs(f - approx)
+    assert _dense_csv(xs, f, approx, error, header).encode() == want.encode()
+    assert _dense_csv(list(xs), f.tolist(), approx, error.tolist(), header) == want
+
+
+def _fit_csv(xs, f_vals, approx, header):
+    """The dense CSV of a fit, with the error |f - approx| its report takes."""
+    return _dense_csv(xs, f_vals, approx, np.abs(f_vals - approx), header)
 
 
 class TestCommands:
@@ -222,8 +229,8 @@ class TestCommands:
         F = corpus("lipschitz")
         tp = trig_interpolate_symmetric(INTERVAL_WEIGHTS["chebyshev1"], 32, F)
         theta = _uniform_angles(1024)
-        assert dense.read_text() == _dense_csv(theta, F(theta), tp(theta),
-                                               "theta,f,interpolant,error")
+        assert dense.read_text() == _fit_csv(theta, F(theta), tp(theta),
+                                             "theta,f,interpolant,error")
         payload = json.loads(out.read_text())
         assert payload["variant"] == "symmetric" and payload["degree"] == tp.degree
         assert payload["sup_error"] == float(np.max(np.abs(F(theta) - tp(theta))))
@@ -241,8 +248,8 @@ class TestCommands:
         I = interpolate(system, make_degree_plan(32, 0.25), F.on_circle(system.nodes))
         theta = _uniform_angles(512)
         approx = eval_interpolant(I, np.exp(1j * theta))
-        assert dense.read_text() == _dense_csv(theta, F(theta), approx,
-                                               "theta,f,interpolant,error")
+        assert dense.read_text() == _fit_csv(theta, F(theta), approx,
+                                             "theta,f,interpolant,error")
         payload = json.loads(out.read_text())
         assert (payload["p"], payload["q"], payload["s"]) == (7, 24, 7)
         assert payload["sup_error"] == float(np.max(np.abs(F(theta) - approx)))
@@ -272,8 +279,8 @@ class TestCommands:
         sys_iv = interval_nodes_from_measure(INTERVAL_WEIGHTS["chebyshev2"], 8, "mu3")
         xg = np.linspace(-1.0, 1.0, 301)
         text = dense.read_text()
-        assert text == _dense_csv(xg, F.on_interval(xg), interval_interpolate(sys_iv, F.on_interval)(xg),
-                                  "x,f,interpolant,error")
+        assert text == _fit_csv(xg, F.on_interval(xg), interval_interpolate(sys_iv, F.on_interval)(xg),
+                                "x,f,interpolant,error")
         errors = [float(line.split(",")[3]) for line in text.strip().splitlines()[1:]]
         payload = json.loads(out.read_text())
         assert payload["sup_error"] == max(errors)
@@ -293,8 +300,8 @@ class TestCommands:
         alphas = np.array([0.5, 0.3j] + [0.0] * 14)
         tp = trig_interpolate_paraorthogonal(alphas, -1.0, 16, F)
         theta = _uniform_angles(512)
-        assert dense.read_text() == _dense_csv(theta, F(theta), tp(theta),
-                                               "theta,f,interpolant,error")
+        assert dense.read_text() == _fit_csv(theta, F(theta), tp(theta),
+                                             "theta,f,interpolant,error")
         assert json.loads(out.read_text())["degree"] == tp.degree == 8
 
     def test_config_file_with_flag_override(self, tmp_path):

@@ -89,6 +89,8 @@ class TestEvalLaurent:
         L = LaurentPolynomial(p=4, q=4, coeffs=coeffs)
         z = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
         assert np.all(np.abs(eval_laurent(L, z)) <= np.sum(np.abs(coeffs)) + 1e-12)
+        # calling L evaluates it the same way
+        assert L(z).tobytes() == eval_laurent(L, z).tobytes()
 
     def test_in_place_horner_is_bit_identical(self, rng):
         """The in-place Horner does the same roundings as the form with two
@@ -227,6 +229,8 @@ class TestCoefficientRecovery:
         assert L.coefficient(3) == pytest.approx(2.0, abs=1e-13)
         others = [L.coefficient(k) for k in range(-2, 6) if k not in (-1, 3)]
         assert np.max(np.abs(others)) < 1e-13
+        # outside the window [-p, q] every coefficient is 0
+        assert L.coefficient(-L.p - 1) == L.coefficient(L.q + 1) == 0
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))

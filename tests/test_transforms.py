@@ -407,7 +407,9 @@ class TestIntervalInterpolation:
     @pytest.mark.parametrize("n,tol", [(33, 1e-14), (129, 4e-14)])
     def test_meets_f_at_its_nodes(self, n, tol):
         """Each interpolant of |x|^0.6 takes f at its own nodes, on the four
-        weights and mu1 to mu4, and f runs once per interval node."""
+        weights and mu1 to mu4, and f runs once per interval node.  Its
+        degree is one less than the node count, mu1 included, whose window
+        also reaches T_n."""
         calls = []
 
         def f(x):
@@ -420,6 +422,7 @@ class TestIntervalInterpolation:
                 calls.clear()
                 poly = interval_interpolate(sys, f)
                 assert calls == [len(sys.all_nodes)]
+                assert poly.degree() == len(sys.all_nodes) - 1
                 assert np.max(np.abs(poly(sys.all_nodes) - f(sys.all_nodes))) < tol
 
     def test_endpoint_accuracy_at_high_degree(self):
